@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
-from .families import FamilySpec
+from .families import FamilySpec, _bits
 
 DEFAULT_BUDGET = 10**8
 
@@ -69,13 +69,6 @@ class _Meter:
                 f"case budget {self.budget} exceeded during check {self.check_id!r}",
                 context={"check": self.check_id, "fiber_sizes": self.fiber_sizes},
             )
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:

@@ -462,16 +462,28 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(_envelope(args.command, inputs, result, code), indent=2, sort_keys=True))
-    elif not args.quiet:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(_envelope(args.command, inputs, result, code), indent=2, sort_keys=True))
+        elif not args.quiet:
+            for line in lines:
+                print(line)
+    except BrokenPipeError as exc:
+        exc.exit_code = code  # the report was complete; main() still returns it
+        raise
     return code
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    code = 0
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader went away (`... | head`): drop the rest of the report quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = getattr(exc, "exit_code", code)
+    return code
 
 
 if __name__ == "__main__":

@@ -127,7 +127,8 @@ def check_conditions(cert: DesignCertificate, s: int) -> ConditionReport:
         lhs, rhs = base * lam[j], lam[s]
         theta_lhs, theta_rhs = base * parameters.theta(spec, j), theta_s
         holds = lhs < rhs
-        assert holds == (theta_lhs < theta_rhs), "lambda-form and theta-form verdicts must agree"
+        if holds != (theta_lhs < theta_rhs):
+            raise AssertionError(f"lambda-form and theta-form verdicts disagree at r={r}")
         rows.append(ConditionRow(r, conditions, lhs, rhs, theta_lhs, theta_rhs, holds))
     theorem_form = all(row.holds for row in rows)
     remark_form, remark_rows = remark_conditions(spec, s, t)

@@ -2,7 +2,8 @@
 
 Every family is truncated at its top rank M, so each fiber is finite and
 enumerable.  Elements carry a canonical payload (equal payloads ==
-equal elements):
+equal elements); meet and leq work on the atom bitmask each element
+computes from it once (see the atoms section):
 
 * johnson    -- subsets of {1..v} of size <= m, stored as sorted tuples;
 * grassmann  -- subspaces of GF(q)^v of dimension <= m, stored as RREF
@@ -23,12 +24,12 @@ nbjohnson and 1-based for injection and signed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from typing import Iterator
 
 from . import gf as gflib
-from .errors import FamilyMismatchError, ParseError
+from .errors import BudgetExceededError, FamilyMismatchError, ParseError
 
 KINDS = ("johnson", "grassmann", "hamming", "bilinear", "injection", "nbjohnson", "signed")
 
@@ -138,6 +139,11 @@ class Element:
             return len(self.payload[0])
         return len(self.payload)
 
+    @cached_property
+    def atoms(self) -> int:
+        """Bitmask of the atoms below this element, computed once."""
+        return _atoms(self.spec).encode(self.payload)
+
     def __lt__(self, other: "Element") -> bool:
         if self.spec != other.spec:
             raise FamilyMismatchError("cannot order elements of different families")
@@ -158,45 +164,127 @@ def rank(x: Element) -> int:
 
 
 def _same_family(x: Element, y: Element) -> FamilySpec:
-    if x.spec != y.spec:
+    if x.spec is not y.spec and x.spec != y.spec:
         raise FamilyMismatchError(f"family mismatch: {x.spec} vs {y.spec}")
     return x.spec
 
 
 # ---------------------------------------------------------------------------
-# linear-map helpers (bilinear)
+# atoms
+#
+# Every element is stored once more as the int bitmask of the atoms below it:
+#
+# * johnson   -- ground point i is bit i - 1;
+# * map kinds -- the pair (pos, val) is bit (pos - 1) * stride + val - base;
+# * grassmann -- the nonzero vectors of the subspace;
+# * bilinear  -- the nonzero vectors of the graph {(w, f(w))} in GF(q)^(m+n),
+#                so the meet of two maps is the intersection of their graphs.
+#
+# Vector c of GF(q)^width is bit sum_j c_j * q^(width-1-j).  Then meet is
+# `a & b` and leq is `a & ~b == 0`; the payload stays the codec and the
+# canonical sort key.
+
+ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
+_DECODED_CAP = 1 << 12  # decoded meet results kept per family
 
 
-def _pivot_columns(rref_rows):
-    return tuple(next(i for i, c in enumerate(row) if c) for row in rref_rows)
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _apply_linear(dom_rows, images, w, fld):
-    """Image of w under the map sending dom row i to images[i].
+class _Atoms:
+    """Payload <-> atom bitmask for one family, plus a bounded decode cache."""
 
-    dom_rows must be RREF and w must lie in their row space, so the
-    coordinates of w are just its entries at the pivot columns.
-    """
-    if not dom_rows:
-        return None
-    n = len(images[0])
-    out = [0] * n
-    for row_idx, piv in enumerate(_pivot_columns(dom_rows)):
-        c = w[piv]
-        if c:
-            img = images[row_idx]
-            out = [fld.add(x, fld.mul(c, y)) for x, y in zip(out, img)]
-    return tuple(out)
+    def __init__(self, spec: FamilySpec):
+        kind = spec.kind
+        if kind in ("grassmann", "bilinear"):
+            self.fld = gflib.field(spec.q)
+            self.width = spec.v if kind == "grassmann" else spec.m + spec.n
+            count = spec.q**self.width
+        elif kind == "johnson":
+            count = spec.v
+        else:
+            self.stride = spec.m if kind == "signed" else spec.n
+            self.base = 0 if kind in ("hamming", "nbjohnson") else 1
+            count = spec.m * self.stride
+        if count > ATOM_CAP:
+            raise BudgetExceededError(
+                f"{spec} has {count} atoms, above the cap of {ATOM_CAP}",
+                context={"atoms": count, "atom_cap": ATOM_CAP},
+            )
+        self.spec = spec
+        self.decoded: dict[int, Element] = {}
+
+    def encode(self, payload: tuple) -> int:
+        kind = self.spec.kind
+        if kind == "johnson":
+            return sum(1 << (i - 1) for i in payload)
+        if kind == "grassmann":
+            return self._span_mask(payload)
+        if kind == "bilinear":
+            return self._span_mask([d + f for d, f in zip(*payload)])
+        return sum(1 << ((p - 1) * self.stride + v - self.base) for p, v in payload)
+
+    def element(self, mask: int) -> Element:
+        """The element whose atom set is mask, e.g. the meet `a & b`."""
+        found = self.decoded.get(mask)
+        if found is None:
+            if len(self.decoded) >= _DECODED_CAP:
+                self.decoded.clear()
+            found = self.decoded[mask] = Element(self.spec, self._decode(mask))
+            found.__dict__["atoms"] = mask
+        return found
+
+    def _decode(self, mask: int) -> tuple:
+        kind = self.spec.kind
+        if kind == "johnson":
+            return tuple(b + 1 for b in _bits(mask))
+        if kind not in ("grassmann", "bilinear"):
+            return tuple((b // self.stride + 1, b % self.stride + self.base) for b in _bits(mask))
+        # pick spanning vectors greedily, then take the canonical basis
+        rows, rest = [], mask
+        while rest:
+            rows.append(self._vector((rest & -rest).bit_length() - 1))
+            rest = mask & ~self._span_mask(rows)
+        rows = gflib.rref(rows, self.fld)[0]
+        if kind == "grassmann":
+            return rows
+        # a graph meets {0} x GF(q)^n trivially, so every pivot is a domain column
+        m = self.spec.m
+        return tuple(r[:m] for r in rows), tuple(r[m:] for r in rows)
+
+    def _vector(self, code: int) -> tuple:
+        q = self.fld.q
+        digits = []
+        for _ in range(self.width):
+            code, c = divmod(code, q)
+            digits.append(c)
+        return tuple(reversed(digits))
+
+    def _span_mask(self, rows) -> int:
+        fld, q = self.fld, self.fld.q
+        span = [(0,) * self.width]
+        for row in rows:
+            span = [
+                tuple(fld.add(a, fld.mul(c, b)) for a, b in zip(vec, row))
+                for c in range(q)
+                for vec in span
+            ]
+        mask = 0
+        for vec in span:
+            code = 0
+            for c in vec:
+                code = code * q + c
+            mask |= 1 << code
+        return mask & ~1  # the zero vector is no atom
 
 
-def _member_image(dom_rows, images, w, fld):
-    """Like _apply_linear but returns None when w is outside the domain."""
-    if not dom_rows:
-        return None
-    pivots = _pivot_columns(dom_rows)
-    if not gflib.in_rowspace(dom_rows, pivots, w, fld):
-        return None
-    return _apply_linear(dom_rows, images, w, fld)
+@lru_cache(maxsize=16)
+def _atoms(spec: FamilySpec) -> _Atoms:
+    return _Atoms(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -205,58 +293,13 @@ def _member_image(dom_rows, images, w, fld):
 
 def meet(x: Element, y: Element) -> Element:
     """Greatest lower bound of x and y."""
-    spec = _same_family(x, y)
-    kind = spec.kind
-    if kind == "johnson" or kind in _MAP_KINDS:
-        payload = tuple(sorted(set(x.payload) & set(y.payload)))
-        return Element(spec, payload)
-    fld = gflib.field(spec.q)
-    if kind == "grassmann":
-        rows = gflib.intersect_rowspaces(x.payload, y.payload, spec.v, fld)
-        return Element(spec, rows)
-    # bilinear: the subspace of dom(x) /\ dom(y) where both maps agree
-    dom_x, img_x = x.payload
-    dom_y, img_y = y.payload
-    inter = gflib.intersect_rowspaces(dom_x, dom_y, spec.m, fld)
-    if not inter:
-        return least(spec)
-    diffs = []
-    for w in inter:
-        fx = _apply_linear(dom_x, img_x, w, fld)
-        fy = _apply_linear(dom_y, img_y, w, fld)
-        diffs.append(tuple(fld.sub(a, b) for a, b in zip(fx, fy)))
-    null = gflib.combination_nullspace(diffs, fld)
-    if not null:
-        return least(spec)
-    agree = []
-    for coeffs in null:
-        vec = [0] * spec.m
-        for c, row in zip(coeffs, inter):
-            if c:
-                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, row)]
-        agree.append(tuple(vec))
-    w_rows, _ = gflib.rref(agree, fld)
-    images = tuple(_apply_linear(dom_x, img_x, w, fld) for w in w_rows)
-    return Element(spec, (w_rows, images))
+    return _atoms(_same_family(x, y)).element(x.atoms & y.atoms)
 
 
 def leq(x: Element, y: Element) -> bool:
     """True iff x is below y (equivalently meet(x, y) == x)."""
-    spec = _same_family(x, y)
-    kind = spec.kind
-    if kind == "johnson" or kind in _MAP_KINDS:
-        return set(x.payload) <= set(y.payload)
-    fld = gflib.field(spec.q)
-    if kind == "grassmann":
-        pivots = _pivot_columns(y.payload)
-        return all(gflib.in_rowspace(y.payload, pivots, row, fld) for row in x.payload)
-    dom_x, img_x = x.payload
-    dom_y, img_y = y.payload
-    for row, img in zip(dom_x, img_x):
-        got = _member_image(dom_y, img_y, row, fld)
-        if got != img:
-            return False
-    return True
+    _same_family(x, y)
+    return not x.atoms & ~y.atoms
 
 
 def join_bounded(x: Element, y: Element) -> Element | None:
@@ -286,28 +329,14 @@ def join_bounded(x: Element, y: Element) -> Element | None:
     if kind == "grassmann":
         total = gflib.sum_rowspaces(x.payload, y.payload, fld)
         return Element(spec, total) if len(total) <= top else None
-    # bilinear: extensions exist iff the maps agree on the domain overlap
-    dom_x, img_x = x.payload
-    dom_y, img_y = y.payload
-    inter = gflib.intersect_rowspaces(dom_x, dom_y, spec.m, fld)
-    for w in inter:
-        if _apply_linear(dom_x, img_x, w, fld) != _apply_linear(dom_y, img_y, w, fld):
-            return None
-    total = gflib.sum_rowspaces(dom_x, dom_y, fld)
-    if len(total) > top:
+    # bilinear: the span of both graphs must itself be the graph of a map,
+    # i.e. have no pivot in an image column
+    graph = [d + f for d, f in zip(*x.payload)] + [d + f for d, f in zip(*y.payload)]
+    rows, pivots = gflib.rref(graph, fld)
+    m = spec.m
+    if len(rows) > top or any(p >= m for p in pivots):
         return None
-    if not total:
-        return least(spec)
-    stacked = tuple(dom_x) + tuple(dom_y)
-    images = []
-    for g in total:
-        coeffs = gflib.solve_combination(stacked, g, fld)
-        img = [0] * spec.n
-        for c, src in zip(coeffs, tuple(img_x) + tuple(img_y)):
-            if c:
-                img = [fld.add(a, fld.mul(c, b)) for a, b in zip(img, src)]
-        images.append(tuple(img))
-    return Element(spec, (total, tuple(images)))
+    return Element(spec, (tuple(r[:m] for r in rows), tuple(r[m:] for r in rows)))
 
 
 def meet_all(elements) -> Element:

@@ -187,95 +187,6 @@ def rref(rows, fld: GF):
     return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
 
 
-def reduce_vector(rref_rows, pivots, vec, fld: GF):
-    """Residual of vec after eliminating against an RREF basis."""
-    res = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        c = res[p]
-        if c != 0:
-            res = [fld.sub(x, fld.mul(c, y)) for x, y in zip(res, row)]
-    return tuple(res)
-
-
-def in_rowspace(rref_rows, pivots, vec, fld: GF) -> bool:
-    return not any(reduce_vector(rref_rows, pivots, vec, fld))
-
-
-def _rref_with_tags(rows, fld: GF):
-    """Gauss-Jordan keeping a tag per row: tags[i] . rows == reduced[i].
-
-    Zero rows are kept (at the bottom) so their tags span the left
-    combination nullspace.
-    """
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    tags = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    if not mat:
-        return [], [], []
-    ncols = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, n) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        tags[rank], tags[piv] = tags[piv], tags[rank]
-        lead = mat[rank][col]
-        if lead != 1:
-            inv = fld.inv(lead)
-            mat[rank] = [fld.mul(inv, x) for x in mat[rank]]
-            tags[rank] = [fld.mul(inv, x) for x in tags[rank]]
-        for i in range(n):
-            if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
-                tags[i] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(tags[i], tags[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == n:
-            break
-    return mat, tags, pivots
-
-
-def combination_nullspace(rows, fld: GF):
-    """RREF basis of {a : sum_i a_i * rows_i = 0}."""
-    if not rows:
-        return ()
-    mat, tags, _ = _rref_with_tags(rows, fld)
-    null_tags = [tuple(tags[i]) for i in range(len(rows)) if not any(mat[i])]
-    return rref(null_tags, fld)[0]
-
-
-def solve_combination(rows, target, fld: GF):
-    """Coefficients a with sum_i a_i * rows_i == target, or None."""
-    if not rows:
-        return None if any(target) else ()
-    mat, tags, _ = _rref_with_tags(rows, fld)
-    res = list(target)
-    coeff = [0] * len(rows)
-    for i in range(len(rows)):
-        if not any(mat[i]):
-            continue
-        p = next(j for j, c in enumerate(mat[i]) if c)
-        c = res[p]
-        if c:
-            res = [fld.sub(x, fld.mul(c, y)) for x, y in zip(res, mat[i])]
-            coeff = [fld.add(a, fld.mul(c, t)) for a, t in zip(coeff, tags[i])]
-    return tuple(coeff) if not any(res) else None
-
-
-def intersect_rowspaces(a_rows, b_rows, width: int, fld: GF):
-    """RREF basis of rowspace(A) intersect rowspace(B) (Zassenhaus)."""
-    if not a_rows or not b_rows:
-        return ()
-    zero = (0,) * width
-    big = [tuple(r) + tuple(r) for r in a_rows] + [tuple(r) + zero for r in b_rows]
-    red, _ = rref(big, fld)
-    inter = [row[width:] for row in red if not any(row[:width])]
-    return rref(inter, fld)[0]
-
-
 def sum_rowspaces(a_rows, b_rows, fld: GF):
     """RREF basis of rowspace(A) + rowspace(B)."""
     return rref(tuple(a_rows) + tuple(b_rows), fld)[0]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,34 @@ def test_enumerate(capsys):
     code, out, _ = run_cli(["enumerate", "--family", "signed:m=3,k=2", "--rank", "2"], capsys)
     assert code == 0
     assert out.strip().splitlines()[-1] == "count 12"
+
+
+def test_closed_pipe_exits_quietly():
+    # the report (about 190 kB) outgrows the pipe, so the write after close fails
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]))
+    argv = ["enumerate", "--family", "johnson:v=16,m=6", "--rank", "6", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ekrlattice.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_oversized_atom_table_exit_3(tmp_path, monkeypatch, capsys):
+    # 2^17 atoms: the spec parses, the first leq of strength verification refuses
+    monkeypatch.chdir(tmp_path)
+    row = ".".join(["1"] + ["0"] * 16)
+    Path("big.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{row}\n")
+    code, out, err = run_cli(["check-design", "--design", "big.design"], capsys)
+    assert code == 3
+    assert "131072 atoms" in err
 
 
 def test_dr_fano(in_samples_tmp, capsys):

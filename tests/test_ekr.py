@@ -150,6 +150,14 @@ def test_check_conditions_validates_ranks(fano_cert):
         ekr.check_conditions(fano_cert, 2)  # needs s < t
 
 
+def test_check_conditions_raises_when_forms_disagree(monkeypatch):
+    # a raised error, not an assert, so the check also runs under `python -O`
+    cert = full_fiber(families.parse_family_spec("hamming:m=2,n=5"))
+    monkeypatch.setattr(ekr.parameters, "theta", lambda spec, r: 1)  # theta form: 4 < 1 fails
+    with pytest.raises(AssertionError, match="disagree"):
+        ekr.check_conditions(cert, 1)
+
+
 def test_ekr_bound_examples(fano_cert):
     assert ekr.ekr_bound(full_fiber(families.parse_family_spec("hamming:m=2,n=5")), 1) == 5
     assert ekr.ekr_bound(fano_cert, 1) == 3

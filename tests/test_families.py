@@ -11,9 +11,10 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_gf import brute_span, sample_cases
 
 from ekrlattice import families, gf, parameters
-from ekrlattice.errors import FamilyMismatchError, ParseError
+from ekrlattice.errors import BudgetExceededError, FamilyMismatchError, ParseError
 
 SMALL_SPECS = (
     "johnson:v=4,m=2",
@@ -96,8 +97,6 @@ def test_meet_examples():
 
 def test_grassmann_meet_against_vector_enumeration():
     # derived oracle: the common vectors of the two spans
-    from test_gf import brute_span
-
     gs = families.parse_family_spec("grassmann:v=4,m=2,q=2")
     fld = gf.field(2)
     a = families.parse_element(gs, "1.0.0.0;0.1.0.0")
@@ -290,6 +289,71 @@ def test_leq_agrees_with_meet_definition_exhaustive():
         for x in universe:
             for y in universe:
                 assert families.leq(x, y) == (families.meet(x, y) == x)
+
+
+# ---------------------------------------------------------------------------
+# subspace kinds against brute-force vector enumeration
+#
+# meet, leq and join_bounded all work on atom bitmasks, so the laws above only
+# check that representation against itself.  Here the oracle is the set of
+# vectors an element stands for: its span (grassmann) or the graph
+# {(w, f(w))} of its map (bilinear), listed by `brute_span`.
+
+
+def vector_set(x, fld):
+    spec = x.spec
+    if spec.kind == "grassmann":
+        rows, width = x.payload, spec.v
+    else:
+        rows, width = tuple(d + f for d, f in zip(*x.payload)), spec.m + spec.n
+    return frozenset(brute_span(rows, fld)) if rows else frozenset({(0,) * width})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_meet_matches_brute_span_intersection(q):
+    spec = families.parse_family_spec(f"grassmann:v=6,m=3,q={q}")
+    fld = gf.field(q)
+    for a_rows, b_rows in sample_cases(q, 6):
+        a = families.Element(spec, gf.rref(a_rows, fld)[0])
+        b = families.Element(spec, gf.rref(b_rows, fld)[0])
+        met = families.meet(a, b)
+        assert met.payload == gf.rref(met.payload, fld)[0]
+        assert vector_set(met, fld) == vector_set(a, fld) & vector_set(b, fld)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["grassmann:v=4,m=2,q=2", "bilinear:m=2,n=2,q=2", "bilinear:m=1,n=1,q=4", "grassmann:v=2,m=1,q=9"],
+)
+def test_subspace_operations_against_vector_enumeration(text):
+    spec = families.parse_family_spec(text)
+    fld = gf.field(spec.q)
+    vectors = {x: vector_set(x, fld) for x in families.enumerate_all(spec)}
+    for x, vx in vectors.items():
+        for y, vy in vectors.items():
+            met = families.meet(x, y)
+            assert met in vectors and vectors[met] == vx & vy
+            assert families.leq(x, y) == (vx <= vy)
+            total = frozenset(tuple(fld.add(a, b) for a, b in zip(u, w)) for u in vx for w in vy)
+            # bilinear: a sum of graphs is a graph iff no nonzero vector has a zero domain part
+            is_element = spec.kind == "grassmann" or all(any(v[: spec.m]) for v in total if any(v))
+            joined = families.join_bounded(x, y)
+            if is_element and len(total) <= spec.q**spec.top_rank:
+                assert joined in vectors and vectors[joined] == total
+            else:
+                assert joined is None
+
+
+def test_oversized_atom_table_is_refused():
+    spec = families.parse_family_spec("grassmann:v=64,m=32,q=2")  # parsing stays cheap
+    z = families.least(spec)
+    with pytest.raises(BudgetExceededError) as info:
+        families.meet(z, z)
+    assert info.value.context["atoms"] == 2**64
+    with pytest.raises(BudgetExceededError):
+        families.leq(z, z)
+    at_cap = families.parse_family_spec("grassmann:v=16,m=1,q=2")  # 2^16 atoms
+    assert families.leq(families.least(at_cap), families.least(at_cap))
 
 
 # ---------------------------------------------------------------------------
