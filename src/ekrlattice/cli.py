@@ -3,9 +3,13 @@
 Exit codes: 0 success / conditions hold, 1 verification failed / conditions
 fail / bound exceeded, 2 usage or parse error, 3 budget exhausted.
 
-JSON reports share an envelope (command, version, inputs echo, result,
-exit_code).  Integers outside the signed 64-bit range are emitted as
-decimal strings and the envelope gains `"numeric_as_string": true`.
+JSON reports share an envelope (command, version, inputs echoing every
+parsed option, result, exit_code).  An error raised while the subcommand
+runs still prints the envelope in `--json` mode, with `"result": null` and
+`error` holding its type, message and context (a budget error's sizes and
+caps; empty otherwise).  An argparse usage error (unknown option, missing
+or malformed argument) exits 2 with argparse's message and no envelope.  Integers outside the signed 64-bit range are emitted
+as decimal strings and the envelope gains `"numeric_as_string": true`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def _normalize(obj, flag: dict):
     return obj
 
 
-def _envelope(command: str, inputs: dict, result: dict, exit_code: int) -> dict:
+def _envelope(command: str, inputs: dict, result: dict | None, exit_code: int, error: dict | None = None) -> dict:
     flag = {"hit": False}
     body = {
         "command": command,
@@ -47,17 +51,11 @@ def _envelope(command: str, inputs: dict, result: dict, exit_code: int) -> dict:
         "result": _normalize(result, flag),
         "exit_code": exit_code,
     }
+    if error is not None:
+        body["error"] = _normalize(error, flag)
     if flag["hit"]:
         body["numeric_as_string"] = True
     return body
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("EKR_LATTICE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _element_strings(elements) -> list[str]:
@@ -65,7 +63,7 @@ def _element_strings(elements) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, inputs, result, text_lines)
+# subcommand handlers: each returns (exit_code, result, text_lines)
 
 
 def _cmd_params(args):
@@ -101,7 +99,7 @@ def _cmd_params(args):
         for row in rows
     ]
     result = {"family": str(spec), "top_rank": top, "rows": rows}
-    return 0, {"family": args.family, "r": args.r, "s": args.s}, result, lines
+    return 0, result, lines
 
 
 def _cmd_audit(args):
@@ -126,7 +124,7 @@ def _cmd_audit(args):
     lines.append("all checks passed" if report.passed else "AUDIT FAILED")
     code = 0 if report.passed else 1
     result = {"family": str(spec), "passed": report.passed, "checks": checks}
-    return code, {"family": args.family, "budget": args.budget}, result, lines
+    return code, result, lines
 
 
 def _cmd_enumerate(args):
@@ -139,7 +137,7 @@ def _cmd_enumerate(args):
         "elements": elements,
     }
     lines = elements + [f"count {len(elements)}"]
-    return 0, {"family": args.family, "rank": args.rank}, result, lines
+    return 0, result, lines
 
 
 def _cmd_gen(args):
@@ -162,8 +160,7 @@ def _cmd_gen(args):
         "path": args.output,
     }
     lines = [f"wrote {cert.size} elements ({cert.spec}, strength {cert.strength}) to {args.output}"]
-    inputs = {"kind": args.kind, "family": args.family, "q": args.q, "m": args.m, "strength": args.strength, "output": args.output}
-    return 0, inputs, result, lines
+    return 0, result, lines
 
 
 def _cmd_check_design(args):
@@ -171,7 +168,6 @@ def _cmd_check_design(args):
     t = args.strength if args.strength is not None else declared
     if not 0 <= t <= spec.top_rank:
         raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
-    inputs = {"design": args.design, "strength": args.strength}
     lam = designs.is_design(spec, elements, t)
     if lam is None:
         (z1, c1), (z2, c2) = designs.design_witness(spec, elements, t)
@@ -191,7 +187,7 @@ def _cmd_check_design(args):
             f"NOT a {t}-design: {families.format_element(z1)} covered {c1} times, "
             f"{families.format_element(z2)} covered {c2} times"
         ]
-        return 1, inputs, result, lines
+        return 1, result, lines
     indices = [designs.derive_index(spec, lam, t, j) for j in range(t + 1)]
     result = {
         "family": str(spec),
@@ -204,7 +200,7 @@ def _cmd_check_design(args):
         f"{args.design}: {spec}, {len(elements)} elements, verified strength {t}, "
         f"indices {indices}"
     ]
-    return 0, inputs, result, lines
+    return 0, result, lines
 
 
 def _load_cert(args):
@@ -272,7 +268,7 @@ def _cmd_ekr_check(args):
         + ("" if report.table1_agrees else "  (DISAGREES with the raw conditions)")
     )
     code = 0 if report.theorem_form else 1
-    return code, {"design": args.design, "s": args.s, "t": args.t}, result, lines
+    return code, result, lines
 
 
 def _cmd_dr(args):
@@ -298,7 +294,7 @@ def _cmd_dr(args):
             f"d_{report.r} = {report.d_r} (bound {report.bound}, "
             f"witness x={families.format_element(x)}, y={families.format_element(y)})"
         ]
-    return 0, {"design": args.design, "s": args.s, "r": args.r, "t": args.t}, result, lines
+    return 0, result, lines
 
 
 def _cmd_search_max(args):
@@ -309,7 +305,6 @@ def _cmd_search_max(args):
         deterministic=args.deterministic,
         enumerate_all=args.all,
         node_budget=args.node_budget,
-        threads=args.threads,
     )
     result = {
         "family": str(cert.spec),
@@ -333,14 +328,7 @@ def _cmd_search_max(args):
     if result_obj.all_max_overflow:
         lines.append("maximum-family enumeration overflowed the cap; list omitted")
     code = 0 if result_obj.status == "proved-optimal" else 3
-    inputs = {
-        "design": args.design,
-        "s": args.s,
-        "all": args.all,
-        "deterministic": args.deterministic,
-        "node_budget": args.node_budget,
-    }
-    return code, inputs, result, lines
+    return code, result, lines
 
 
 def _cmd_verify_extremal(args):
@@ -363,7 +351,7 @@ def _cmd_verify_extremal(args):
     if verdict.center is not None:
         line += f" (center {families.format_element(verdict.center)})"
     code = 1 if verdict.status == "exceeds-bound" else 0
-    return code, {"design": args.design, "family_file": args.family_file, "s": args.s}, result, [line]
+    return code, result, [line]
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
     common.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for search (default: EKR_LATTICE_THREADS or 1)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ekrlattice",
@@ -434,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--all", action="store_true", help="enumerate every maximum family")
-    p.add_argument("--deterministic", action="store_true", help="single thread, lexicographically least witness")
+    p.add_argument("--deterministic", action="store_true", help="lexicographically least witness")
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(handler=_cmd_search_max)
 
@@ -447,24 +429,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# handled exceptions and their exit codes (ParseError is a ValueError);
+# anything else is a bug and propagates
+_EXIT_CODES = {
+    ValueError: 2,
+    OSError: 2,
+    VerificationError: 1,
+    NonIntegralError: 1,
+    BudgetExceededError: 3,
+}
+
+
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, print its report, return the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the inputs echo is every option the subcommand parsed
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "json", "quiet")}
+    error = None
     try:
-        code, inputs, result, lines = args.handler(args)
-    except (ParseError, ValueError, OSError) as exc:
+        code, result, lines = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (VerificationError, NonIntegralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        result, lines = None, []
+        error = {"type": type(exc).__name__, "message": str(exc), "context": getattr(exc, "context", {})}
     try:
         if args.json:
-            print(json.dumps(_envelope(args.command, inputs, result, code), indent=2, sort_keys=True))
+            print(json.dumps(_envelope(args.command, inputs, result, code, error), indent=2, sort_keys=True))
         elif not args.quiet:
             for line in lines:
                 print(line)

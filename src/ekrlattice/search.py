@@ -2,17 +2,18 @@
 
 Reformulated as maximum clique: vertices are design members and two are
 adjacent when their meet has rank at least s, so cliques are exactly the
-s-intersecting subfamilies.  The solver is branch and bound with greedy
-coloring upper bounds over int bitmasks, seeded with the best star as the
-initial incumbent.
+s-intersecting subfamilies.  The solver is one serial branch and bound
+with greedy coloring upper bounds over int bitmasks, seeded with the best
+star as the initial incumbent; the same branch routine enumerates every
+maximum clique and reconstructs the lexicographically least one.  Each
+returned family is re-verified through `families.meet`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from . import families
+from . import ekr, families
 from .designs import DesignCertificate, star
 from .errors import BudgetExceededError
 from .families import Element
@@ -98,147 +99,79 @@ def _color_sort(candidates: int, adj):
 
 
 class _Solver:
-    """Branch and bound over a relabeled graph with a shared incumbent."""
+    """Branch and bound over a relabeled graph.
+
+    All three searches run through `_branch`, which prunes on the colour
+    bound against the threshold `need` and hands each clique that no
+    candidate extends to a leaf action.  `maximize` raises `need` past every
+    clique it records; `enumerate_exact` and `lexicographically_least` keep
+    `need` at the proved optimum, where a clique of that size has no
+    candidate left, so the leaf sees exactly the maximum cliques.
+    """
 
     def __init__(self, adj, node_budget=None):
         self.n = len(adj)
         self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
         self.node_budget = node_budget
         self.nodes = 0
-        self.best_size = 0
-        self.best_mask = 0
-        self._lock = threading.Lock()
-        self._exhausted = False
+        self.need = 0
 
-    def _tick(self, amount=1):
-        self.nodes += amount
-        if self._exhausted or (self.node_budget is not None and self.nodes > self.node_budget):
-            self._exhausted = True
+    def _branch(self, size, mask, candidates, leaf):
+        """Grow the clique `mask` of `size` inside candidates; True stops the search."""
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
             raise _OutOfBudget
-
-    def _offer(self, size, mask):
-        with self._lock:
-            if size > self.best_size:
-                self.best_size, self.best_mask = size, mask
-
-    def _expand(self, size, mask, candidates):
-        self._tick()
         order, colors = _color_sort(candidates, self.adj)
-        local = candidates
         for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= self.best_size:
-                return
-            v = order[i]
-            bit = 1 << v
-            if not local & bit:
-                continue
-            rest = local & self.adj[v]
-            if rest:
-                self._expand(size + 1, mask | bit, rest)
-            elif size + 1 > self.best_size:
-                self._offer(size + 1, mask | bit)
-            local &= ~bit
-
-    def maximize(self, init_size=0, init_mask=0, threads=1):
-        """Returns (best size, best mask, proved) growing from the incumbent."""
-        self.best_size, self.best_mask = init_size, init_mask
-        full = (1 << self.n) - 1
-        if not full:
-            return self.best_size, self.best_mask, True
-        if threads <= 1:
-            try:
-                self._expand(0, 0, full)
-                return self.best_size, self.best_mask, True
-            except _OutOfBudget:
-                return self.best_size, self.best_mask, False
-        # split root branches: clique via its lowest vertex v, candidates above v
-        roots = list(range(self.n))
-        out_of_budget = []
-        errors = []
-
-        def worker(worker_id):
-            try:
-                for v in roots[worker_id::threads]:
-                    higher = full & ~((1 << (v + 1)) - 1)
-                    rest = self.adj[v] & higher
-                    if rest:
-                        self._expand(1, 1 << v, rest)
-                    else:
-                        self._offer(1, 1 << v)
-            except _OutOfBudget:
-                out_of_budget.append(worker_id)
-            except BaseException as exc:  # surface bugs instead of truncating silently
-                errors.append(exc)
-
-        pool = [threading.Thread(target=worker, args=(w,)) for w in range(threads)]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-        if errors:
-            raise errors[0]
-        return self.best_size, self.best_mask, not out_of_budget
-
-    def exists(self, size, candidates, need):
-        """Can the current clique of `size` reach `need` inside candidates?"""
-        if size >= need:
-            return True
-        self._tick()
-        order, colors = _color_sort(candidates, self.adj)
-        local = candidates
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] < need:
+            if size + colors[i] < self.need:
                 return False
             v = order[i]
             bit = 1 << v
-            if not local & bit:
-                continue
-            rest = local & self.adj[v]
-            if size + 1 >= need or (rest and self.exists(size + 1, rest, need)):
+            rest = candidates & self.adj[v]
+            if rest:
+                if self._branch(size + 1, mask | bit, rest, leaf):
+                    return True
+            elif size + 1 >= self.need and leaf(size + 1, mask | bit):
                 return True
-            local &= ~bit
+            candidates &= ~bit
         return False
 
+    def maximize(self, init_size=0, init_mask=0):
+        """Returns (best size, best mask, proved) growing from the incumbent."""
+
+        def record(size, mask):
+            self.best_size, self.best_mask, self.need = size, mask, size + 1
+
+        record(init_size, init_mask)
+        if not self.n:
+            return self.best_size, self.best_mask, True
+        try:
+            self._branch(0, 0, (1 << self.n) - 1, record)
+            return self.best_size, self.best_mask, True
+        except _OutOfBudget:
+            return self.best_size, self.best_mask, False
+
     def enumerate_exact(self, target, cap):
-        """All cliques of size exactly target (each is maximum, hence maximal)."""
+        """All cliques of size exactly target, which must be the clique number."""
+        if target == 0:
+            return [0], False
         out = []
 
-        def recurse(size, mask, candidates):
-            if size == target:
-                out.append(mask)
-                if len(out) > cap:
-                    raise _Overflow
-                return
-            self._tick()
-            order, colors = _color_sort(candidates, self.adj)
-            local = candidates
-            for i in range(len(order) - 1, -1, -1):
-                if size + colors[i] < target:
-                    return
-                v = order[i]
-                bit = 1 << v
-                if not local & bit:
-                    continue
-                rest = local & self.adj[v]
-                if size + 1 == target:
-                    out.append(mask | bit)
-                    if len(out) > cap:
-                        raise _Overflow
-                elif rest:
-                    recurse(size + 1, mask | bit, rest)
-                local &= ~bit
+        def collect(size, mask):
+            out.append(mask)
+            if len(out) > cap:
+                raise _Overflow
 
-        full = (1 << self.n) - 1
+        self.need = target
         try:
-            if target == 0:
-                return [0], False
-            recurse(0, 0, full)
+            self._branch(0, 0, (1 << self.n) - 1, collect)
             return out, False
         except _Overflow:
             return None, True
 
     def lexicographically_least(self, omega):
         """Vertex-greedy least maximum clique; vertex order must be canonical."""
+        self.need = omega
         mask, size = 0, 0
         candidates = (1 << self.n) - 1
         for v in range(self.n):
@@ -247,15 +180,31 @@ class _Solver:
             bit = 1 << v
             if not candidates & bit:
                 continue
-            if self.exists(size + 1, candidates & self.adj[v], omega):
+            rest = candidates & self.adj[v]
+            if size + 1 >= omega or self._branch(size + 1, mask | bit, rest, lambda size, mask: True):
                 mask |= bit
                 size += 1
-                candidates &= self.adj[v]
+                candidates = rest
             else:
                 candidates &= ~bit
         if size != omega:
             raise AssertionError("failed to reconstruct a maximum family")
         return mask
+
+
+def _relabel(adjacency, order):
+    """Adjacency masks with vertex order[i] renamed to i."""
+    position = {orig: new for new, orig in enumerate(order)}
+    relabeled = []
+    for orig in order:
+        mask = 0
+        probe = adjacency[orig]
+        while probe:
+            low = probe & -probe
+            mask |= 1 << position[low.bit_length() - 1]
+            probe ^= low
+        relabeled.append(mask)
+    return relabeled
 
 
 def _mask_to_family(mask, order, members) -> tuple[Element, ...]:
@@ -270,48 +219,30 @@ def max_intersecting(
     deterministic: bool = False,
     enumerate_all: bool = False,
     node_budget: int | None = None,
-    threads: int = 1,
-    order: str = "degree",
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     all_max_cap: int = ALL_MAX_CAP,
 ) -> SearchResult:
     """Exact maximum s-intersecting subfamily of the design.
 
-    The optimum size is deterministic regardless of thread count and vertex
-    ordering; the witness is deterministic (lexicographically least) only
-    with `deterministic=True`, which also forces a single thread.
+    The search visits vertices in descending degree order.  The witness is
+    deterministic (lexicographically least, reconstructed over the canonical
+    payload order) only with `deterministic=True`.  The witness and every
+    family in `all_max` are re-verified through `families.meet` before
+    they are returned; a failure raises AssertionError.
     """
     graph = build_graph(cert, s, vertex_budget)
     members = cert.elements
     n = graph.size
     degrees = [graph.adjacency[i].bit_count() for i in range(n)]
-    if order == "degree":
-        vertex_order = sorted(range(n), key=lambda i: (-degrees[i], members[i].payload))
-    elif order == "canonical":
-        vertex_order = sorted(range(n), key=lambda i: members[i].payload)
-    else:
-        raise ValueError(f"unknown vertex order {order!r}")
-    position = {orig: new for new, orig in enumerate(vertex_order)}
-    relabeled = [0] * n
-    for orig in range(n):
-        mask = 0
-        probe = graph.adjacency[orig]
-        while probe:
-            low = probe & -probe
-            mask |= 1 << position[low.bit_length() - 1]
-            probe ^= low
-        relabeled[position[orig]] = mask
+    vertex_order = sorted(range(n), key=lambda i: (-degrees[i], members[i].payload))
+    relabeled = _relabel(graph.adjacency, vertex_order)
 
     lb_size, lb_members = greedy_lower_bound(cert, s)
-    lb_mask = 0
-    member_pos = {x: i for i, x in enumerate(members)}
-    for x in lb_members:
-        lb_mask |= 1 << position[member_pos[x]]
+    seed = set(lb_members)
+    lb_mask = sum(1 << i for i, orig in enumerate(vertex_order) if members[orig] in seed)
 
-    if deterministic:
-        threads = 1
     solver = _Solver(relabeled, node_budget)
-    optimum, best_mask, proved = solver.maximize(lb_size, lb_mask, threads=threads)
+    optimum, best_mask, proved = solver.maximize(lb_size, lb_mask)
     status = "proved-optimal" if proved else "budget-exhausted"
     witness = _mask_to_family(best_mask, vertex_order, members)
 
@@ -319,17 +250,7 @@ def max_intersecting(
     overflow = False
     if proved and deterministic:
         canon_order = sorted(range(n), key=lambda i: members[i].payload)
-        canon_pos = {orig: new for new, orig in enumerate(canon_order)}
-        canon_adj = [0] * n
-        for orig in range(n):
-            mask = 0
-            probe = graph.adjacency[orig]
-            while probe:
-                low = probe & -probe
-                mask |= 1 << canon_pos[low.bit_length() - 1]
-                probe ^= low
-            canon_adj[canon_pos[orig]] = mask
-        lex_solver = _Solver(canon_adj)
+        lex_solver = _Solver(_relabel(graph.adjacency, canon_order))
         witness = _mask_to_family(lex_solver.lexicographically_least(optimum), canon_order, members)
     if proved and enumerate_all:
         enum_solver = _Solver(relabeled)
@@ -338,6 +259,15 @@ def max_intersecting(
         if not overflow:
             all_max = tuple(sorted(_mask_to_family(m, vertex_order, members) for m in masks))
 
+    design = set(members)
+    for family in (witness, *(all_max or ())):
+        if (
+            len(set(family)) != optimum
+            or len(family) != optimum
+            or not design.issuperset(family)
+            or (family and ekr.min_meet_rank(cert.spec, family) < s)
+        ):
+            raise AssertionError(f"search returned an invalid family of {len(family)} for optimum {optimum}")
     return SearchResult(
         optimum=optimum,
         witness=witness,

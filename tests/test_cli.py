@@ -269,12 +269,41 @@ def test_json_big_integers_become_strings(capsys):
     assert int(theta0) > 2**63
 
 
-def test_threads_default_comes_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("EKR_LATTICE_THREADS", "3")
-    from ekrlattice.cli import _build_parser
+def test_json_error_envelope_carries_budget_context(tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(["audit", "--family", "johnson:v=6,m=3", "--budget", "10", "--json"], capsys)
+    assert code == 3
+    assert err.startswith("error:")
+    body = json.loads(out)
+    assert body["exit_code"] == 3 and body["result"] is None
+    assert body["inputs"] == {"family": "johnson:v=6,m=3", "budget": 10}
+    error = body["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert error["context"] == {"check": "setup", "fiber_sizes": [1, 6, 15]}
 
-    args = _build_parser().parse_args(["params", "--family", "johnson:v=4,m=2"])
-    assert args.threads == 3
+    monkeypatch.chdir(tmp_path)
+    row = ".".join(["1"] + ["0"] * 16)
+    Path("big.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{row}\n")
+    code, out, _ = run_cli(["check-design", "--design", "big.design", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["context"] == {"atoms": 131072, "atom_cap": 65536}
+
+
+def test_json_error_envelope_for_parse_error(capsys):
+    code, out, err = run_cli(["params", "--family", "johnson:v=3,m=2", "--json"], capsys)
+    assert code == 2
+    body = json.loads(out)
+    assert body["exit_code"] == 2 and body["result"] is None
+    assert body["error"]["type"] == "ParseError" and body["error"]["context"] == {}
+    assert err == f"error: {body['error']['message']}\n"
+
+
+def test_threads_option_is_gone(capsys):
+    # an argparse usage error exits 2 before any subcommand runs: no envelope
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--family", "johnson:v=4,m=2", "--threads", "2", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--threads" in err
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +326,19 @@ def test_golden_reports(name, in_samples_tmp, capsys):
     code, out, _ = run_cli(GOLDEN_CASES[name], capsys)
     golden = (GOLDEN_DIR / name).read_text()
     assert out == golden, f"golden mismatch for {name}"
+
+
+def test_golden_search_under_python_optimize(in_samples_tmp):
+    # no check the search relies on may be an `assert` that -O strips
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ekrlattice.cli", *GOLDEN_CASES["search_max_oa3.json"]],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN_DIR / "search_max_oa3.json").read_bytes()
 
 
 def test_goldens_are_stable_across_runs(in_samples_tmp, capsys):

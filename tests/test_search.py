@@ -7,6 +7,7 @@ sizes and maximum-family lists on small instances.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlattice import designs, ekr, families, search
 from ekrlattice.designs import full_fiber, generate_linear_oa
@@ -158,14 +159,76 @@ def test_bound_certified_on_truncated_families():
             assert ekr.verify_extremal(cert, family, 1).status == "extremal-star"
 
 
-def test_optimum_independent_of_ordering_and_threads():
-    cert = generate_linear_oa(5, 3)
-    results = [
-        search.max_intersecting(cert, 1, order="degree"),
-        search.max_intersecting(cert, 1, order="canonical"),
-        search.max_intersecting(cert, 1, threads=4),
-    ]
-    assert len({r.optimum for r in results}) == 1
+def is_clique(adj, mask):
+    probe = mask
+    while probe:
+        low = probe & -probe
+        if mask & ~adj[low.bit_length() - 1]:
+            return False
+        probe ^= low
+    return True
+
+
+def vertex_tuple(mask):
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """A random graph on up to 14 vertices and a random vertex order of it."""
+    n = draw(st.integers(0, 14))
+    density = draw(st.sampled_from((0.25, 0.5, 0.75, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj, draw(st.permutations(range(n)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(relabeled_graphs(), st.data())
+def test_solver_matches_bron_kerbosch_under_relabeling(graph, data):
+    adj, order = graph
+    relabeled = search._relabel(adj, order)
+    omega, cliques = bron_kerbosch_max_cliques(relabeled)
+    original = sorted(sum(1 << order[i] for i in vertex_tuple(m)) for m in cliques)
+    assert bron_kerbosch_max_cliques(adj) == (omega, original)
+
+    size, mask, proved = search._Solver(relabeled).maximize()
+    assert (size, proved) == (omega, True) and mask in cliques
+    seed = data.draw(st.sampled_from(cliques)) & data.draw(st.integers(0, 2**14 - 1))  # a subclique
+    seeded = search._Solver(relabeled)
+    size, mask, proved = seeded.maximize(seed.bit_count(), seed)
+    assert (size, proved) == (omega, True) and mask in cliques
+
+    masks, overflow = search._Solver(relabeled).enumerate_exact(omega, 10**6)
+    assert not overflow and sorted(masks) == cliques
+    least = search._Solver(relabeled).lexicographically_least(omega)
+    assert vertex_tuple(least) == min(vertex_tuple(m) for m in cliques)
+
+    if seeded.nodes:
+        budget = data.draw(st.integers(0, seeded.nodes - 1))
+        size, mask, proved = search._Solver(relabeled, node_budget=budget).maximize(seed.bit_count(), seed)
+        assert not proved
+        assert seed.bit_count() <= size == mask.bit_count() and is_clique(relabeled, mask)
+
+
+def test_result_is_reverified_before_it_is_returned(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=6,m=3"))
+
+    def non_clique(self, *args, **kwargs):
+        far = next(u for u in range(1, self.n) if not (self.adj[0] >> u) & 1)
+        return 2, 1 | 1 << far, True
+
+    monkeypatch.setattr(search._Solver, "maximize", non_clique)
+    with pytest.raises(AssertionError):
+        search.max_intersecting(cert, 1)
+    monkeypatch.setattr(search._Solver, "maximize", lambda self, *args, **kwargs: (11, 0b111, True))
+    with pytest.raises(AssertionError):
+        search.max_intersecting(cert, 1)
 
 
 def test_deterministic_witness_is_lexicographically_least():
