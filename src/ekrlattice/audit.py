@@ -7,11 +7,17 @@ below/above bitmasks, and then checks by brute force:
 * covering steps raise rank by exactly one and every positive-rank element
   covers something;
 * the four constants mu/nu/theta/alpha are constant over ALL witness
-  tuples and agree with their closed forms;
+  tuples and equal the formulas in `parameters`;
 * every bounded pair has a least upper bound of rank i + j - k.
 
-Work is metered in elementary comparisons against a case budget so an
-oversized spec fails fast instead of grinding.
+Each check is a generator of cases: it yields None for a case that holds
+and (element indices, note) for a counterexample.  One driver runs them in
+`CHECK_IDS` order, counts and times the cases and stops a check at its
+first counterexample.  A case costs n comparisons (one bitmask over the n
+elements), so the driver charges n per case against the budget, after the
+setup has charged the fiber sizes and the n^2 meet table.  The GLB check
+costs n per pair i <= j whatever the lattice, so a budget too small for it
+is refused before the meet table is built.
 """
 
 from __future__ import annotations
@@ -55,33 +61,26 @@ class AuditReport:
         return all(c.passed for c in self.checks)
 
 
-class _Meter:
-    def __init__(self, budget: int, fiber_sizes):
-        self.budget = budget
-        self.used = 0
-        self.fiber_sizes = list(fiber_sizes)
-        self.check_id = "setup"
-
-    def charge(self, n: int):
-        self.used += n
-        if self.used > self.budget:
-            raise BudgetExceededError(
-                f"case budget {self.budget} exceeded during check {self.check_id!r}",
-                context={"check": self.check_id, "fiber_sizes": self.fiber_sizes},
-            )
-
-
 def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     top = spec.top_rank
-    meter = _Meter(budget, [])
+    fiber_sizes = []
+    used = 0
 
-    fibers = []
+    def charge(amount: int, check_id: str):
+        nonlocal used
+        used += amount
+        if used > budget:
+            raise BudgetExceededError(
+                f"case budget {budget} exceeded during check {check_id!r}",
+                context={"check": check_id, "fiber_sizes": fiber_sizes},
+            )
+
+    els = []
     for i in range(top + 1):
         fiber = families._fiber(spec, i)
-        meter.fiber_sizes.append(len(fiber))
-        meter.charge(len(fiber))
-        fibers.append(fiber)
-    els = [e for fiber in fibers for e in fiber]
+        fiber_sizes.append(len(fiber))
+        charge(len(fiber), "setup")
+        els.extend(fiber)
     n = len(els)
     index = {e: i for i, e in enumerate(els)}
     ranks = [e.rank for e in els]
@@ -90,9 +89,12 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     for i, e in enumerate(els):
         fiber_masks[e.rank] |= 1 << i
 
+    charge(n * n, "setup")
+    glb_cost = n * n * (n + 1) // 2
+    if used + glb_cost > budget:
+        charge(glb_cost, "semilattice-glb")  # refuses before the table is built
+
     # pairwise meet table; below/above masks fall out of it
-    meter.check_id = "setup"
-    meter.charge(n * n)
     meets = [[0] * n for _ in range(n)]
     missing = None
     for i in range(n):
@@ -101,7 +103,7 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
             m = families.meet(els[i], els[j])
             mi = index.get(m)
             if mi is None:
-                missing = (i, j, m)
+                missing = (i, j)
                 mi = 0
             meets[i][j] = meets[j][i] = mi
     below = [0] * n  # bit z of below[i]: els[z] <= els[i]
@@ -115,165 +117,93 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         for z in _bits(below[i]):
             above[z] |= 1 << i
 
-    checks: list[AuditCheck] = []
-
-    def run(check_id, fn):
-        meter.check_id = check_id
-        start = time.perf_counter()
-        counterexample, cases = fn()
-        checks.append(
-            AuditCheck(check_id, counterexample is None, cases, counterexample, time.perf_counter() - start)
-        )
-
-    def fmt(i: int) -> str:
-        return families.format_element(els[i])
-
     def check_glb():
         if missing is not None:
-            i, j, m = missing
-            return {"elements": [fmt(i), fmt(j)], "note": "meet is not canonical"}, 1
-        cases = 0
+            yield missing, "meet is not canonical"
         for i in range(n):
             for j in range(i, n):
                 k = meets[i][j]
                 common = below[i] & below[j]
-                cases += 1
-                meter.charge(n)
-                if not (common >> k) & 1 or common & ~below[k]:
-                    return {
-                        "elements": [fmt(i), fmt(j)],
-                        "note": "meet is not the greatest lower bound",
-                    }, cases
-        return None, cases
+                bad = not (common >> k) & 1 or common & ~below[k]
+                yield ((i, j), "meet is not the greatest lower bound") if bad else None
 
     def check_rank():
-        cases = 0
         zero_rank = [i for i in range(n) if ranks[i] == 0]
         if len(zero_rank) != 1:
-            return {"elements": [fmt(i) for i in zero_rank], "note": "rank-0 fiber is not a single least element"}, 1
+            yield zero_rank, "rank-0 fiber is not a single least element"
         for j in range(n):
             bj = 1 << j
             covers = 0
             for i in _bits(below[j] & ~bj):
-                cases += 1
-                meter.charge(n)
-                between = above[i] & below[j] & ~(1 << i) & ~bj
-                if between:
+                if above[i] & below[j] & ~(1 << i) & ~bj:
+                    yield None
                     continue
                 covers += 1
-                if ranks[j] != ranks[i] + 1:
-                    return {
-                        "elements": [fmt(i), fmt(j)],
-                        "note": f"covering step changes rank by {ranks[j] - ranks[i]}",
-                    }, cases
+                step = ranks[j] - ranks[i]
+                yield ((i, j), f"covering step changes rank by {step}") if step != 1 else None
             if ranks[j] > 0 and covers == 0:
-                return {"elements": [fmt(j)], "note": "element covers nothing"}, cases
-        return None, cases
+                yield (j,), "element covers nothing"
 
-    def check_mu():
-        cases = 0
-        for y in _bits(fiber_masks[top]):
-            for z in _bits(below[y]):
-                r = ranks[z]
-                for s in range(r, top + 1):
-                    cases += 1
-                    meter.charge(n)
-                    got = (above[z] & below[y] & fiber_masks[s]).bit_count()
-                    want = parameters.mu(spec, r, s)
-                    if got != want:
-                        return {
-                            "elements": [fmt(z), fmt(y)],
-                            "note": f"mu({r},{s}) counted {got}, closed form {want}",
-                        }, cases
-        return None, cases
-
-    def check_nu():
-        cases = 0
-        for u in range(n):
-            s = ranks[u]
-            for r in range(s + 1):
-                cases += 1
-                meter.charge(n)
-                got = (below[u] & fiber_masks[r]).bit_count()
-                want = parameters.nu(spec, r, s)
-                if got != want:
-                    return {
-                        "elements": [fmt(u)],
-                        "note": f"nu({r},{s}) counted {got}, closed form {want}",
-                    }, cases
-        return None, cases
-
-    def check_theta():
-        cases = 0
-        for a in range(n):
-            cases += 1
-            meter.charge(n)
-            got = (above[a] & fiber_masks[top]).bit_count()
-            want = parameters.theta(spec, ranks[a])
-            if got != want:
-                return {
-                    "elements": [fmt(a)],
-                    "note": f"theta({ranks[a]}) counted {got}, closed form {want}",
-                }, cases
-        return None, cases
-
-    def check_alpha():
-        cases = 0
-        for u in range(n):
-            r = ranks[u]
-            for s in range(r, top + 1):
-                cases += 1
-                meter.charge(n)
-                try:
-                    want = parameters.alpha(spec, r, s)
-                except NonIntegralError as exc:
-                    return {"elements": [fmt(u)], "note": str(exc)}, cases
-                got = (above[u] & fiber_masks[s]).bit_count()
-                if got != want:
-                    return {
-                        "elements": [fmt(u)],
-                        "note": f"alpha({r},{s}) counted {got}, closed form {want}",
-                    }, cases
-        return None, cases
+    def constant(name, cases):
+        """Each (witnesses, args, counted) case against `parameters.<name>(spec, *args)`."""
+        closed_form = getattr(parameters, name)
+        for witnesses, args, counted in cases:
+            try:
+                want = closed_form(spec, *args)
+            except NonIntegralError as exc:
+                note = str(exc)
+            else:
+                note = None if counted == want else (
+                    f"{name}({','.join(map(str, args))}) counted {counted}, closed form {want}"
+                )
+            yield None if note is None else (witnesses, note)
 
     def check_join():
-        cases = 0
         for i in range(n):
             for j in range(i, n):
-                cases += 1
-                meter.charge(n)
                 ub = above[i] & above[j]
                 jb = families.join_bounded(els[i], els[j])
+                li = index.get(jb)
                 if not ub:
-                    if jb is not None:
-                        return {
-                            "elements": [fmt(i), fmt(j)],
-                            "note": "join_bounded returned an element but no upper bound exists",
-                        }, cases
-                    continue
-                li = index.get(jb) if jb is not None else None
-                if li is None:
-                    return {
-                        "elements": [fmt(i), fmt(j)],
-                        "note": "upper bounds exist but join_bounded returned none",
-                    }, cases
-                expected_rank = ranks[i] + ranks[j] - ranks[meets[i][j]]
-                if (
-                    not (ub >> li) & 1
-                    or ub & ~above[li]
-                    or ranks[li] != expected_rank
-                ):
-                    return {
-                        "elements": [fmt(i), fmt(j), fmt(li)],
-                        "note": f"least upper bound must have rank {expected_rank}",
-                    }, cases
-        return None, cases
+                    yield None if jb is None else (
+                        (i, j), "join_bounded returned an element but no upper bound exists"
+                    )
+                elif li is None:
+                    yield (i, j), "upper bounds exist but join_bounded returned none"
+                else:
+                    expected_rank = ranks[i] + ranks[j] - ranks[meets[i][j]]
+                    bad = not (ub >> li) & 1 or ub & ~above[li] or ranks[li] != expected_rank
+                    yield ((i, j, li), f"least upper bound must have rank {expected_rank}") if bad else None
 
-    run("semilattice-glb", check_glb)
-    run("rank-function", check_rank)
-    run("mu-constant", check_mu)
-    run("nu-constant", check_nu)
-    run("theta-constant", check_theta)
-    run("alpha-lemma", check_alpha)
-    run("join-rank", check_join)
+    generators = (
+        check_glb(),
+        check_rank(),
+        constant("mu", (
+            ((z, y), (ranks[z], s), (above[z] & below[y] & fiber_masks[s]).bit_count())
+            for y in _bits(fiber_masks[top]) for z in _bits(below[y]) for s in range(ranks[z], top + 1)
+        )),
+        constant("nu", (
+            ((u,), (r, ranks[u]), (below[u] & fiber_masks[r]).bit_count())
+            for u in range(n) for r in range(ranks[u] + 1)
+        )),
+        constant("theta", (((a,), (ranks[a],), (above[a] & fiber_masks[top]).bit_count()) for a in range(n))),
+        constant("alpha", (
+            ((u,), (ranks[u], s), (above[u] & fiber_masks[s]).bit_count())
+            for u in range(n) for s in range(ranks[u], top + 1)
+        )),
+        check_join(),
+    )
+    checks = []
+    for check_id, outcomes in zip(CHECK_IDS, generators):
+        start = time.perf_counter()
+        cases = 0
+        counterexample = None
+        for outcome in outcomes:
+            cases += 1
+            charge(n, check_id)
+            if outcome is not None:
+                witnesses, note = outcome
+                counterexample = {"elements": [families.format_element(els[i]) for i in witnesses], "note": note}
+                break
+        checks.append(AuditCheck(check_id, counterexample is None, cases, counterexample, time.perf_counter() - start))
     return AuditReport(spec, checks)

@@ -168,34 +168,16 @@ def _cmd_check_design(args):
     t = args.strength if args.strength is not None else declared
     if not 0 <= t <= spec.top_rank:
         raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
-    lam = designs.is_design(spec, elements, t)
-    if lam is None:
-        (z1, c1), (z2, c2) = designs.design_witness(spec, elements, t)
-        result = {
-            "family": str(spec),
-            "strength": t,
-            "size": len(elements),
-            "verified": False,
-            "witness": {
-                "element_1": families.format_element(z1),
-                "count_1": c1,
-                "element_2": families.format_element(z2),
-                "count_2": c2,
-            },
-        }
-        lines = [
-            f"NOT a {t}-design: {families.format_element(z1)} covered {c1} times, "
-            f"{families.format_element(z2)} covered {c2} times"
-        ]
-        return 1, result, lines
-    indices = [designs.derive_index(spec, lam, t, j) for j in range(t + 1)]
-    result = {
-        "family": str(spec),
-        "strength": t,
-        "size": len(elements),
-        "verified": True,
-        "indices": indices,
-    }
+    result = {"family": str(spec), "strength": t, "size": len(elements)}
+    try:
+        cert = designs.make_certificate(spec, elements, t)
+    except VerificationError as exc:
+        (z1, c1), (z2, c2) = exc.witness
+        z1, z2 = families.format_element(z1), families.format_element(z2)
+        result.update(verified=False, witness={"element_1": z1, "count_1": c1, "element_2": z2, "count_2": c2})
+        return 1, result, [f"NOT a {t}-design: {z1} covered {c1} times, {z2} covered {c2} times"]
+    indices = list(cert.indices)
+    result.update(verified=True, indices=indices)
     lines = [
         f"{args.design}: {spec}, {len(elements)} elements, verified strength {t}, "
         f"indices {indices}"

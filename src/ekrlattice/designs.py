@@ -66,7 +66,14 @@ def _validate_top_elements(spec: FamilySpec, elements):
     return elements
 
 
-def _coverage_counts(spec: FamilySpec, elements, t: int, budget: int):
+def _coverage(spec: FamilySpec, elements, t: int, budget: int):
+    """One coverage pass over the rank-t fiber for validated design elements.
+
+    (lambda_t, None) when every rank-t element is covered equally, else
+    (None, witness) with two (element, count) pairs of unequal counts.
+    """
+    if not 0 <= t <= spec.top_rank:
+        raise ValueError(f"strength {t} out of range 0..{spec.top_rank}")
     fiber = families._fiber(spec, t)
     cost = len(fiber) * len(elements)
     if cost > budget:
@@ -74,28 +81,22 @@ def _coverage_counts(spec: FamilySpec, elements, t: int, budget: int):
             f"strength verification needs {cost} comparisons, budget is {budget}",
             context={"fiber_size": len(fiber), "design_size": len(elements)},
         )
-    return fiber, [sum(1 for x in elements if families.leq(z, x)) for z in fiber]
+    counts = [sum(1 for x in elements if families.leq(z, x)) for z in fiber]
+    first = counts[0]
+    for z, c in zip(fiber, counts):
+        if c != first:
+            return None, ((fiber[0], first), (z, c))
+    return first, None
 
 
 def is_design(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET) -> int | None:
     """lambda_t when every rank-t element is covered equally, else None."""
-    elements = _validate_top_elements(spec, elements)
-    if not 0 <= t <= spec.top_rank:
-        raise ValueError(f"strength {t} out of range 0..{spec.top_rank}")
-    _, counts = _coverage_counts(spec, elements, t, budget)
-    first = counts[0]
-    return first if all(c == first for c in counts) else None
+    return _coverage(spec, _validate_top_elements(spec, elements), t, budget)[0]
 
 
 def design_witness(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET):
     """Two (element, count) pairs with unequal counts, or None when constant."""
-    elements = _validate_top_elements(spec, elements)
-    fiber, counts = _coverage_counts(spec, elements, t, budget)
-    first = counts[0]
-    for z, c in zip(fiber, counts):
-        if c != first:
-            return (fiber[0], first), (z, c)
-    return None
+    return _coverage(spec, _validate_top_elements(spec, elements), t, budget)[1]
 
 
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
@@ -114,9 +115,8 @@ def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
 def make_certificate(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET) -> DesignCertificate:
     """Verify strength t and package the elements with their index vector."""
     elements = _validate_top_elements(spec, elements)
-    lam = is_design(spec, elements, t, budget)
+    lam, witness = _coverage(spec, elements, t, budget)
     if lam is None:
-        witness = design_witness(spec, elements, t, budget)
         (z1, c1), (z2, c2) = witness
         raise VerificationError(
             f"not a {t}-design: {families.format_element(z1)} is covered {c1} times "

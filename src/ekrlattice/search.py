@@ -225,8 +225,10 @@ def max_intersecting(
     """Exact maximum s-intersecting subfamily of the design.
 
     The search visits vertices in descending degree order.  The witness is
-    deterministic (lexicographically least, reconstructed over the canonical
-    payload order) only with `deterministic=True`.  The witness and every
+    deterministic (lexicographically least) only with `deterministic=True`:
+    the least family of `all_max` when every maximum family was enumerated,
+    else reconstructed over the canonical payload order.  `nodes` counts the
+    nodes of every search run, reconstruction included.  The witness and every
     family in `all_max` are re-verified through `families.meet` before
     they are returned; a failure raises AssertionError.
     """
@@ -248,16 +250,20 @@ def max_intersecting(
 
     all_max = None
     overflow = False
-    if proved and deterministic:
-        canon_order = sorted(range(n), key=lambda i: members[i].payload)
-        lex_solver = _Solver(_relabel(graph.adjacency, canon_order))
-        witness = _mask_to_family(lex_solver.lexicographically_least(optimum), canon_order, members)
     if proved and enumerate_all:
         enum_solver = _Solver(relabeled)
         masks, overflow = enum_solver.enumerate_exact(optimum, all_max_cap)
         solver.nodes += enum_solver.nodes
         if not overflow:
             all_max = tuple(sorted(_mask_to_family(m, vertex_order, members) for m in masks))
+    if proved and deterministic:
+        if all_max:
+            witness = all_max[0]
+        else:
+            canon_order = sorted(range(n), key=lambda i: members[i].payload)
+            lex_solver = _Solver(_relabel(graph.adjacency, canon_order))
+            witness = _mask_to_family(lex_solver.lexicographically_least(optimum), canon_order, members)
+            solver.nodes += lex_solver.nodes
 
     design = set(members)
     for family in (witness, *(all_max or ())):

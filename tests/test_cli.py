@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ekrlattice
+from ekrlattice import families
 from ekrlattice.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,6 +104,22 @@ def test_check_design_wrong_strength_exit_1(in_samples_tmp, capsys):
     code, out, _ = run_cli(["check-design", "--design", "fano.design", "--strength", "3"], capsys)
     assert code == 1
     assert "NOT a 3-design" in out
+
+
+def test_check_design_makes_one_coverage_pass(in_samples_tmp, capsys, monkeypatch):
+    calls = 0
+    real_leq = families.leq
+
+    def counting_leq(x, y):
+        nonlocal calls
+        calls += 1
+        return real_leq(x, y)
+
+    monkeypatch.setattr(families, "leq", counting_leq)
+    code, out, _ = run_cli(["check-design", "--design", "fano.design", "--strength", "3"], capsys)
+    assert code == 1
+    assert "NOT a 3-design" in out
+    assert calls == 35 * 7  # each rank-3 element of johnson:v=7,m=3 against each of the 7 lines
 
 
 def test_check_design_ok(in_samples_tmp, capsys):

@@ -231,13 +231,25 @@ def test_result_is_reverified_before_it_is_returned(monkeypatch):
         search.max_intersecting(cert, 1)
 
 
-def test_deterministic_witness_is_lexicographically_least():
+def test_deterministic_witness_is_lexicographically_least(monkeypatch):
     cert = full_fiber(families.parse_family_spec("hamming:m=2,n=5"))
+
+    def unused(self, omega):
+        raise AssertionError("lexicographic reconstruction ran although all_max was enumerated")
+
+    monkeypatch.setattr(search._Solver, "lexicographically_least", unused)
     result = search.max_intersecting(cert, 1, deterministic=True, enumerate_all=True)
     expected = min(result.all_max)
     assert result.witness == expected
+    monkeypatch.undo()
     again = search.max_intersecting(cert, 1, deterministic=True)
     assert again.witness == expected
+
+
+def test_nodes_include_the_lexicographic_reconstruction():
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    assert search.max_intersecting(cert, 2).nodes == 1040
+    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 1193
 
 
 def test_node_budget_exhaustion():
@@ -253,6 +265,9 @@ def test_enumeration_overflow_reported_not_truncated(fano_cert):
     result = search.max_intersecting(fano_cert, 1, enumerate_all=True, all_max_cap=0)
     assert result.all_max_overflow
     assert result.all_max is None
+    # without all_max the deterministic witness still comes from the reconstruction
+    det = search.max_intersecting(fano_cert, 1, deterministic=True, enumerate_all=True, all_max_cap=0)
+    assert det.witness == search.max_intersecting(fano_cert, 1, deterministic=True).witness
 
 
 def test_invalid_s(fano_cert):
