@@ -8,8 +8,15 @@ parsed option, result, exit_code).  An error raised while the subcommand
 runs still prints the envelope in `--json` mode, with `"result": null` and
 `error` holding its type, message and context (a budget error's sizes and
 caps; empty otherwise).  An argparse usage error (unknown option, missing
-or malformed argument) exits 2 with argparse's message and no envelope.  Integers outside the signed 64-bit range are emitted
-as decimal strings and the envelope gains `"numeric_as_string": true`.
+or malformed argument, negative budget) exits 2 with argparse's message and
+no envelope.
+
+A result mirrors the library record behind it (`ConditionReport`,
+`DrReport`, `SearchResult`, `ExtremalVerdict`): one key per field, plus the
+context the record lacks, such as the family.  Elements and family specs
+appear in their text encodings.  Integers outside the signed 64-bit range
+are emitted as decimal strings and the envelope gains
+`"numeric_as_string": true`.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 from . import __version__, designs, ekr, families, parameters, search
 from .audit import DEFAULT_BUDGET as AUDIT_DEFAULT_BUDGET, audit as run_audit
@@ -27,9 +35,21 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
+def _fields(record) -> dict:
+    """A dataclass record's fields, one level deep."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _normalize(obj, flag: dict):
+    """The JSON form of a report value; the one place that encodes elements,
+    family specs and records.  Elements and specs are dataclasses too, so
+    they are checked first and become their text encodings."""
     if isinstance(obj, bool) or obj is None:
         return obj
+    if isinstance(obj, (families.Element, families.FamilySpec)):
+        return str(obj)
+    if is_dataclass(obj):
+        return _normalize(_fields(obj), flag)
     if isinstance(obj, int):
         if obj > _INT64_MAX or obj < _INT64_MIN:
             flag["hit"] = True
@@ -56,10 +76,6 @@ def _envelope(command: str, inputs: dict, result: dict | None, exit_code: int, e
     if flag["hit"]:
         body["numeric_as_string"] = True
     return body
-
-
-def _element_strings(elements) -> list[str]:
-    return [families.format_element(x) for x in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +114,7 @@ def _cmd_params(args):
         f"theta(r)={row['theta_r']} alpha={row['alpha']}"
         for row in rows
     ]
-    result = {"family": str(spec), "top_rank": top, "rows": rows}
+    result = {"family": spec, "top_rank": top, "rows": rows}
     return 0, result, lines
 
 
@@ -123,20 +139,15 @@ def _cmd_audit(args):
             lines.append(f"    counterexample: {c.counterexample}")
     lines.append("all checks passed" if report.passed else "AUDIT FAILED")
     code = 0 if report.passed else 1
-    result = {"family": str(spec), "passed": report.passed, "checks": checks}
+    result = {"family": spec, "passed": report.passed, "checks": checks}
     return code, result, lines
 
 
 def _cmd_enumerate(args):
     spec = families.parse_family_spec(args.family)
-    elements = _element_strings(families.enumerate_fiber(spec, args.rank))
-    result = {
-        "family": str(spec),
-        "rank": args.rank,
-        "count": len(elements),
-        "elements": elements,
-    }
-    lines = elements + [f"count {len(elements)}"]
+    elements = list(families.enumerate_fiber(spec, args.rank))
+    result = {"family": spec, "rank": args.rank, "count": len(elements), "elements": elements}
+    lines = [str(x) for x in elements] + [f"count {len(elements)}"]
     return 0, result, lines
 
 
@@ -153,7 +164,7 @@ def _cmd_gen(args):
     designs.save_design(cert, args.output)
     result = {
         "kind": args.kind,
-        "family": str(cert.spec),
+        "family": cert.spec,
         "strength": cert.strength,
         "size": cert.size,
         "indices": list(cert.indices),
@@ -168,12 +179,11 @@ def _cmd_check_design(args):
     t = args.strength if args.strength is not None else declared
     if not 0 <= t <= spec.top_rank:
         raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
-    result = {"family": str(spec), "strength": t, "size": len(elements)}
+    result = {"family": spec, "strength": t, "size": len(elements)}
     try:
         cert = designs.make_certificate(spec, elements, t)
     except VerificationError as exc:
         (z1, c1), (z2, c2) = exc.witness
-        z1, z2 = families.format_element(z1), families.format_element(z2)
         result.update(verified=False, witness={"element_1": z1, "count_1": c1, "element_2": z2, "count_2": c2})
         return 1, result, [f"NOT a {t}-design: {z1} covered {c1} times, {z2} covered {c2} times"]
     indices = list(cert.indices)
@@ -194,43 +204,12 @@ def _load_cert(args):
     return cert
 
 
-def _condition_rows_json(report):
-    return [
-        {
-            "r": row.r,
-            "conditions": list(row.conditions),
-            "lhs": row.lhs,
-            "rhs": row.rhs,
-            "theta_lhs": row.theta_lhs,
-            "theta_rhs": row.theta_rhs,
-            "holds": row.holds,
-        }
-        for row in report.rows
-    ]
-
-
 def _cmd_ekr_check(args):
     cert = _load_cert(args)
     report = ekr.check_conditions(cert, args.s)
-    result = {
-        "family": str(cert.spec),
-        "s": report.s,
-        "t": report.t,
-        "design_size": cert.size,
-        "indices": list(report.indices),
-        "bound": report.bound,
-        "cond1_vacuous": report.cond1_vacuous,
-        "rows": _condition_rows_json(report),
-        "theorem_form": report.theorem_form,
-        "remark_rows": [
-            {"r": row.r, "conditions": list(row.conditions), "lhs": row.lhs, "rhs": row.rhs, "holds": row.holds}
-            for row in report.remark_rows
-        ],
-        "remark_form": report.remark_form,
-        "remark_agrees": report.remark_agrees,
-        "table1_form": report.table1_form,
-        "table1_agrees": report.table1_agrees,
-    }
+    result = _fields(report)
+    result["family"] = result.pop("spec")
+    result["design_size"] = cert.size
     lines = [f"{cert.spec}: design of {cert.size} elements, s={report.s}, t={report.t}, bound lambda_s={report.bound}"]
     for row in report.rows:
         op = "<" if row.holds else ">="
@@ -256,26 +235,16 @@ def _cmd_ekr_check(args):
 def _cmd_dr(args):
     cert = _load_cert(args)
     report = ekr.compute_dr(cert, args.s, args.r)
-    within = None if report.d_r is None else report.d_r <= report.bound
-    result = {
-        "family": str(cert.spec),
-        "s": report.s,
-        "r": report.r,
-        "d_r": report.d_r,
-        "bound": report.bound,
-        "within_bound": within,
-        "witness": None
-        if report.witness is None
-        else {"x": families.format_element(report.witness[0]), "y": families.format_element(report.witness[1])},
-    }
+    result = _fields(report)
+    result["family"] = cert.spec
+    result["within_bound"] = None if report.d_r is None else report.d_r <= report.bound
+    if report.witness is not None:
+        result["witness"] = dict(zip("xy", report.witness))
     if report.d_r is None:
         lines = [f"d_{report.r}: no pair attains meet rank {report.r}; bound {report.bound}"]
     else:
         x, y = report.witness
-        lines = [
-            f"d_{report.r} = {report.d_r} (bound {report.bound}, "
-            f"witness x={families.format_element(x)}, y={families.format_element(y)})"
-        ]
+        lines = [f"d_{report.r} = {report.d_r} (bound {report.bound}, witness x={x}, y={y})"]
     return 0, result, lines
 
 
@@ -288,22 +257,10 @@ def _cmd_search_max(args):
         enumerate_all=args.all,
         node_budget=args.node_budget,
     )
-    result = {
-        "family": str(cert.spec),
-        "s": args.s,
-        "design_size": cert.size,
-        "optimum": result_obj.optimum,
-        "status": result_obj.status,
-        "nodes": result_obj.nodes,
-        "witness": _element_strings(result_obj.witness),
-        "all_max": None
-        if result_obj.all_max is None
-        else [_element_strings(fam) for fam in result_obj.all_max],
-        "all_max_overflow": result_obj.all_max_overflow,
-    }
+    result = {"family": cert.spec, "s": args.s, "design_size": cert.size, **_fields(result_obj)}
     lines = [
         f"maximum {args.s}-intersecting family size: {result_obj.optimum} ({result_obj.status}, {result_obj.nodes} nodes)",
-        "witness: " + "; ".join(_element_strings(result_obj.witness)),
+        "witness: " + "; ".join(map(str, result_obj.witness)),
     ]
     if result_obj.all_max is not None:
         lines.append(f"maximum families: {len(result_obj.all_max)}")
@@ -321,22 +278,25 @@ def _cmd_verify_extremal(args):
             f"family file spec {spec} does not match design spec {cert.spec}"
         )
     verdict = ekr.verify_extremal(cert, members, args.s)
-    result = {
-        "family": str(cert.spec),
-        "s": args.s,
-        "size": verdict.size,
-        "bound": verdict.bound,
-        "status": verdict.status,
-        "center": None if verdict.center is None else families.format_element(verdict.center),
-    }
+    result = {"family": cert.spec, "s": args.s, **_fields(verdict)}
     line = f"family of {verdict.size} vs bound {verdict.bound}: {verdict.status}"
     if verdict.center is not None:
-        line += f" (center {families.format_element(verdict.center)})"
+        line += f" (center {verdict.center})"
     code = 1 if verdict.status == "exceeds-bound" else 0
     return code, result, [line]
 
 
 # ---------------------------------------------------------------------------
+
+
+def _budget(text: str) -> int:
+    """argparse type of --budget and --node-budget: an integer of at least 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[common], help="exhaustively verify the regularity axioms")
     p.add_argument("--family", required=True)
-    p.add_argument("--budget", type=int, default=AUDIT_DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=AUDIT_DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("enumerate", parents=[common], help="list one fiber in canonical order")
@@ -399,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--all", action="store_true", help="enumerate every maximum family")
     p.add_argument("--deterministic", action="store_true", help="lexicographically least witness")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_budget, default=None)
     p.set_defaults(handler=_cmd_search_max)
 
     p = sub.add_parser("verify-extremal", parents=[common], help="classify a family against the bound")

@@ -192,56 +192,33 @@ def save_design(cert: DesignCertificate, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _significant_lines(path):
+def _read_file(path, *, want_strength: bool):
+    """(spec, declared strength or None, elements) of a design or family file."""
+    lines = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
-
-
-def _read_header(lines, path, *, want_strength: bool):
-    try:
-        lineno, first = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty design file") from None
-    if not first.startswith("family "):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            lines.append((lineno, text))
+    if not lines:
+        raise ParseError(f"{path}: empty design file")
+    lineno, text = lines.pop(0)
+    if not text.startswith("family "):
         raise ParseError(f"{path}:{lineno}: expected `family <spec>`")
-    spec = parse_spec_line(first, path, lineno)
-    strength = None
-    rest = lines
     try:
-        lineno, second = next(lines)
-    except StopIteration:
-        second = None
-    if second is not None:
-        if second.startswith("strength "):
-            text = second[len("strength "):].strip()
-            if not text.isdigit():
-                raise ParseError(f"{path}:{lineno}: bad strength {text!r}")
-            strength = int(text)
-        else:
-            if want_strength:
-                raise ParseError(f"{path}:{lineno}: expected `strength <t>`")
-            rest = _chain_back((lineno, second), lines)
-    if want_strength and strength is None:
-        raise ParseError(f"{path}: missing `strength <t>` line")
-    return spec, strength, rest
-
-
-def parse_spec_line(line, path, lineno) -> FamilySpec:
-    try:
-        return families.parse_family_spec(line[len("family "):])
+        spec = families.parse_family_spec(text[len("family "):])
     except ParseError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _chain_back(item, rest):
-    yield item
-    yield from rest
-
-
-def _read_elements(spec, lines, path):
+    strength = None
+    if lines and lines[0][1].startswith("strength "):
+        lineno, text = lines.pop(0)
+        text = text[len("strength "):].strip()
+        if not text.isdigit():
+            raise ParseError(f"{path}:{lineno}: bad strength {text!r}")
+        strength = int(text)
+    elif want_strength and lines:
+        raise ParseError(f"{path}:{lines[0][0]}: expected `strength <t>`")
+    elif want_strength:
+        raise ParseError(f"{path}: missing `strength <t>` line")
     elements = []
     seen = set()
     for lineno, text in lines:
@@ -257,22 +234,17 @@ def _read_elements(spec, lines, path):
         elements.append(element)
     if not elements:
         raise ParseError(f"{path}: design file lists no elements")
-    return tuple(elements)
+    return spec, strength, tuple(elements)
 
 
 def read_design_file(path):
     """Parse a design file without verifying: (spec, declared strength, elements)."""
-    lines = _significant_lines(path)
-    spec, strength, rest = _read_header(lines, path, want_strength=True)
-    elements = _read_elements(spec, rest, path)
-    return spec, strength, elements
+    return _read_file(path, want_strength=True)
 
 
 def read_family_file(path):
     """Parse a family file (header plus elements; strength line optional)."""
-    lines = _significant_lines(path)
-    spec, _, rest = _read_header(lines, path, want_strength=False)
-    elements = _read_elements(spec, rest, path)
+    spec, _, elements = _read_file(path, want_strength=False)
     return spec, elements
 
 

@@ -107,6 +107,8 @@ def parse_family_spec(text: str) -> FamilySpec:
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ParseError(f"bad family spec {text!r}: expected kind:key=value,...")
+    if kind not in _REQUIRED:
+        raise ParseError(f"unknown family kind {kind!r}")
     params: dict[str, int] = {}
     for item in rest.split(","):
         name, sep, value = item.partition("=")
@@ -119,10 +121,8 @@ def parse_family_spec(text: str) -> FamilySpec:
             params[name] = int(value)
         except ValueError as exc:
             raise ParseError(f"bad integer in family spec item {item!r}") from exc
-    if set(params) != set(_REQUIRED.get(kind, ())):
-        raise ParseError(
-            f"{kind}: expected parameters {', '.join(_REQUIRED.get(kind, ('?',)))}"
-        )
+    if set(params) != set(_REQUIRED[kind]):
+        raise ParseError(f"{kind}: expected parameters {', '.join(_REQUIRED[kind])}")
     return FamilySpec(kind=kind, **params)
 
 

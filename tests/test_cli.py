@@ -13,6 +13,7 @@ import pytest
 
 import ekrlattice
 from ekrlattice import families
+from ekrlattice.audit import audit
 from ekrlattice.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -27,9 +28,12 @@ def run_cli(argv, capsys):
 
 @pytest.fixture
 def in_samples_tmp(tmp_path, monkeypatch):
-    """Run in a temp dir holding copies of the bundled samples (stable paths)."""
+    """Run in a temp dir holding copies of the bundled samples (stable paths)
+    and `star.family`, the 11 members of oa11 through `1:0`."""
     for name in ("fano.design", "oa3.design", "oa11.design"):
         shutil.copy(SAMPLES_DIR / name, tmp_path / name)
+    rows = [f"1:0,2:{v},3:{v}" for v in range(11)]
+    (tmp_path / "star.family").write_text("family hamming:m=3,n=11\n" + "\n".join(rows) + "\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -94,6 +98,33 @@ def test_parse_error_exit_2(capsys):
     assert err.startswith("error:")
 
 
+def test_unknown_family_kind_exit_2(capsys):
+    code, _, err = run_cli(["params", "--family", "foo:a=1"], capsys)
+    assert code == 2
+    assert err == "error: unknown family kind 'foo'\n"
+
+
+def test_negative_audit_budget_is_a_usage_error(capsys):
+    # argparse refuses it (exit 2, no envelope); a budget of 0 is still valid and refuses the work
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--family", "johnson:v=5,m=2", "--budget", "-5", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--budget" in err
+    code, _, err = run_cli(["audit", "--family", "johnson:v=5,m=2", "--budget", "0"], capsys)
+    assert code == 3 and "budget 0" in err
+
+
+def test_negative_node_budget_is_a_usage_error(in_samples_tmp, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search-max", "--design", "oa11.design", "--s", "1", "--node-budget", "-1", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--node-budget" in err
+    code, out, _ = run_cli(["search-max", "--design", "oa11.design", "--s", "1", "--node-budget", "0"], capsys)
+    assert code == 3 and "budget-exhausted" in out
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(["ekr-check", "--design", "nope.design", "--s", "1"], capsys)
     assert code == 2
@@ -139,9 +170,6 @@ def test_corrupt_design_file_exit_1(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_extremal_star(in_samples_tmp, capsys):
-    family = in_samples_tmp / "star.family"
-    rows = [f"1:0,2:{v},3:{v}" for v in range(11)]
-    family.write_text("family hamming:m=3,n=11\n" + "\n".join(rows) + "\n")
     code, out, _ = run_cli(
         ["verify-extremal", "--design", "oa11.design", "--family-file", "star.family", "--s", "1"],
         capsys,
@@ -273,6 +301,18 @@ def test_json_envelope_shape(in_samples_tmp, capsys):
     assert "numeric_as_string" not in body
 
 
+def test_audit_json_checks_mirror_the_audit_report(capsys):
+    code, out, _ = run_cli(["audit", "--family", "johnson:v=5,m=2", "--json"], capsys)
+    assert code == 0
+    checks = json.loads(out)["result"]["checks"]
+    report = audit(families.parse_family_spec("johnson:v=5,m=2"))
+    assert [sorted(c) for c in checks] == [["cases", "counterexample", "elapsed", "id", "passed"]] * 7
+    assert [(c["id"], c["passed"], c["cases"], c["counterexample"]) for c in checks] == [
+        (c.check_id, c.passed, c.cases, c.counterexample) for c in report.checks
+    ]
+    assert all(isinstance(c["elapsed"], float) for c in checks)
+
+
 def test_json_big_integers_become_strings(capsys):
     code, out, _ = run_cli(
         ["params", "--family", "grassmann:v=64,m=32,q=2", "--r", "0", "--s", "0", "--json"],
@@ -335,6 +375,10 @@ GOLDEN_CASES = {
     ],
     "dr_fano.json": ["dr", "--design", "fano.design", "--s", "1", "--r", "0", "--json"],
     "enumerate_signed.json": ["enumerate", "--family", "signed:m=3,k=2", "--rank", "2", "--json"],
+    "verify_extremal_oa11.json": [
+        "verify-extremal", "--design", "oa11.design", "--family-file", "star.family", "--s", "1", "--json",
+    ],
+    "gen_linear_oa3.json": ["gen", "--kind", "linear-oa", "--q", "3", "--m", "3", "-o", "regen3.design", "--json"],
 }
 
 

@@ -196,23 +196,29 @@ def test_load_accepts_comments_and_blanks(tmp_path, fano_cert):
     assert designs.load_design(path) == fano_cert
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "",  # empty
-        "strength 2\n1 2 3\n",  # missing family
-        "family johnson:v=7,m=3\n1 2 3\n",  # missing strength
-        "family johnson:v=7,m=3\nstrength x\n1 2 3\n",
-        "family johnson:v=7,m=3\nstrength 2\n",  # no elements
-        "family johnson:v=7,m=3\nstrength 2\n1 2\n",  # not top fiber
-        "family johnson:v=7,m=3\nstrength 9\n1 2 3\n",  # strength out of range
-    ],
-)
+# file content -> the error message after the path
+MALFORMED = {
+    "": ": empty design file",
+    "strength 2\n1 2 3\n": ":1: expected `family <spec>`",
+    "family johnson:v=7,m=3\n1 2 3\n": ":2: expected `strength <t>`",
+    "family johnson:v=7,m=3\n": ": missing `strength <t>` line",
+    "family johnson:v=7,m=3\nstrength x\n1 2 3\n": ":2: bad strength 'x'",
+    "family johnson:v=7,m=3\nstrength 2\n": ": design file lists no elements",
+    "family johnson:v=7,m=3\nstrength 2\n1 2\n": ":3: element is not in the top fiber",
+    "family johnson:v=7,m=3\nstrength 9\n1 2 3\n": ": declared strength 9 out of range 0..3",
+    "family johnson:v=3,m=2\nstrength 1\n1 2\n": ":1: johnson: requires v >= 2m >= 2",
+    "# c\n\nfamily johnson:v=7,m=3\n\nstrength 2\n1 2 3\n# c\n1 2 3\n": ":8: duplicate element '1 2 3'",
+    "family johnson:v=7,m=3\nstrength 2\n1 2 x\n": ":3: bad ground-set member 'x'",
+}
+
+
+@pytest.mark.parametrize("content", list(MALFORMED))
 def test_load_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.design"
     path.write_text(content)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         designs.load_design(path)
+    assert str(exc.value) == f"{path}{MALFORMED[content]}"
 
 
 def test_family_file_reader(tmp_path):
