@@ -15,9 +15,9 @@ and (element indices, note) for a counterexample.  One driver runs them in
 `CHECK_IDS` order, counts and times the cases and stops a check at its
 first counterexample.  A case costs n comparisons (one bitmask over the n
 elements), so the driver charges n per case against the budget, after the
-setup has charged the fiber sizes and the n^2 meet table.  The GLB check
-costs n per pair i <= j whatever the lattice, so a budget too small for it
-is refused before the meet table is built.
+setup has charged the closed-form fiber sizes and the n^2 meet table.  The
+GLB check costs n per pair i <= j whatever the lattice, so a budget too
+small for it is refused before any fiber is built.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
-from .families import FamilySpec, _bits
-
-DEFAULT_BUDGET = 10**8
+from .families import DEFAULT_BUDGET, FamilySpec, _bits
 
 CHECK_IDS = (
     "semilattice-glb",
@@ -75,24 +73,22 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
                 context={"check": check_id, "fiber_sizes": fiber_sizes},
             )
 
-    els = []
     for i in range(top + 1):
-        fiber = families._fiber(spec, i)
-        fiber_sizes.append(len(fiber))
-        charge(len(fiber), "setup")
-        els.extend(fiber)
-    n = len(els)
-    index = {e: i for i, e in enumerate(els)}
-    ranks = [e.rank for e in els]
-
-    fiber_masks = [0] * (top + 1)
-    for i, e in enumerate(els):
-        fiber_masks[e.rank] |= 1 << i
-
+        fiber_sizes.append(families.fiber_size(spec, i))
+        charge(fiber_sizes[-1], "setup")
+    n = sum(fiber_sizes)
     charge(n * n, "setup")
     glb_cost = n * n * (n + 1) // 2
     if used + glb_cost > budget:
-        charge(glb_cost, "semilattice-glb")  # refuses before the table is built
+        charge(glb_cost, "semilattice-glb")  # refuses before anything is built
+
+    els = [e for i in range(top + 1) for e in families.enumerate_fiber(spec, i)]
+    n = len(els)  # the alpha check compares it with the closed forms
+    index = {e: i for i, e in enumerate(els)}
+    ranks = [e.rank for e in els]
+    fiber_masks = [0] * (top + 1)
+    for i, e in enumerate(els):
+        fiber_masks[e.rank] |= 1 << i
 
     # pairwise meet table; below/above masks fall out of it
     meets = [[0] * n for _ in range(n)]

@@ -24,9 +24,7 @@ from pathlib import Path
 
 from . import families, gf as gflib, parameters
 from .errors import BudgetExceededError, NonIntegralError, ParseError, VerificationError
-from .families import Element, FamilySpec
-
-DEFAULT_BUDGET = 10**8
+from .families import DEFAULT_BUDGET, Element, FamilySpec
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,15 @@ class Star:
 def _validate_top_elements(spec: FamilySpec, elements):
     elements = tuple(elements)
     if not elements:
-        raise ValueError("design must be nonempty")
+        raise ParseError("design must be nonempty")
     top = spec.top_rank
     for x in elements:
         if x.spec != spec:
-            raise ValueError("design element belongs to a different family")
+            raise ParseError("design element belongs to a different family")
         if x.rank != top:
-            raise ValueError(f"design element {families.format_element(x)} has rank {x.rank}, expected {top}")
+            raise ParseError(f"design element {families.format_element(x)} has rank {x.rank}, expected {top}")
     if len(set(elements)) != len(elements):
-        raise ValueError("design contains a duplicate element")
+        raise ParseError("design contains a duplicate element")
     return elements
 
 
@@ -73,14 +71,14 @@ def _coverage(spec: FamilySpec, elements, t: int, budget: int):
     (None, witness) with two (element, count) pairs of unequal counts.
     """
     if not 0 <= t <= spec.top_rank:
-        raise ValueError(f"strength {t} out of range 0..{spec.top_rank}")
-    fiber = families._fiber(spec, t)
-    cost = len(fiber) * len(elements)
-    if cost > budget:
+        raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
+    size = families.fiber_size(spec, t)
+    if size * len(elements) > budget:
         raise BudgetExceededError(
-            f"strength verification needs {cost} comparisons, budget is {budget}",
-            context={"fiber_size": len(fiber), "design_size": len(elements)},
+            f"strength verification needs {size * len(elements)} comparisons, budget is {budget}",
+            context={"fiber_size": size, "design_size": len(elements)},
         )
+    fiber = families.enumerate_fiber(spec, t)
     counts = [sum(1 for x in elements if families.leq(z, x)) for z in fiber]
     first = counts[0]
     for z, c in zip(fiber, counts):
@@ -102,7 +100,7 @@ def design_witness(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUD
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
     """lambda_{t'} = lambda_t * theta(t') / theta(t), asserted exact."""
     if not 0 <= t_prime <= t <= spec.top_rank:
-        raise ValueError(f"need 0 <= t' <= t <= {spec.top_rank}, got t'={t_prime}, t={t}")
+        raise ParseError(f"need 0 <= t' <= t <= {spec.top_rank}, got t'={t_prime}, t={t}")
     num = lam_t * parameters.theta(spec, t_prime)
     den = parameters.theta(spec, t)
     if num % den:
@@ -130,32 +128,26 @@ def make_certificate(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_B
 def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:
     """View a t-design as a design of smaller strength (same elements)."""
     if not 0 <= t <= cert.strength:
-        raise ValueError(f"strength {t} out of range 0..{cert.strength}")
+        raise ParseError(f"strength {t} out of range 0..{cert.strength}")
     return DesignCertificate(cert.spec, cert.elements, t, cert.indices[: t + 1])
 
 
 def star(spec: FamilySpec, elements, z: Element) -> Star:
     """All members of the design above z, in canonical order."""
     if z.spec != spec:
-        raise ValueError("star center belongs to a different family")
+        raise ParseError("star center belongs to a different family")
     members = tuple(sorted(x for x in elements if families.leq(z, x)))
     return Star(z, members)
 
 
-def full_fiber(spec: FamilySpec, t: int | None = None, budget: int = DEFAULT_BUDGET) -> DesignCertificate:
+def full_fiber(spec: FamilySpec, t: int | None = None) -> DesignCertificate:
     """The whole top fiber as a design; lambda_j = theta(j) for every j <= t."""
     top = spec.top_rank
     if t is None:
         t = top
     if not 0 <= t <= top:
-        raise ValueError(f"strength {t} out of range 0..{top}")
-    size = parameters.theta(spec, 0)
-    if size > budget:
-        raise BudgetExceededError(
-            f"top fiber has {size} elements, budget is {budget}",
-            context={"fiber_size": size},
-        )
-    elements = tuple(families.enumerate_fiber(spec, top))
+        raise ParseError(f"strength {t} out of range 0..{top}")
+    elements = families.enumerate_fiber(spec, top)
     indices = tuple(parameters.theta(spec, j) for j in range(t + 1))
     return DesignCertificate(spec, elements, t, indices)
 
@@ -167,10 +159,10 @@ def generate_linear_oa(q: int, m: int) -> DesignCertificate:
     coordinates determine the remaining one, so each rank-(m-1) element is
     covered exactly once.
     """
-    if not gflib.is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    if gflib.prime_power(q) != (q, 1):
+        raise ParseError(f"q must be prime, got {q}")
     if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+        raise ParseError(f"m must be at least 2, got {m}")
     spec = FamilySpec(kind="hamming", m=m, n=q)
     elements = []
     for tup in product(range(q), repeat=m - 1):
@@ -212,9 +204,12 @@ def _read_file(path, *, want_strength: bool):
     if lines and lines[0][1].startswith("strength "):
         lineno, text = lines.pop(0)
         text = text[len("strength "):].strip()
-        if not text.isdigit():
+        try:
+            strength = int(text) if text.isdigit() else -1
+        except ValueError:  # a digit int() cannot read, such as a superscript, or too many
+            strength = -1
+        if strength < 0:
             raise ParseError(f"{path}:{lineno}: bad strength {text!r}")
-        strength = int(text)
     elif want_strength and lines:
         raise ParseError(f"{path}:{lines[0][0]}: expected `strength <t>`")
     elif want_strength:
@@ -224,7 +219,7 @@ def _read_file(path, *, want_strength: bool):
     for lineno, text in lines:
         try:
             element = families.parse_element(spec, text)
-        except ParseError as exc:
+        except ValueError as exc:  # a ParseError, or int() on a digit it cannot read
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if element.rank != spec.top_rank:
             raise ParseError(f"{path}:{lineno}: element is not in the top fiber")

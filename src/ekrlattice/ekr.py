@@ -26,22 +26,20 @@ from dataclasses import dataclass
 
 from . import families, parameters
 from .designs import DesignCertificate
-from .errors import BudgetExceededError
-from .families import Element, FamilySpec
-from .parameters import qbinom
-
-DEFAULT_BUDGET = 10**8
+from .errors import BudgetExceededError, ParseError
+from .families import DEFAULT_BUDGET, Element, FamilySpec
+from .gf import qbinom
 
 
 def min_meet_rank(spec: FamilySpec, family) -> int:
     """Minimum rank of a pairwise meet; the top rank for a singleton."""
     members = tuple(family)
     if not members:
-        raise ValueError("family must be nonempty")
+        raise ParseError("family must be nonempty")
     top = spec.top_rank
     for x in members:
         if x.spec != spec or x.rank != top:
-            raise ValueError("family members must be top-fiber elements of this family")
+            raise ParseError("family members must be top-fiber elements of this family")
     best = top
     for i, x in enumerate(members):
         for y in members[i + 1:]:
@@ -54,7 +52,7 @@ def min_meet_rank(spec: FamilySpec, family) -> int:
 def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
     """True iff every pairwise meet has rank at least s."""
     if not 0 < s < spec.top_rank:
-        raise ValueError(f"s must satisfy 0 < s < {spec.top_rank}, got {s}")
+        raise ParseError(f"s must satisfy 0 < s < {spec.top_rank}, got {s}")
     return min_meet_rank(spec, family) >= s
 
 
@@ -117,7 +115,7 @@ def check_conditions(cert: DesignCertificate, s: int) -> ConditionReport:
     t = cert.strength
     top = spec.top_rank
     if not 0 < s < t:
-        raise ValueError(f"need 0 < s < t (certificate strength t={t}), got s={s}")
+        raise ParseError(f"need 0 < s < t (certificate strength t={t}), got s={s}")
     lam = cert.indices
     nu_sm = parameters.nu(spec, s, top)
     theta_s = parameters.theta(spec, s)
@@ -154,7 +152,7 @@ def remark_conditions(spec: FamilySpec, s: int, t: int) -> tuple[bool, tuple[Rem
     """The printed index-free form: nu(r,s) * mu(s,M) * theta(.) < theta(s)."""
     top = spec.top_rank
     if not 0 < s < t <= top:
-        raise ValueError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
+        raise ParseError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
     mu_sm = parameters.mu(spec, s, top)
     theta_s = parameters.theta(spec, s)
     rows = []
@@ -168,7 +166,7 @@ def table1_condition(spec: FamilySpec, s: int, t: int) -> bool:
     """Closed-form parameter threshold, per family and regime."""
     top = spec.top_rank
     if not 0 < s < t <= top:
-        raise ValueError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
+        raise ParseError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
     kind = spec.kind
     m, n, v, q, k = spec.m, spec.n, spec.v, spec.q, spec.k
     tight = s == t - 1  # otherwise s < t-1
@@ -205,7 +203,7 @@ def table1_condition(spec: FamilySpec, s: int, t: int) -> bool:
 def ekr_bound(cert: DesignCertificate, s: int) -> int:
     """lambda_s; whether the bound is theorem-backed is check_conditions' job."""
     if not 0 <= s <= cert.strength:
-        raise ValueError(f"s must satisfy 0 <= s <= {cert.strength}, got {s}")
+        raise ParseError(f"s must satisfy 0 <= s <= {cert.strength}, got {s}")
     return cert.indices[s]
 
 
@@ -230,20 +228,19 @@ def compute_dr(cert: DesignCertificate, s: int, r: int, budget: int = DEFAULT_BU
     spec = cert.spec
     t = cert.strength
     if not 0 <= r < s <= t:
-        raise ValueError(f"need 0 <= r <= s-1 < t <= {spec.top_rank}, got r={r}, s={s}, t={t}")
+        raise ParseError(f"need 0 <= r <= s-1 < t <= {spec.top_rank}, got r={r}, s={s}, t={t}")
     j = t if r <= 2 * s - t else 2 * s - r
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
-    fiber_s = families._fiber(spec, s)
-    cost = len(fiber_s) * len(members) * 2
-    if cost > budget:
+    size = families.fiber_size(spec, s)
+    if size * len(members) * 2 > budget:
         raise BudgetExceededError(
-            f"d_r scan needs about {cost} comparisons, budget is {budget}",
-            context={"fiber_size": len(fiber_s), "design_size": len(members)},
+            f"d_r scan needs about {size * len(members) * 2} comparisons, budget is {budget}",
+            context={"fiber_size": size, "design_size": len(members)},
         )
     best = None
     witness = None
-    for x in fiber_s:
+    for x in families.enumerate_fiber(spec, s):
         star_x = [z for z in members if families.leq(x, z)]
         for y in members:
             if families.meet(x, y).rank != r:
@@ -269,11 +266,11 @@ def verify_extremal(cert: DesignCertificate, family, s: int) -> ExtremalVerdict:
     spec = cert.spec
     members = tuple(family)
     if len(set(members)) != len(members):
-        raise ValueError("family contains a duplicate element")
+        raise ParseError("family contains a duplicate element")
     if not set(members) <= set(cert.elements):
-        raise ValueError("family is not a subset of the design")
+        raise ParseError("family is not a subset of the design")
     if not is_intersecting(spec, members, s):
-        raise ValueError(f"family is not {s}-intersecting")
+        raise ParseError(f"family is not {s}-intersecting")
     bound = ekr_bound(cert, s)
     size = len(members)
     if size < bound:

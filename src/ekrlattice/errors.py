@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Malformed family spec, element encoding, or design file."""
+    """Malformed input: a family spec, element, design file or out-of-range argument."""
 
 
 class FamilyMismatchError(ValueError):

@@ -23,6 +23,7 @@ nbjohnson and 1-based for injection and signed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -89,7 +90,7 @@ class FamilySpec:
         if self.q is not None:
             try:
                 gflib.field(self.q)
-            except ValueError as exc:
+            except ParseError as exc:
                 raise ParseError(f"{kind}: {exc}") from exc
 
     @property
@@ -222,10 +223,8 @@ class _Atoms:
         kind = self.spec.kind
         if kind == "johnson":
             return sum(1 << (i - 1) for i in payload)
-        if kind == "grassmann":
-            return self._span_mask(payload)
-        if kind == "bilinear":
-            return self._span_mask([d + f for d, f in zip(*payload)])
+        if kind in ("grassmann", "bilinear"):
+            return self._span_mask(_rows(kind, payload))
         return sum(1 << ((p - 1) * self.stride + v - self.base) for p, v in payload)
 
     def element(self, mask: int) -> Element:
@@ -249,12 +248,8 @@ class _Atoms:
         while rest:
             rows.append(self._vector((rest & -rest).bit_length() - 1))
             rest = mask & ~self._span_mask(rows)
-        rows = gflib.rref(rows, self.fld)[0]
-        if kind == "grassmann":
-            return rows
         # a graph meets {0} x GF(q)^n trivially, so every pivot is a domain column
-        m = self.spec.m
-        return tuple(r[:m] for r in rows), tuple(r[m:] for r in rows)
+        return _from_rows(self.spec, gflib.rref(rows, self.fld)[0])
 
     def _vector(self, code: int) -> tuple:
         q = self.fld.q
@@ -285,6 +280,18 @@ class _Atoms:
 @lru_cache(maxsize=16)
 def _atoms(spec: FamilySpec) -> _Atoms:
     return _Atoms(spec)
+
+
+def _rows(kind: str, payload: tuple) -> tuple:
+    """Spanning rows of a subspace, or of a partial linear map's graph {(w, f(w))}."""
+    return payload if kind == "grassmann" else tuple(d + f for d, f in zip(*payload))
+
+
+def _from_rows(spec: FamilySpec, rows: tuple) -> tuple:
+    """The payload spanned by RREF rows with no pivot in an image column."""
+    if spec.kind == "grassmann":
+        return rows
+    return tuple(r[: spec.m] for r in rows), tuple(r[spec.m :] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +332,14 @@ def join_bounded(x: Element, y: Element) -> Element | None:
         if kind == "injection" and len(set(merged.values())) != len(merged):
             return None
         return Element(spec, tuple(sorted(merged.items())))
-    fld = gflib.field(spec.q)
-    if kind == "grassmann":
-        total = gflib.sum_rowspaces(x.payload, y.payload, fld)
-        return Element(spec, total) if len(total) <= top else None
-    # bilinear: the span of both graphs must itself be the graph of a map,
-    # i.e. have no pivot in an image column
-    graph = [d + f for d, f in zip(*x.payload)] + [d + f for d, f in zip(*y.payload)]
-    rows, pivots = gflib.rref(graph, fld)
-    m = spec.m
-    if len(rows) > top or any(p >= m for p in pivots):
+    if x.rank + y.rank - meet(x, y).rank > top:
+        return None  # every upper bound has at least this rank
+    # one row reduction of both (graph) row sets; for bilinear the span must
+    # itself be the graph of a map, i.e. have no pivot in an image column
+    rows, pivots = gflib.rref(_rows(kind, x.payload) + _rows(kind, y.payload), gflib.field(spec.q))
+    if kind == "bilinear" and any(p >= spec.m for p in pivots):
         return None
-    return Element(spec, (tuple(r[:m] for r in rows), tuple(r[m:] for r in rows)))
+    return Element(spec, _from_rows(spec, rows))
 
 
 def meet_all(elements) -> Element:
@@ -346,6 +349,9 @@ def meet_all(elements) -> Element:
 
 # ---------------------------------------------------------------------------
 # fiber enumeration
+
+FIBER_CAP = 10**6  # elements per fiber; each costs about 3-9 us and 250-660 bytes to build
+DEFAULT_BUDGET = 10**8  # comparisons an audit, a coverage pass or a d_r scan may make
 
 
 def _value_choices(spec: FamilySpec, pos: int) -> list[int]:
@@ -384,6 +390,21 @@ def _fiber_payloads(spec: FamilySpec, i: int) -> list[tuple]:
     return out
 
 
+def fiber_size(spec: FamilySpec, i: int) -> int:
+    """Number of rank-i elements, by closed form; nothing is built."""
+    if not 0 <= i <= spec.top_rank:
+        raise ParseError(f"rank {i} out of range 0..{spec.top_rank}")
+    kind, m, n, q = spec.kind, spec.m, spec.n, spec.q
+    if kind == "johnson":
+        return math.comb(spec.v, i)
+    if kind == "grassmann":
+        return gflib.qbinom(spec.v, i, q)
+    if kind == "bilinear":
+        return gflib.qbinom(m, i, q) * q ** (n * i)
+    values = math.perm(n, i) if kind == "injection" else (m - 1) ** i if kind == "signed" else n**i
+    return math.comb(m, i) * values  # i positions, then a value at each
+
+
 @lru_cache(maxsize=128)
 def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     payloads = _fiber_payloads(spec, i)
@@ -391,11 +412,16 @@ def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     return tuple(Element(spec, p) for p in payloads)
 
 
-def enumerate_fiber(spec: FamilySpec, i: int) -> Iterator[Element]:
-    """Every rank-i element exactly once, in canonical (payload) order."""
-    if not 0 <= i <= spec.top_rank:
-        raise ValueError(f"rank {i} out of range 0..{spec.top_rank}")
-    return iter(_fiber(spec, i))
+def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
+    """Every rank-i element once, in canonical (payload) order; the one way to a fiber.
+    A fiber above FIBER_CAP elements is refused, by fiber_size, before it is built."""
+    size = fiber_size(spec, i)
+    if size > FIBER_CAP:
+        raise BudgetExceededError(
+            f"rank-{i} fiber of {spec} has {size} elements, above the cap of {FIBER_CAP}",
+            context={"fiber_size": size, "fiber_cap": FIBER_CAP},
+        )
+    return _fiber(spec, i)
 
 
 def enumerate_all(spec: FamilySpec) -> Iterator[Element]:

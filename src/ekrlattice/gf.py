@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 from itertools import combinations, product
 
+from .errors import ParseError
+
 # Conway polynomials, coefficients in ascending degree, monic.  Enough for
 # every prime power q = p^k <= 64 with k >= 2.
 _CONWAY = {
@@ -28,17 +30,6 @@ _CONWAY = {
     (5, 2): (2, 4, 1),
     (7, 2): (3, 6, 1),
 }
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -63,12 +54,12 @@ class GF:
     def __init__(self, q: int):
         pk = prime_power(q)
         if pk is None:
-            raise ValueError(f"{q} is not a prime power")
+            raise ParseError(f"{q} is not a prime power")
         self.q = q
         self.p, self.k = pk
         if self.k > 1:
             if (self.p, self.k) not in _CONWAY:
-                raise ValueError(f"GF({q}) is not supported (prime powers up to 64 only)")
+                raise ParseError(f"GF({q}) is not supported (prime powers up to 64 only)")
             self._build_tables()
 
     def _digits(self, a: int) -> list[int]:
@@ -146,6 +137,17 @@ class GF:
         return f"GF({self.q})"
 
 
+def qbinom(a: int, b: int, q: int) -> int:
+    """Gaussian binomial coefficient: b-dim subspaces of GF(q)^a; 0 if b > a."""
+    if b < 0 or b > a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 @functools.lru_cache(maxsize=None)
 def field(q: int) -> GF:
     return GF(q)
@@ -185,11 +187,6 @@ def rref(rows, fld: GF):
         if rank == len(mat):
             break
     return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
-
-
-def sum_rowspaces(a_rows, b_rows, fld: GF):
-    """RREF basis of rowspace(A) + rowspace(B)."""
-    return rref(tuple(a_rows) + tuple(b_rows), fld)[0]
 
 
 def enumerate_rref_matrices(width: int, r: int, fld: GF):

@@ -10,7 +10,8 @@ Each family carries four constants:
                 to theta(r) * mu(r, s) / theta(s) with exact division.
 
 `oracle_count` computes the same quantities by literal enumeration for one
-concrete witness tuple; the audit asserts the two routes agree everywhere.
+concrete witness tuple, and the tests compare it with the closed forms; the
+audit counts every witness tuple from its own meet table instead.
 
 All arithmetic is exact unbounded-integer arithmetic.
 """
@@ -20,24 +21,14 @@ from __future__ import annotations
 import math
 
 from . import families
-from .errors import NonIntegralError
+from .errors import NonIntegralError, ParseError
 from .families import FamilySpec
-
-
-def qbinom(a: int, b: int, q: int) -> int:
-    """Gaussian binomial coefficient: b-dim subspaces of GF(q)^a; 0 if b > a."""
-    if b < 0 or b > a:
-        return 0
-    num = den = 1
-    for i in range(b):
-        num *= q ** (a - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
+from .gf import qbinom
 
 
 def _check_ranks(spec: FamilySpec, r: int, s: int):
     if not 0 <= r <= s <= spec.top_rank:
-        raise ValueError(f"ranks must satisfy 0 <= r <= s <= {spec.top_rank}, got r={r}, s={s}")
+        raise ParseError(f"ranks must satisfy 0 <= r <= s <= {spec.top_rank}, got r={r}, s={s}")
 
 
 def mu(spec: FamilySpec, r: int, s: int) -> int:
@@ -62,7 +53,7 @@ def nu(spec: FamilySpec, r: int, s: int) -> int:
 def theta(spec: FamilySpec, r: int) -> int:
     """Count of top-fiber elements above a fixed rank-r element."""
     if not 0 <= r <= spec.top_rank:
-        raise ValueError(f"rank must satisfy 0 <= r <= {spec.top_rank}, got {r}")
+        raise ParseError(f"rank must satisfy 0 <= r <= {spec.top_rank}, got {r}")
     kind = spec.kind
     if kind == "johnson":
         return math.comb(spec.v - r, spec.m - r)
@@ -109,11 +100,11 @@ def oracle_count(spec: FamilySpec, which: str, witnesses, *, r: int | None = Non
     if which == "mu":
         z, y = witnesses
         if y.rank != top:
-            raise ValueError("mu oracle requires a top-fiber witness y")
+            raise ParseError("mu oracle requires a top-fiber witness y")
         if not families.leq(z, y):
-            raise ValueError("mu oracle requires z below y")
+            raise ParseError("mu oracle requires z below y")
         if s is None or not z.rank <= s <= top:
-            raise ValueError("mu oracle requires z.rank <= s <= top rank")
+            raise ParseError("mu oracle requires z.rank <= s <= top rank")
         return sum(
             1
             for u in families.enumerate_fiber(spec, s)
@@ -122,11 +113,11 @@ def oracle_count(spec: FamilySpec, which: str, witnesses, *, r: int | None = Non
     if which == "nu":
         (u,) = witnesses
         if r is None or not 0 <= r <= u.rank:
-            raise ValueError("nu oracle requires 0 <= r <= u.rank")
+            raise ParseError("nu oracle requires 0 <= r <= u.rank")
         return sum(1 for z in families.enumerate_fiber(spec, r) if families.leq(z, u))
     if which == "alpha":
         (u,) = witnesses
         if s is None or not u.rank <= s <= top:
-            raise ValueError("alpha oracle requires u.rank <= s <= top rank")
+            raise ParseError("alpha oracle requires u.rank <= s <= top rank")
         return sum(1 for z in families.enumerate_fiber(spec, s) if families.leq(u, z))
-    raise ValueError(f"unknown parameter name {which!r}")
+    raise ParseError(f"unknown parameter name {which!r}")

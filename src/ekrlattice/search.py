@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import ekr, families
 from .designs import DesignCertificate, star
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ParseError
 from .families import Element
 
 DEFAULT_VERTEX_BUDGET = 5000
@@ -33,7 +33,7 @@ class IntersectionGraph:
 def build_graph(cert: DesignCertificate, s: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> IntersectionGraph:
     """Exact adjacency by pairwise meet-rank computation."""
     if not 1 <= s <= cert.spec.top_rank:
-        raise ValueError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
+        raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
     n = len(members)
     if n > vertex_budget:

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import ekrlattice
-from ekrlattice import families
+from ekrlattice import cli, families
 from ekrlattice.audit import audit
 from ekrlattice.cli import main
+from ekrlattice.errors import FamilyMismatchError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SAMPLES_DIR = Path(ekrlattice.__file__).parent / "samples"
@@ -125,10 +126,65 @@ def test_negative_node_budget_is_a_usage_error(in_samples_tmp, capsys):
     assert code == 3 and "budget-exhausted" in out
 
 
-def test_missing_file_exit_2(capsys):
+def test_only_input_errors_are_usage_errors(monkeypatch, capsys):
+    # a plain ValueError is a bug: it propagates instead of reading as exit 2
+    def raises(exc):
+        def handler(args):
+            raise exc
+        return handler
+
+    monkeypatch.setattr(cli, "_cmd_params", raises(ValueError("internal")))
+    with pytest.raises(ValueError, match="internal"):
+        main(["params", "--family", "johnson:v=4,m=2"])
+    monkeypatch.setattr(cli, "_cmd_params", raises(FamilyMismatchError("mixed families")))
+    assert run_cli(["params", "--family", "johnson:v=4,m=2"], capsys)[0] == 2
+
+
+# each refusal comes from closed-form sizes; _fiber_payloads raises if a fiber is built first
+J40_ROW = " ".join(map(str, range(1, 21)))  # one row of a strength-10 johnson:v=40,m=20 design
+J40_CONTEXT = {"fiber_size": 847660528, "design_size": 1}
+CAP_CONTEXT = {"fiber_size": 10400600, "fiber_cap": 10**6}
+REFUSALS = {
+    "audit-hamming-7-5": (
+        ["audit", "--family", "hamming:m=7,n=5"],
+        {"check": "setup", "fiber_sizes": [1, 35, 525, 4375, 21875, 65625, 109375, 78125]},
+    ),
+    "audit-hamming-8-6": (
+        ["audit", "--family", "hamming:m=8,n=6"],
+        {"check": "setup", "fiber_sizes": [1, 48, 1008, 12096, 90720, 435456, 1306368, 2239488, 1679616]},
+    ),
+    "check-design": (["check-design", "--design", "j40.design"], J40_CONTEXT),
+    "dr": (["dr", "--design", "j40.design", "--s", "2", "--r", "1"], J40_CONTEXT),
+    "search-max": (["search-max", "--design", "j40.design", "--s", "1"], J40_CONTEXT),
+    "enumerate": (["enumerate", "--family", "johnson:v=26,m=13", "--rank", "13"], CAP_CONTEXT),
+    "gen-full-fiber": (["gen", "--kind", "full-fiber", "--family", "johnson:v=26,m=13", "-o", "x.design"], CAP_CONTEXT),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_oversized_work_is_refused_before_any_fiber_is_built(name, tmp_path, monkeypatch, capsys):
+    def no_fibers(spec, i):
+        raise AssertionError(f"built the rank-{i} fiber of {spec} for refused work")
+
+    monkeypatch.setattr(families, "_fiber_payloads", no_fibers)
+    monkeypatch.chdir(tmp_path)
+    Path("j40.design").write_text(f"family johnson:v=40,m=20\nstrength 10\n{J40_ROW}\n")
+    argv, context = REFUSALS[name]
+    code, out, err = run_cli([*argv, "--json"], capsys)
+    assert code == 3 and err.startswith("error:")
+    assert json.loads(out)["error"]["context"] == context
+    assert not Path("x.design").exists()
+
+
+def test_missing_file_exit_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["ekr-check", "--design", "nope.design", "--s", "1"], capsys)
     assert code == 2
     assert "error:" in err
+    # so is a design file that is not UTF-8
+    monkeypatch.chdir(tmp_path)
+    Path("latin1.design").write_bytes(b"family johnson:v=5,m=2\nstrength 1\n1 \xff\n")
+    code, _, err = run_cli(["check-design", "--design", "latin1.design"], capsys)
+    assert code == 2 and "codec can't decode" in err
 
 
 def test_check_design_wrong_strength_exit_1(in_samples_tmp, capsys):

@@ -108,10 +108,13 @@ def test_star_size_equals_index(fano_spec, fano_cert):
             assert len(members) == fano_cert.indices[s]
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
     spec = families.parse_family_spec("hamming:m=3,n=3")
-    with pytest.raises(BudgetExceededError):
-        designs.full_fiber(spec, budget=5)
+    monkeypatch.setattr(families, "FIBER_CAP", 5)
+    with pytest.raises(BudgetExceededError) as err:
+        designs.full_fiber(spec)
+    assert err.value.context == {"fiber_size": 27, "fiber_cap": 5}
+    monkeypatch.undo()
     cert = designs.full_fiber(spec)
     with pytest.raises(BudgetExceededError):
         designs.is_design(spec, cert.elements, 2, budget=5)
@@ -209,13 +212,16 @@ MALFORMED = {
     "family johnson:v=3,m=2\nstrength 1\n1 2\n": ":1: johnson: requires v >= 2m >= 2",
     "# c\n\nfamily johnson:v=7,m=3\n\nstrength 2\n1 2 3\n# c\n1 2 3\n": ":8: duplicate element '1 2 3'",
     "family johnson:v=7,m=3\nstrength 2\n1 2 x\n": ":3: bad ground-set member 'x'",
+    # str.isdigit() accepts digits that int() cannot read
+    "family johnson:v=7,m=3\nstrength \u00b2\n1 2 3\n": ":2: bad strength '\u00b2'",
+    "family johnson:v=7,m=3\nstrength 2\n1 2 \u00b3\n": ":3: invalid literal for int() with base 10: '\u00b3'",
 }
 
 
 @pytest.mark.parametrize("content", list(MALFORMED))
 def test_load_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.design"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         designs.load_design(path)
     assert str(exc.value) == f"{path}{MALFORMED[content]}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ekrlattice import designs, ekr, families
+from ekrlattice.errors import BudgetExceededError
 from ekrlattice.designs import full_fiber, generate_linear_oa, restrict_strength
 
 
@@ -202,6 +203,17 @@ def test_compute_dr_validates(fano_cert):
         ekr.compute_dr(fano_cert, 1, 1)
     with pytest.raises(ValueError):
         ekr.compute_dr(fano_cert, 3, 0)
+
+
+def test_dr_scan_is_refused_before_its_fiber_is_built(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=40,m=20")
+    row = families.parse_element(spec, " ".join(map(str, range(1, 21))))
+    cert = designs.DesignCertificate(spec, (row,), 10, (1,) * 11)  # unverified: only the sizes matter
+    monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
+    with pytest.raises(BudgetExceededError) as err:
+        ekr.compute_dr(cert, 10, 9)
+    assert str(err.value) == "d_r scan needs about 1695321056 comparisons, budget is 100000000"
+    assert err.value.context == {"fiber_size": 847660528, "design_size": 1}
 
 
 def test_verify_extremal_star_is_extremal():

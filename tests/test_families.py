@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import pytest
+from conftest import grid
 from hypothesis import given, settings, strategies as st
 from test_gf import brute_span, sample_cases
 
@@ -181,6 +182,12 @@ def test_fiber_is_sorted_unique_and_counted_by_alpha():
             assert payloads == sorted(payloads)
             assert len(set(fiber)) == len(fiber)
             assert len(fiber) == parameters.alpha(spec, 0, i)
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_fiber_size_is_the_enumerated_count(spec):
+    for i in range(spec.top_rank + 1):
+        assert families.fiber_size(spec, i) == len(families.enumerate_fiber(spec, i)) == parameters.alpha(spec, 0, i)
 
 
 def test_fiber_rank_out_of_range():
