@@ -79,7 +79,7 @@ def _coverage(spec: FamilySpec, elements, t: int, budget: int):
             context={"fiber_size": size, "design_size": len(elements)},
         )
     fiber = families.enumerate_fiber(spec, t)
-    counts = [sum(1 for x in elements if families.leq(z, x)) for z in fiber]
+    counts = [mask.bit_count() for mask in families.above(spec, t, elements)]
     first = counts[0]
     for z, c in zip(fiber, counts):
         if c != first:

@@ -49,6 +49,18 @@ def min_meet_rank(spec: FamilySpec, family) -> int:
     return best
 
 
+def intersection_masks(members, s: int) -> list[int]:
+    """For each member, the bitmask of the members meeting it in rank >= s,
+    itself included; meet ranks are read from atom popcounts."""
+    masks = [1 << j for j in range(len(members))]
+    for i, x in enumerate(members):
+        for j in range(i + 1, len(members)):
+            if families.meet_rank(x, members[j]) >= s:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
 def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
     """True iff every pairwise meet has rank at least s."""
     if not 0 < s < spec.top_rank:
@@ -233,19 +245,21 @@ def compute_dr(cert: DesignCertificate, s: int, r: int, budget: int = DEFAULT_BU
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    if size * len(members) * 2 > budget:
+    # fiber x Y meet ranks and stars through `above`, and |Y|^2 / 2 for `near`
+    need = max(size * len(members) * 2, len(members) ** 2)
+    if need > budget:
         raise BudgetExceededError(
-            f"d_r scan needs about {size * len(members) * 2} comparisons, budget is {budget}",
+            f"d_r scan needs about {need} comparisons, budget is {budget}",
             context={"fiber_size": size, "design_size": len(members)},
         )
+    near = intersection_masks(members, s)
     best = None
     witness = None
-    for x in families.enumerate_fiber(spec, s):
-        star_x = [z for z in members if families.leq(x, z)]
-        for y in members:
-            if families.meet(x, y).rank != r:
+    for x, star_x in zip(families.enumerate_fiber(spec, s), families.above(spec, s, members)):
+        for y, near_y in zip(members, near):
+            if families.meet_rank(x, y) != r:
                 continue
-            count = sum(1 for z in star_x if families.meet(z, y).rank >= s)
+            count = (star_x & near_y).bit_count()
             if best is None or count > best:
                 best, witness = count, (x, y)
     return DrReport(r=r, s=s, d_r=best, bound=bound, witness=witness)
@@ -280,6 +294,8 @@ def verify_extremal(cert: DesignCertificate, family, s: int) -> ExtremalVerdict:
     # |family| == bound: extremal iff the family is a full star of some
     # rank-s center.  Any candidate center lies below the iterated meet.
     common = families.meet_all(members)
+    if common.rank < s:
+        return ExtremalVerdict(size, bound, "extremal-but-not-star", None)
     for z in families.enumerate_fiber(spec, s):
         if not families.leq(z, common):
             continue

@@ -183,7 +183,8 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 #
 # Vector c of GF(q)^width is bit sum_j c_j * q^(width-1-j).  Then meet is
 # `a & b` and leq is `a & ~b == 0`; the payload stays the codec and the
-# canonical sort key.
+# canonical sort key.  A rank-r element has r atoms (set and map kinds) or
+# q^r - 1 (subspace kinds), so the meet's rank is read off the popcount.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
 _DECODED_CAP = 1 << 12  # decoded meet results kept per family
@@ -205,6 +206,7 @@ class _Atoms:
             self.fld = gflib.field(spec.q)
             self.width = spec.v if kind == "grassmann" else spec.m + spec.n
             count = spec.q**self.width
+            self.ranks = {spec.q**r - 1: r for r in range(spec.top_rank + 1)}  # popcount -> rank
         elif kind == "johnson":
             count = spec.v
         else:
@@ -301,6 +303,13 @@ def _from_rows(spec: FamilySpec, rows: tuple) -> tuple:
 def meet(x: Element, y: Element) -> Element:
     """Greatest lower bound of x and y."""
     return _atoms(_same_family(x, y)).element(x.atoms & y.atoms)
+
+
+def meet_rank(x: Element, y: Element) -> int:
+    """rank(meet(x, y)) from the popcount of the common atoms; nothing is decoded."""
+    spec = _same_family(x, y)
+    count = (x.atoms & y.atoms).bit_count()
+    return count if spec.q is None else _atoms(spec).ranks[count]  # q: the subspace kinds
 
 
 def leq(x: Element, y: Element) -> bool:
@@ -422,6 +431,28 @@ def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
             context={"fiber_size": size, "fiber_cap": FIBER_CAP},
         )
     return _fiber(spec, i)
+
+
+def above(spec: FamilySpec, i: int, elements) -> list[int]:
+    """For each rank-i element, in canonical order, the bitmask of the indices of
+    `elements` above it.
+
+    z <= x puts z's atoms inside x's, so each x is tested by `leq` only against
+    the fiber elements whose lowest atom is one of x's; the least element has
+    no atoms and sits in bucket 0, which every x tries.
+    """
+    fiber = enumerate_fiber(spec, i)
+    buckets: dict[int, list[tuple[int, Element]]] = {}
+    for k, z in enumerate(fiber):
+        buckets.setdefault(z.atoms & -z.atoms, []).append((k, z))
+    masks = [0] * len(fiber)
+    for j, x in enumerate(elements):
+        bit = 1 << j
+        for low in (0, *(1 << b for b in _bits(x.atoms))):
+            for k, z in buckets.get(low, ()):
+                if leq(z, x):
+                    masks[k] |= bit
+    return masks
 
 
 def enumerate_all(spec: FamilySpec) -> Iterator[Element]:

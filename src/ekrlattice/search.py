@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ekr, families
-from .designs import DesignCertificate, star
+from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
 from .families import Element
 
@@ -31,7 +31,7 @@ class IntersectionGraph:
 
 
 def build_graph(cert: DesignCertificate, s: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> IntersectionGraph:
-    """Exact adjacency by pairwise meet-rank computation."""
+    """Exact adjacency by pairwise meet ranks, read from atom popcounts."""
     if not 1 <= s <= cert.spec.top_rank:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
@@ -41,23 +41,19 @@ def build_graph(cert: DesignCertificate, s: int, vertex_budget: int = DEFAULT_VE
             f"design has {n} elements, vertex budget is {vertex_budget}",
             context={"design_size": n},
         )
-    adj = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if families.meet(members[i], members[j]).rank >= s:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return IntersectionGraph(n, tuple(adj))
+    return IntersectionGraph(n, tuple(ekr.intersection_masks(members, s)))
 
 
 def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Element, ...]]:
-    """Best star over rank-s centers; always a valid s-intersecting family."""
-    best_size, best_members = 0, ()
-    for z in families.enumerate_fiber(cert.spec, s):
-        members = star(cert.spec, cert.elements, z).members
-        if len(members) > best_size:
-            best_size, best_members = len(members), members
-    return best_size, best_members
+    """Best star over rank-s centers, the first of maximum size in canonical order;
+    always a valid s-intersecting family.  A rank-s fiber above the cap is not
+    built: the least member alone seeds the search instead."""
+    members = cert.elements
+    if families.fiber_size(cert.spec, s) > families.FIBER_CAP:
+        return 1, (min(members),)
+    stars = families.above(cert.spec, s, members)
+    best = max(stars, key=int.bit_count)
+    return best.bit_count(), tuple(sorted(members[j] for j in range(len(members)) if best >> j & 1))
 
 
 @dataclass(frozen=True)

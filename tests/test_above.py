@@ -1,0 +1,134 @@
+"""The lowest-atom fiber index (`families.above`) and popcount meet ranks
+(`families.meet_rank`), checked against brute-force scans.
+
+The whole-fiber loops that coverage, the star seed and d_r ran before they
+moved onto `above` and `meet_rank` are kept here as oracles; outputs,
+witnesses included, must be identical.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from ekrlattice import designs, ekr, families, search
+from ekrlattice.designs import DesignCertificate
+from ekrlattice.errors import FamilyMismatchError
+
+from conftest import GRID_SPECS, grid
+
+MEET_RANK_SPECS = (
+    "johnson:v=6,m=3",
+    "grassmann:v=5,m=2,q=2",
+    "grassmann:v=4,m=2,q=3",
+    "grassmann:v=4,m=2,q=4",
+    "hamming:m=3,n=3",
+    "bilinear:m=2,n=2,q=3",
+    "bilinear:m=2,n=2,q=4",
+    "injection:m=3,n=4",
+    "nbjohnson:m=4,n=3,k=2",
+    "signed:m=4,k=2",
+)
+
+
+def brute_above(spec, i, elements):
+    return [
+        sum(1 << j for j, x in enumerate(elements) if families.leq(z, x))
+        for z in families.enumerate_fiber(spec, i)
+    ]
+
+
+def coverage_oracle(spec, elements, t):
+    fiber = families.enumerate_fiber(spec, t)
+    counts = [sum(1 for x in elements if families.leq(z, x)) for z in fiber]
+    first = counts[0]
+    for z, c in zip(fiber, counts):
+        if c != first:
+            return None, ((fiber[0], first), (z, c))
+    return first, None
+
+
+def greedy_oracle(cert, s):
+    best_size, best_members = 0, ()
+    for z in families.enumerate_fiber(cert.spec, s):
+        members = designs.star(cert.spec, cert.elements, z).members
+        if len(members) > best_size:
+            best_size, best_members = len(members), members
+    return best_size, best_members
+
+
+def dr_oracle(cert, s, r):
+    best = witness = None
+    for x in families.enumerate_fiber(cert.spec, s):
+        star_x = [z for z in cert.elements if families.leq(x, z)]
+        for y in cert.elements:
+            if families.meet(x, y).rank != r:
+                continue
+            count = sum(1 for z in star_x if families.meet(z, y).rank >= s)
+            if best is None or count > best:
+                best, witness = count, (x, y)
+    return best, witness
+
+
+def subfamilies(spec, seed):
+    """The top fiber, one member, and a few seeded random subsets of it."""
+    rng = random.Random(seed)
+    top = families.enumerate_fiber(spec, spec.top_rank)
+    picks = [rng.sample(top, rng.randint(2, min(len(top), 24))) for _ in range(3)]
+    return [top, top[len(top) // 2 :][:1], *map(tuple, picks)]
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_above_matches_a_leq_scan_at_every_rank(spec):
+    rng = random.Random(str(spec))
+    everything = tuple(families.enumerate_all(spec))
+    cases = [*subfamilies(spec, str(spec)), (families.least(spec),), tuple(rng.sample(everything, 20))]
+    for elements in cases:
+        for i in range(spec.top_rank + 1):
+            assert families.above(spec, i, elements) == brute_above(spec, i, elements), (i, len(elements))
+
+
+def test_above_at_rank_0_covers_every_element():
+    spec = families.parse_family_spec("grassmann:v=4,m=2,q=3")
+    elements = families.enumerate_fiber(spec, 2)
+    assert families.above(spec, 0, elements) == [(1 << len(elements)) - 1]
+
+
+@pytest.mark.parametrize("text", MEET_RANK_SPECS)
+def test_meet_rank_is_the_rank_of_the_meet(text):
+    spec = families.parse_family_spec(text)
+    top = families.enumerate_fiber(spec, spec.top_rank)
+    seen = set()
+    for i, x in enumerate(top):
+        for y in top[i:]:
+            rank = families.meet_rank(x, y)
+            assert rank == families.meet(x, y).rank == families.meet_rank(y, x), (x, y)
+            seen.add(rank)
+    assert seen == set(range(spec.top_rank + 1))  # every meet rank occurs
+    least = families.least(spec)
+    assert families.meet_rank(least, top[0]) == 0
+
+
+def test_meet_rank_rejects_mixed_families():
+    a = families.least(families.parse_family_spec("johnson:v=6,m=3"))
+    b = families.least(families.parse_family_spec("johnson:v=7,m=3"))
+    with pytest.raises(FamilyMismatchError):
+        families.meet_rank(a, b)
+
+
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_coverage_seed_and_dr_match_the_scans(text):
+    spec = families.parse_family_spec(text)
+    top = spec.top_rank
+    for elements in subfamilies(spec, text):
+        for t in range(top + 1):
+            lam, witness = coverage_oracle(spec, elements, t)
+            assert designs.is_design(spec, elements, t) == lam
+            assert designs.design_witness(spec, elements, t) == witness
+        cert = DesignCertificate(spec, elements, top, (1,) * (top + 1))  # unverified: indices unused
+        for s in range(1, top + 1):
+            assert search.greedy_lower_bound(cert, s) == greedy_oracle(cert, s)
+            for r in range(s):
+                report = ekr.compute_dr(cert, s, r)
+                assert (report.d_r, report.witness) == dr_oracle(cert, s, r), (s, r)

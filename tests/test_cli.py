@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -206,7 +207,30 @@ def test_check_design_makes_one_coverage_pass(in_samples_tmp, capsys, monkeypatc
     code, out, _ = run_cli(["check-design", "--design", "fano.design", "--strength", "3"], capsys)
     assert code == 1
     assert "NOT a 3-design" in out
-    assert calls == 35 * 7  # each rank-3 element of johnson:v=7,m=3 against each of the 7 lines
+    # one `families.above` pass: a line is tested against the 3-subsets whose
+    # least point lies on it, C(7 - a, 2) of them for point a, and each of the
+    # 7 points lies on 3 lines; a whole-fiber scan would make 35 * 7 calls
+    assert calls == 3 * sum(math.comb(7 - a, 2) for a in range(1, 8)) == 105 < 35 * 7
+
+
+def test_search_max_seeds_without_building_a_fiber_above_the_cap(tmp_path, monkeypatch, capsys):
+    # the rank-6 fiber of johnson:v=40,m=20 has 3,838,380 elements; the graph has 2 vertices
+    monkeypatch.chdir(tmp_path)
+    rows = [" ".join(map(str, range(1, 21))), " ".join(map(str, range(21, 41)))]
+    Path("blocks.design").write_text("family johnson:v=40,m=20\nstrength 1\n" + "\n".join(rows) + "\n")
+    real = families._fiber_payloads
+
+    def strength_fiber_only(spec, i):
+        if i != 1:
+            pytest.fail(f"built the rank-{i} fiber")
+        return real(spec, i)
+
+    monkeypatch.setattr(families, "_fiber_payloads", strength_fiber_only)
+    code, out, _ = run_cli(["search-max", "--design", "blocks.design", "--s", "6", "--json"], capsys)
+    assert code == 0
+    body = json.loads(out)
+    assert body["result"]["optimum"] == 1
+    assert body["result"]["status"] == "proved-optimal"
 
 
 def test_check_design_ok(in_samples_tmp, capsys):

@@ -216,6 +216,16 @@ def test_dr_scan_is_refused_before_its_fiber_is_built(monkeypatch):
     assert err.value.context == {"fiber_size": 847660528, "design_size": 1}
 
 
+def test_dr_budget_counts_the_pairwise_table(monkeypatch):
+    # |Y|^2 = 63,504 dominates 2 * fiber * |Y| = 5,040 at s=1
+    cert = full_fiber(families.parse_family_spec("johnson:v=10,m=5"))
+    monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("compared before the budget check"))
+    with pytest.raises(BudgetExceededError) as err:
+        ekr.compute_dr(cert, 1, 0, budget=10_000)
+    assert str(err.value) == "d_r scan needs about 63504 comparisons, budget is 10000"
+    assert err.value.context == {"fiber_size": 10, "design_size": 252}
+
+
 def test_verify_extremal_star_is_extremal():
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = full_fiber(hs)
@@ -251,6 +261,15 @@ def test_verify_extremal_not_a_star():
     verdict = ekr.verify_extremal(cert, (a, b), 2)
     assert verdict.status == "extremal-star"
     assert families.format_element(verdict.center) == "1:0,2:0"
+
+
+def test_verify_extremal_without_a_common_center_builds_no_fiber(fano_cert, fano_spec, monkeypatch):
+    # three Fano lines through no common point: pairwise 1-intersecting, lambda_1 = 3 of them
+    triangle = tuple(families.parse_element(fano_spec, text) for text in ("1 2 3", "1 4 5", "2 4 6"))
+    monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
+    families._fiber.cache_clear()
+    verdict = ekr.verify_extremal(fano_cert, triangle, 1)
+    assert (verdict.status, verdict.center, verdict.size, verdict.bound) == ("extremal-but-not-star", None, 3, 3)
 
 
 def test_verify_extremal_validates(fano_cert, fano_spec, fano_elements):

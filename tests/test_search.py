@@ -81,6 +81,19 @@ def test_greedy_lower_bound_examples(fano_cert):
     assert search.greedy_lower_bound(cert, 1)[0] == 4
 
 
+def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
+    # blocks 1..20 and 21..40: a strength-1 design whose graph has no edge at s=6
+    spec = families.parse_family_spec("johnson:v=40,m=20")
+    rows = [" ".join(map(str, range(1, 21))), " ".join(map(str, range(21, 41)))]
+    cert = designs.make_certificate(spec, [families.parse_element(spec, row) for row in rows], 1)
+    assert families.fiber_size(cert.spec, 6) > families.FIBER_CAP  # 3,838,380
+    monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
+    assert search.greedy_lower_bound(cert, 6) == (1, (min(cert.elements),))
+    result = search.max_intersecting(cert, 6, deterministic=True)
+    assert (result.optimum, result.status) == (1, "proved-optimal")
+    assert result.witness == (min(cert.elements),)
+
+
 def test_hamming_m2_n5_all_maximum_families_are_the_ten_stars():
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = full_fiber(hs)
