@@ -255,7 +255,8 @@ def _cmd_search_max(args):
     )
     result = {"family": cert.spec, "s": args.s, "design_size": cert.size, **_fields(result_obj)}
     lines = [
-        f"maximum {args.s}-intersecting family size: {result_obj.optimum} ({result_obj.status}, {result_obj.nodes} nodes)",
+        f"maximum {args.s}-intersecting family size: {result_obj.optimum} "
+        f"({result_obj.status}, {result_obj.nodes} nodes, {result_obj.orbits} orbits)",
         "witness: " + "; ".join(map(str, result_obj.witness)),
     ]
     if result_obj.all_max is not None:

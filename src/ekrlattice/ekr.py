@@ -296,9 +296,7 @@ def verify_extremal(cert: DesignCertificate, family, s: int) -> ExtremalVerdict:
     common = families.meet_all(members)
     if common.rank < s:
         return ExtremalVerdict(size, bound, "extremal-but-not-star", None)
-    for z in families.enumerate_fiber(spec, s):
-        if not families.leq(z, common):
-            continue
+    for z in families.below(common, s):
         covered = sum(1 for x in cert.elements if families.leq(z, x))
         if covered == size:
             return ExtremalVerdict(size, bound, "extremal-star", z)

@@ -455,10 +455,93 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     return masks
 
 
+def below(x: Element, i: int) -> list[Element]:
+    """The rank-i elements below x, in canonical order; no fiber is built.
+
+    Set and map kinds take the i-subsets of x's payload.  Subspace kinds
+    multiply x's RREF (graph) rows R by every i-row RREF matrix C; C R is
+    already in RREF, since at R's pivot columns it reads C.
+    """
+    spec = x.spec
+    if spec.q is None:
+        return [Element(spec, sub) for sub in combinations(x.payload, i)]
+    fld = gflib.field(spec.q)
+    cols = list(zip(*_rows(spec.kind, x.payload)))
+    payloads = []
+    for coeffs in gflib.enumerate_rref_matrices(x.rank, i, fld):
+        rows = tuple(tuple(reduce(fld.add, map(fld.mul, c, col)) for col in cols) for c in coeffs)
+        payloads.append(_from_rows(spec, rows))
+    return [Element(spec, p) for p in sorted(payloads)]
+
+
+def below_count(spec: FamilySpec, r: int, i: int) -> int:
+    """How many rank-i elements lie below one rank-r element: C(r, i), or [r i]_q."""
+    return math.comb(r, i) if spec.q is None else gflib.qbinom(r, i, spec.q)
+
+
 def enumerate_all(spec: FamilySpec) -> Iterator[Element]:
     """Every element of every fiber, by increasing rank."""
     for i in range(spec.top_rank + 1):
         yield from enumerate_fiber(spec, i)
+
+
+# ---------------------------------------------------------------------------
+# symmetries
+#
+# Standard generators of each family's automorphism group, each a permutation
+# of the atom indices.  They are candidates only: the search keeps one just
+# when it maps a design onto itself.
+
+
+def _swap(i: int) -> int:
+    return (1, 0)[i] if i < 2 else i
+
+
+def _linear_maps(fld, width: int) -> list:
+    """Generators of GL(width, q) on row vectors: the coordinate cycle and swap,
+    the transvection e1 += e2, and e1 times a primitive element."""
+    maps = [lambda c: c[-1:] + c[:-1], lambda c: (c[1], c[0]) + c[2:], lambda c: (c[0], fld.add(c[1], c[0])) + c[2:]]
+    g = fld.primitive()  # 1 when q = 2
+    return (maps if width >= 2 else []) + ([lambda c: (fld.mul(g, c[0]),) + c[1:]] if g != 1 else [])
+
+
+def symmetries(spec: FamilySpec) -> list:
+    """Candidate generators, each the function from an element to the atom mask
+    of its image.
+
+    Set and map kinds permute (position, value) atoms, 0-based; johnson has one
+    position per point.  Subspace kinds apply an invertible linear map to an
+    atom's vector when the atom first occurs, so the cost grows with the atoms
+    met, not with q^width; bilinear uses the block maps (w, u) -> (wA, wB + uD)
+    with one of A, D a generator above (B = 0), or A = D = I and B = E11.
+    """
+    kind = spec.kind
+    if kind in ("grassmann", "bilinear"):
+        atoms = _atoms(spec)
+        fld = atoms.fld
+        maps = _linear_maps(fld, spec.v) if kind == "grassmann" else []
+        if kind == "bilinear":
+            m = spec.m
+            maps += [lambda c, a=a: a(c[:m]) + c[m:] for a in _linear_maps(fld, m)]
+            maps += [lambda c, d=d: c[:m] + d(c[m:]) for d in _linear_maps(fld, spec.n)]
+            maps.append(lambda c: c[:m] + (fld.add(c[m], c[0]),) + c[m + 1 :])
+        code = lambda vec: reduce(lambda acc, c: acc * fld.q + c, vec, 0)  # inverse of `_vector`
+        moves = [lru_cache(maxsize=None)(lambda b, g=g: code(g(atoms._vector(b)))) for g in maps]
+    else:
+        m, width = (spec.v, 1) if kind == "johnson" else (spec.m, _atoms(spec).stride)
+        pairs = [lambda p, a: (_swap(p), a), lambda p, a: ((p + 1) % m, a)]
+        if kind == "signed":  # conjugations, moving positions and values together
+            pairs = [lambda p, a: (_swap(p), _swap(a)), lambda p, a: ((p + 1) % m, (a + 1) % m)]
+            if m >= 3:
+                pairs.append(lambda p, a: (p, 3 - a if p == 0 and a in (1, 2) else a))
+        elif kind == "injection":  # a value permutation at every position at once
+            pairs += [lambda p, a: (p, _swap(a)), lambda p, a: (p, (a + 1) % width)]
+        elif kind != "johnson":  # a value permutation at position 1
+            pairs += [lambda p, a: (p, _swap(a) if p == 0 else a), lambda p, a: (p, (a + 1) % width if p == 0 else a)]
+        perms = [[p * width + a for p, a in (f(*divmod(b, width)) for b in range(m * width))] for f in pairs]
+        # a swap needs two positions or values: keep only true permutations
+        moves = [perm.__getitem__ for perm in perms if sorted(perm) == list(range(m * width))]
+    return [lambda x, f=f: sum(1 << f(b) for b in _bits(x.atoms)) for f in moves]
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,15 @@ class GF:
             return pow(a, -1, self.q)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
+    def primitive(self) -> int:
+        """The least generator of the multiplicative group."""
+        for g in range(1, self.q):
+            x, order = g, 1
+            while x != 1:
+                x, order = self.mul(x, g), order + 1
+            if order == self.q - 1:
+                return g
+
     def __repr__(self):
         return f"GF({self.q})"
 

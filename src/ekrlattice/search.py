@@ -7,11 +7,28 @@ with greedy coloring upper bounds over int bitmasks, seeded with the best
 star as the initial incumbent; the same branch routine enumerates every
 maximum clique and reconstructs the lexicographically least one.  Each
 returned family is re-verified through `families.meet`.
+
+The maximizing search starts one root subtree per orbit of the members
+under symmetries of the design.  This is sound because:
+
+* each candidate of `families.symmetries` is a bijection g of the atoms, so
+  popcount(g(a) & g(b)) == popcount(a & b), and `meet_rank`, hence
+  adjacency, depends only on that popcount;
+* a candidate is kept only if it maps the set of member atom masks onto
+  itself, so a kept one is a graph automorphism, lattice automorphism or not;
+* the root removes whole orbits, so the candidates left are a set the kept
+  group maps onto itself, and a clique among them meeting the next orbit is
+  moved onto one of the same size through the orbit's representative.
+
+A wrong or useless candidate is dropped and costs only speed; witnesses are
+re-verified as before.  `enumerate_exact` and `lexicographically_least` need
+every clique or the canonical order and use no orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 from . import ekr, families
 from .designs import DesignCertificate
@@ -46,14 +63,42 @@ def build_graph(cert: DesignCertificate, s: int, vertex_budget: int = DEFAULT_VE
 
 def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Element, ...]]:
     """Best star over rank-s centers, the first of maximum size in canonical order;
-    always a valid s-intersecting family.  A rank-s fiber above the cap is not
-    built: the least member alone seeds the search instead."""
+    always a valid s-intersecting family.  Only centers below a member have a
+    nonempty star, so no fiber is built; when |Y| times the count below one
+    member exceeds FIBER_CAP, the least member alone seeds the search instead."""
     members = cert.elements
-    if families.fiber_size(cert.spec, s) > families.FIBER_CAP:
+    if len(members) * families.below_count(cert.spec, cert.spec.top_rank, s) > families.FIBER_CAP:
         return 1, (min(members),)
-    stars = families.above(cert.spec, s, members)
-    best = max(stars, key=int.bit_count)
+    stars: dict[tuple, int] = {}  # center payload -> mask of the members above it
+    for j, x in enumerate(members):
+        for z in families.below(x, s):
+            stars[z.payload] = stars.get(z.payload, 0) | 1 << j
+    best = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
     return best.bit_count(), tuple(sorted(members[j] for j in range(len(members)) if best >> j & 1))
+
+
+def member_orbits(cert: DesignCertificate) -> list[list[int]]:
+    """The orbits, as lists of member indices, of the group generated by the
+    candidate symmetries (`families.symmetries`) that map the set of member
+    atom masks onto itself."""
+    members = cert.elements
+    index = {x.atoms: j for j, x in enumerate(members)}
+    kept = []
+    for g in families.symmetries(cert.spec):
+        image = list(takewhile(lambda j: j is not None, (index.get(g(x)) for x in members)))
+        if len(image) == len(members):
+            kept.append(image)
+    seen, orbits = set(), []
+    for j in range(len(members)):
+        if j not in seen:
+            seen.add(j)
+            orbits.append([j])
+            for k in orbits[-1]:  # grows while it is walked: the closure under `kept`
+                for image in kept:
+                    if image[k] not in seen:
+                        seen.add(image[k])
+                        orbits[-1].append(image[k])
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -63,6 +108,7 @@ class SearchResult:
     all_max: tuple[tuple[Element, ...], ...] | None
     all_max_overflow: bool
     nodes: int
+    orbits: int  # member orbits under the kept symmetries; the design size when none is kept
     status: str  # proved-optimal | budget-exhausted
 
 
@@ -100,20 +146,26 @@ class _Solver:
     All three searches run through `_branch`, which prunes on the colour
     bound against the threshold `need` and hands each clique that no
     candidate extends to a leaf action.  `maximize` raises `need` past every
-    clique it records; `enumerate_exact` and `lexicographically_least` keep
+    clique it records, and its root starts one subtree per orbit of `orbit`
+    (per vertex, the mask of its orbit under graph automorphisms; None for
+    singletons).  `enumerate_exact` and `lexicographically_least` keep
     `need` at the proved optimum, where a clique of that size has no
     candidate left, so the leaf sees exactly the maximum cliques.
     """
 
-    def __init__(self, adj, node_budget=None):
+    def __init__(self, adj, node_budget=None, orbit=None):
         self.n = len(adj)
         self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
         self.node_budget = node_budget
+        self.orbit = orbit
         self.nodes = 0
         self.need = 0
 
-    def _branch(self, size, mask, candidates, leaf):
-        """Grow the clique `mask` of `size` inside candidates; True stops the search."""
+    def _branch(self, size, mask, candidates, leaf, orbit=None):
+        """Grow the clique `mask` of `size` inside candidates; True stops the search.
+        With `orbit`, which only the root of `maximize` passes, a vertex already
+        removed is skipped, the branch is on the least-labelled candidate of its
+        orbit, and the whole orbit leaves the candidates after it."""
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _OutOfBudget
@@ -122,14 +174,20 @@ class _Solver:
             if size + colors[i] < self.need:
                 return False
             v = order[i]
-            bit = 1 << v
+            bit = drop = 1 << v
+            if orbit:
+                if not candidates & bit:
+                    continue
+                drop = orbit[v] & candidates
+                bit = drop & -drop
+                v = bit.bit_length() - 1
             rest = candidates & self.adj[v]
             if rest:
                 if self._branch(size + 1, mask | bit, rest, leaf):
                     return True
             elif size + 1 >= self.need and leaf(size + 1, mask | bit):
                 return True
-            candidates &= ~bit
+            candidates &= ~drop
         return False
 
     def maximize(self, init_size=0, init_mask=0):
@@ -142,7 +200,7 @@ class _Solver:
         if not self.n:
             return self.best_size, self.best_mask, True
         try:
-            self._branch(0, 0, (1 << self.n) - 1, record)
+            self._branch(0, 0, (1 << self.n) - 1, record, self.orbit)
             return self.best_size, self.best_mask, True
         except _OutOfBudget:
             return self.best_size, self.best_mask, False
@@ -239,7 +297,12 @@ def max_intersecting(
     seed = set(lb_members)
     lb_mask = sum(1 << i for i, orig in enumerate(vertex_order) if members[orig] in seed)
 
-    solver = _Solver(relabeled, node_budget)
+    position = {orig: new for new, orig in enumerate(vertex_order)}
+    orbits = member_orbits(cert)
+    orbit = {}  # relabeled vertex -> the mask of its orbit
+    for found in orbits:
+        orbit.update(dict.fromkeys([position[k] for k in found], sum(1 << position[k] for k in found)))
+    solver = _Solver(relabeled, node_budget, orbit)
     optimum, best_mask, proved = solver.maximize(lb_size, lb_mask)
     status = "proved-optimal" if proved else "budget-exhausted"
     witness = _mask_to_family(best_mask, vertex_order, members)
@@ -276,5 +339,6 @@ def max_intersecting(
         all_max=all_max,
         all_max_overflow=overflow,
         nodes=solver.nodes,
+        orbits=len(orbits),
         status=status,
     )

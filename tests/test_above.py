@@ -1,8 +1,9 @@
-"""The lowest-atom fiber index (`families.above`) and popcount meet ranks
-(`families.meet_rank`), checked against brute-force scans.
+"""The lowest-atom fiber index (`families.above`), the elements below one
+element (`families.below`) and popcount meet ranks (`families.meet_rank`),
+checked against brute-force scans.
 
 The whole-fiber loops that coverage, the star seed and d_r ran before they
-moved onto `above` and `meet_rank` are kept here as oracles; outputs,
+moved onto `above`, `below` and `meet_rank` are kept here as oracles; outputs,
 witnesses included, must be identical.
 """
 
@@ -87,6 +88,15 @@ def test_above_matches_a_leq_scan_at_every_rank(spec):
     for elements in cases:
         for i in range(spec.top_rank + 1):
             assert families.above(spec, i, elements) == brute_above(spec, i, elements), (i, len(elements))
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_below_matches_a_leq_scan_at_every_rank(spec):
+    for x in families.enumerate_all(spec):
+        for i in range(x.rank + 1):
+            expected = [z for z in families.enumerate_fiber(spec, i) if families.leq(z, x)]
+            assert families.below(x, i) == expected, (x, i)
+            assert families.below_count(spec, x.rank, i) == len(expected)
 
 
 def test_above_at_rank_0_covers_every_element():

@@ -226,11 +226,14 @@ def test_dr_budget_counts_the_pairwise_table(monkeypatch):
     assert err.value.context == {"fiber_size": 10, "design_size": 252}
 
 
-def test_verify_extremal_star_is_extremal():
+def test_verify_extremal_star_is_extremal(monkeypatch):
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = full_fiber(hs)
     z = families.parse_element(hs, "1:0")
     members = designs.star(hs, cert.elements, z).members
+    # the center is sought below the common meet, not in the rank-1 fiber
+    monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
+    families._fiber.cache_clear()
     verdict = ekr.verify_extremal(cert, members, 1)
     assert verdict.status == "extremal-star"
     assert verdict.center == z

@@ -1,17 +1,27 @@
-"""Exact search: graph construction, bounds, determinism, enumeration.
+"""Exact search: graph construction, bounds, determinism, enumeration,
+symmetry orbits.
 
 An independent Bron-Kerbosch enumerator acts as the oracle for optimum
-sizes and maximum-family lists on small instances.
+sizes and maximum-family lists on small instances; the search without
+orbits is the oracle for the search that starts one root per orbit.
 """
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ekrlattice
 from ekrlattice import designs, ekr, families, search
 from ekrlattice.designs import full_fiber, generate_linear_oa
 from ekrlattice.errors import BudgetExceededError
+
+from conftest import GRID_SPECS
+
+SAMPLES_DIR = Path(ekrlattice.__file__).parent / "samples"
 
 
 def bron_kerbosch_max_cliques(adj):
@@ -92,6 +102,26 @@ def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
     result = search.max_intersecting(cert, 6, deterministic=True)
     assert (result.optimum, result.status) == (1, "proved-optimal")
     assert result.witness == (min(cert.elements),)
+    # three complementary pairs: 6 members x C(20, 10) centers below each is above the cap
+    blocks = [range(1, 21), range(11, 31), range(1, 41, 2)]
+    rows = [sorted(block) for block in blocks] + [sorted(set(range(1, 41)) - set(block)) for block in blocks]
+    cert = designs.make_certificate(spec, [families.parse_element(spec, " ".join(map(str, row))) for row in rows], 1)
+    assert len(cert.elements) * families.below_count(spec, 20, 10) > families.FIBER_CAP  # 1,108,536
+    assert search.greedy_lower_bound(cert, 10) == (1, (min(cert.elements),))
+    assert search.max_intersecting(cert, 10).status == "proved-optimal"
+
+
+def test_star_seed_looks_only_below_the_members(monkeypatch):
+    # three disjoint blocks: a strength-1 design whose graph has no edge at s=5;
+    # the rank-5 fiber has 142,506 elements, the members 3 x 252 centers
+    spec = families.parse_family_spec("johnson:v=30,m=10")
+    rows = [" ".join(map(str, range(start, start + 10))) for start in (1, 11, 21)]
+    cert = designs.make_certificate(spec, [families.parse_element(spec, row) for row in rows], 1)
+    monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
+    start = time.perf_counter()
+    result = search.max_intersecting(cert, 5, deterministic=True)
+    assert time.perf_counter() - start < 0.1
+    assert (result.optimum, result.witness, result.status) == (1, (min(cert.elements),), "proved-optimal")
 
 
 def test_hamming_m2_n5_all_maximum_families_are_the_ten_stars():
@@ -260,9 +290,105 @@ def test_deterministic_witness_is_lexicographically_least(monkeypatch):
 
 
 def test_nodes_include_the_lexicographic_reconstruction():
+    # one orbit: the root branches once; the reconstruction adds its 153 nodes
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
-    assert search.max_intersecting(cert, 2).nodes == 1040
-    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 1193
+    assert search.max_intersecting(cert, 2).nodes == 129
+    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 282
+
+
+def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    monkeypatch.setattr(families, "symmetries", lambda spec: [])
+    result = search.max_intersecting(cert, 2)
+    assert (result.optimum, result.nodes, result.orbits) == (17, 1040, 70)
+
+
+def seedless_optimum(cert, s):
+    """The clique number by the branch and bound with no seed and no orbits."""
+    return search._Solver(search.build_graph(cert, s).adjacency).maximize()[0]
+
+
+def differential_certs():
+    yield from (full_fiber(families.parse_family_spec(text)) for text in GRID_SPECS)
+    yield from (designs.load_design(SAMPLES_DIR / name) for name in ("fano.design", "oa3.design", "oa11.design"))
+    yield from (generate_linear_oa(q, 3) for q in (3, 5, 7))
+
+
+@pytest.mark.parametrize("cert", differential_certs(), ids=lambda cert: f"{cert.spec}/{cert.size}")
+def test_rooted_search_matches_the_exhaustive_one(cert):
+    for s in range(1, cert.spec.top_rank + 1):
+        result = search.max_intersecting(cert, s)
+        assert (result.optimum, result.status) == (seedless_optimum(cert, s), "proved-optimal"), s
+
+
+@pytest.mark.parametrize(
+    "text", (*GRID_SPECS, "grassmann:v=4,m=2,q=4", "bilinear:m=2,n=2,q=3", "signed:m=3,k=2", "hamming:m=1,n=3")
+)
+def test_candidates_are_automorphisms_and_a_full_top_fiber_is_one_orbit(text):
+    spec = families.parse_family_spec(text)
+    for g in families.symmetries(spec):
+        for i in range(spec.top_rank + 1):
+            masks = {x.atoms for x in families.enumerate_fiber(spec, i)}
+            assert {g(x) for x in families.enumerate_fiber(spec, i)} == masks, (i, text)
+    cert = full_fiber(spec)
+    orbits = search.member_orbits(cert)
+    assert len(orbits) == 1 and sorted(orbits[0]) == list(range(cert.size))
+
+
+def swap_atoms(a, b):
+    """The transposition of atoms a and b, acting on an element's atom mask."""
+    return lambda x: x.atoms ^ ((1 << a | 1 << b) if (x.atoms >> a ^ x.atoms >> b) & 1 else 0)
+
+
+def test_a_candidate_that_moves_the_design_is_dropped(monkeypatch):
+    cert = generate_linear_oa(3, 3)  # rows (x, y, x + y): only the position swap (1 2) keeps them
+    real = families.symmetries(cert.spec)
+    assert len(search.member_orbits(cert)) == 6
+    expected = search.max_intersecting(cert, 1, enumerate_all=True)
+    # values 0 and 1 swapped at position 3, atoms 6 and 7: (0, 0, 0) leaves the design
+    monkeypatch.setattr(families, "symmetries", lambda spec: [swap_atoms(6, 7), *real])
+    assert len(search.member_orbits(cert)) == 6
+    result = search.max_intersecting(cert, 1, enumerate_all=True)
+    assert (result.optimum, result.all_max, result.orbits) == (expected.optimum, expected.all_max, 6)
+
+
+def test_a_wrong_orbit_partition_loses_the_optimum():
+    # vertex 0 is isolated and 1, 2, 3 form a triangle: no automorphism moves 0
+    adj = [0b0001, 0b1110, 0b1110, 0b1110]
+    assert search._Solver(adj).maximize()[0] == 3
+    assert search._Solver(adj, orbit=[0b1111] * 4).maximize()[0] == 1
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """A graph on Z_a x [b], vertex (x, i) = x * b + i, whose edge rule reads only
+    (y - x mod a, i, j); so x -> x + 1 is an automorphism with orbits Z_a x {i}."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rule = draw(st.sets(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1), st.integers(0, b - 1))))
+    rule |= {((-d) % a, j, i) for d, i, j in rule}
+    adj = [1 << v for v in range(a * b)]
+    for x in range(a):
+        for i in range(b):
+            for y in range(a):
+                for j in range(b):
+                    if ((y - x) % a, i, j) in rule:
+                        adj[x * b + i] |= 1 << (y * b + j)
+    orbit = [sum(1 << (y * b + v % b) for y in range(a)) for v in range(a * b)]
+    return adj, orbit, draw(st.permutations(range(a * b)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(cyclic_graphs())
+def test_one_root_per_orbit_matches_bron_kerbosch(graph):
+    adj, orbit, order = graph
+    relabeled = search._relabel(adj, order)
+    omega, cliques = bron_kerbosch_max_cliques(relabeled)
+    rooted = search._Solver(relabeled, orbit=search._relabel(orbit, order))
+    size, mask, proved = rooted.maximize()
+    assert (size, proved) == (omega, True) and mask in cliques
+    plain = search._Solver(relabeled)
+    singletons = search._Solver(relabeled, orbit=[1 << v for v in range(len(adj))])
+    assert plain.maximize() == singletons.maximize() and plain.nodes == singletons.nodes
 
 
 def test_node_budget_exhaustion():
