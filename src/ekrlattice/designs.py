@@ -29,12 +29,17 @@ from .families import DEFAULT_BUDGET, Element, FamilySpec
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """A verified design: elements, strength, and exact index vector."""
+    """A verified design: elements, strength, and exact index vector.  The
+    elements are kept in canonical (payload) order whatever order they came
+    in, so nothing read off a certificate depends on a design file's row order."""
 
     spec: FamilySpec
     elements: tuple[Element, ...]
     strength: int
     indices: tuple[int, ...]  # indices[j] == lambda_j for 0 <= j <= strength
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(sorted(self.elements, key=lambda x: x.payload)))
 
     @property
     def size(self) -> int:
@@ -90,11 +95,6 @@ def _coverage(spec: FamilySpec, elements, t: int, budget: int):
 def is_design(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET) -> int | None:
     """lambda_t when every rank-t element is covered equally, else None."""
     return _coverage(spec, _validate_top_elements(spec, elements), t, budget)[0]
-
-
-def design_witness(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET):
-    """Two (element, count) pairs with unequal counts, or None when constant."""
-    return _coverage(spec, _validate_top_elements(spec, elements), t, budget)[1]
 
 
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:

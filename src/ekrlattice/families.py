@@ -474,11 +474,6 @@ def below(x: Element, i: int) -> list[Element]:
     return [Element(spec, p) for p in sorted(payloads)]
 
 
-def below_count(spec: FamilySpec, r: int, i: int) -> int:
-    """How many rank-i elements lie below one rank-r element: C(r, i), or [r i]_q."""
-    return math.comb(r, i) if spec.q is None else gflib.qbinom(r, i, spec.q)
-
-
 def enumerate_all(spec: FamilySpec) -> Iterator[Element]:
     """Every element of every fiber, by increasing rank."""
     for i in range(spec.top_rank + 1):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import takewhile
 
-from . import ekr, families
+from . import ekr, families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
 from .families import Element
@@ -41,7 +41,8 @@ ALL_MAX_CAP = 10**6
 
 @dataclass(frozen=True)
 class IntersectionGraph:
-    """Adjacency bitmasks over design indices; diagonal bits are set."""
+    """Adjacency bitmasks over the members in canonical order, bit j for
+    member j; diagonal bits are set."""
 
     size: int
     adjacency: tuple[int, ...]
@@ -67,14 +68,14 @@ def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Elem
     nonempty star, so no fiber is built; when |Y| times the count below one
     member exceeds FIBER_CAP, the least member alone seeds the search instead."""
     members = cert.elements
-    if len(members) * families.below_count(cert.spec, cert.spec.top_rank, s) > families.FIBER_CAP:
-        return 1, (min(members),)
+    if len(members) * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
+        return 1, members[:1]
     stars: dict[tuple, int] = {}  # center payload -> mask of the members above it
     for j, x in enumerate(members):
         for z in families.below(x, s):
             stars[z.payload] = stars.get(z.payload, 0) | 1 << j
     best = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
-    return best.bit_count(), tuple(sorted(members[j] for j in range(len(members)) if best >> j & 1))
+    return best.bit_count(), tuple(x for j, x in enumerate(members) if best >> j & 1)
 
 
 def member_orbits(cert: DesignCertificate) -> list[list[int]]:
@@ -141,23 +142,36 @@ def _color_sort(candidates: int, adj):
 
 
 class _Solver:
-    """Branch and bound over a relabeled graph.
+    """Branch and bound over one graph, in the descending-degree labelling of
+    MCQ (Tomita and Seki, DMTCS 2003).
+
+    `adj` and `orbits` (lists of vertices, as `member_orbits` returns them) are
+    in canonical labels, and so is every mask that goes into or comes out of a
+    method.  The solver relabels once, here, by descending degree; the sort is
+    stable, so ties keep their canonical order.  One instance serves every
+    search and `nodes` counts them all.
 
     All three searches run through `_branch`, which prunes on the colour
     bound against the threshold `need` and hands each clique that no
     candidate extends to a leaf action.  `maximize` raises `need` past every
-    clique it records, and its root starts one subtree per orbit of `orbit`
-    (per vertex, the mask of its orbit under graph automorphisms; None for
-    singletons).  `enumerate_exact` and `lexicographically_least` keep
-    `need` at the proved optimum, where a clique of that size has no
-    candidate left, so the leaf sees exactly the maximum cliques.
+    clique it records, and its root starts one subtree per orbit (per
+    internal vertex, the mask of its orbit; None without orbits).
+    `enumerate_exact` and `lexicographically_least` keep `need` at the proved
+    optimum, where a clique of that size has no candidate left, so the leaf
+    sees exactly the maximum cliques.
     """
 
-    def __init__(self, adj, node_budget=None, orbit=None):
+    def __init__(self, adj, orbits=None):
         self.n = len(adj)
-        self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
-        self.node_budget = node_budget
-        self.orbit = orbit
+        self.order = sorted(range(self.n), key=lambda v: -adj[v].bit_count())  # internal -> canonical
+        self.position = sorted(range(self.n), key=self.order.__getitem__)  # canonical -> internal
+        self.adj = [a & ~(1 << i) for i, a in enumerate(_relabel(adj, self.order))]
+        self.orbit = None if orbits is None else [1 << v for v in range(self.n)]
+        for found in orbits or ():
+            mask = sum(1 << self.position[k] for k in found)
+            for k in found:
+                self.orbit[self.position[k]] = mask
+        self.node_budget = None
         self.nodes = 0
         self.need = 0
 
@@ -190,20 +204,22 @@ class _Solver:
             candidates &= ~drop
         return False
 
-    def maximize(self, init_size=0, init_mask=0):
-        """Returns (best size, best mask, proved) growing from the incumbent."""
+    def maximize(self, init_size=0, init_mask=0, node_budget=None):
+        """Returns (best size, best mask, proved) growing from the incumbent;
+        at most `node_budget` nodes are visited."""
 
         def record(size, mask):
             self.best_size, self.best_mask, self.need = size, mask, size + 1
 
-        record(init_size, init_mask)
-        if not self.n:
-            return self.best_size, self.best_mask, True
+        record(init_size, _map_bits(init_mask, self.position))
+        self.node_budget, proved = node_budget, True
         try:
-            self._branch(0, 0, (1 << self.n) - 1, record, self.orbit)
-            return self.best_size, self.best_mask, True
+            if self.n:
+                self._branch(0, 0, (1 << self.n) - 1, record, self.orbit)
         except _OutOfBudget:
-            return self.best_size, self.best_mask, False
+            proved = False
+        self.node_budget = None  # the budget bounds this search only
+        return self.best_size, _map_bits(self.best_mask, self.order), proved
 
     def enumerate_exact(self, target, cap):
         """All cliques of size exactly target, which must be the clique number."""
@@ -219,16 +235,16 @@ class _Solver:
         self.need = target
         try:
             self._branch(0, 0, (1 << self.n) - 1, collect)
-            return out, False
+            return [_map_bits(mask, self.order) for mask in out], False
         except _Overflow:
             return None, True
 
     def lexicographically_least(self, omega):
-        """Vertex-greedy least maximum clique; vertex order must be canonical."""
+        """Vertex-greedy least maximum clique in canonical vertex order."""
         self.need = omega
         mask, size = 0, 0
         candidates = (1 << self.n) - 1
-        for v in range(self.n):
+        for v in self.position:
             if size == omega:
                 break
             bit = 1 << v
@@ -243,27 +259,23 @@ class _Solver:
                 candidates &= ~bit
         if size != omega:
             raise AssertionError("failed to reconstruct a maximum family")
-        return mask
+        return _map_bits(mask, self.order)
+
+
+def _map_bits(mask, target):
+    """The mask with bit v moved to bit target[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << target[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _relabel(adjacency, order):
     """Adjacency masks with vertex order[i] renamed to i."""
     position = {orig: new for new, orig in enumerate(order)}
-    relabeled = []
-    for orig in order:
-        mask = 0
-        probe = adjacency[orig]
-        while probe:
-            low = probe & -probe
-            mask |= 1 << position[low.bit_length() - 1]
-            probe ^= low
-        relabeled.append(mask)
-    return relabeled
-
-
-def _mask_to_family(mask, order, members) -> tuple[Element, ...]:
-    picked = [members[order[i]] for i in range(len(order)) if (mask >> i) & 1]
-    return tuple(sorted(picked))
+    return [_map_bits(adjacency[orig], position) for orig in order]
 
 
 def max_intersecting(
@@ -278,51 +290,38 @@ def max_intersecting(
 ) -> SearchResult:
     """Exact maximum s-intersecting subfamily of the design.
 
-    The search visits vertices in descending degree order.  The witness is
-    deterministic (lexicographically least) only with `deterministic=True`:
-    the least family of `all_max` when every maximum family was enumerated,
-    else reconstructed over the canonical payload order.  `nodes` counts the
-    nodes of every search run, reconstruction included.  The witness and every
-    family in `all_max` are re-verified through `families.meet` before
-    they are returned; a failure raises AssertionError.
+    Member j is vertex j: the certificate holds its members in canonical
+    order, and one `_Solver` runs every search in its own degree labelling.
+    The witness is deterministic (lexicographically least) only with
+    `deterministic=True`: the least family of `all_max` when every maximum
+    family was enumerated, else reconstructed over the canonical order.
+    `nodes` counts the nodes of every search run, reconstruction included.
+    The witness and every family in `all_max` are re-verified through
+    `families.meet` before they are returned; a failure raises AssertionError.
     """
     graph = build_graph(cert, s, vertex_budget)
     members = cert.elements
-    n = graph.size
-    degrees = [graph.adjacency[i].bit_count() for i in range(n)]
-    vertex_order = sorted(range(n), key=lambda i: (-degrees[i], members[i].payload))
-    relabeled = _relabel(graph.adjacency, vertex_order)
-
     lb_size, lb_members = greedy_lower_bound(cert, s)
     seed = set(lb_members)
-    lb_mask = sum(1 << i for i, orig in enumerate(vertex_order) if members[orig] in seed)
-
-    position = {orig: new for new, orig in enumerate(vertex_order)}
     orbits = member_orbits(cert)
-    orbit = {}  # relabeled vertex -> the mask of its orbit
-    for found in orbits:
-        orbit.update(dict.fromkeys([position[k] for k in found], sum(1 << position[k] for k in found)))
-    solver = _Solver(relabeled, node_budget, orbit)
-    optimum, best_mask, proved = solver.maximize(lb_size, lb_mask)
+    solver = _Solver(graph.adjacency, orbits)
+    optimum, best_mask, proved = solver.maximize(
+        lb_size, sum(1 << j for j, x in enumerate(members) if x in seed), node_budget
+    )
     status = "proved-optimal" if proved else "budget-exhausted"
-    witness = _mask_to_family(best_mask, vertex_order, members)
 
+    def read(mask):  # bit j is member j, so the family comes out sorted
+        return tuple(x for j, x in enumerate(members) if mask >> j & 1)
+
+    witness = read(best_mask)
     all_max = None
     overflow = False
     if proved and enumerate_all:
-        enum_solver = _Solver(relabeled)
-        masks, overflow = enum_solver.enumerate_exact(optimum, all_max_cap)
-        solver.nodes += enum_solver.nodes
+        masks, overflow = solver.enumerate_exact(optimum, all_max_cap)
         if not overflow:
-            all_max = tuple(sorted(_mask_to_family(m, vertex_order, members) for m in masks))
+            all_max = tuple(sorted(map(read, masks)))
     if proved and deterministic:
-        if all_max:
-            witness = all_max[0]
-        else:
-            canon_order = sorted(range(n), key=lambda i: members[i].payload)
-            lex_solver = _Solver(_relabel(graph.adjacency, canon_order))
-            witness = _mask_to_family(lex_solver.lexicographically_least(optimum), canon_order, members)
-            solver.nodes += lex_solver.nodes
+        witness = all_max[0] if all_max else read(solver.lexicographically_least(optimum))
 
     design = set(members)
     for family in (witness, *(all_max or ())):

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from ekrlattice import designs, ekr, families, search
+from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import DesignCertificate
-from ekrlattice.errors import FamilyMismatchError
+from ekrlattice.errors import FamilyMismatchError, VerificationError
 
 from conftest import GRID_SPECS, grid
 
@@ -96,7 +96,7 @@ def test_below_matches_a_leq_scan_at_every_rank(spec):
         for i in range(x.rank + 1):
             expected = [z for z in families.enumerate_fiber(spec, i) if families.leq(z, x)]
             assert families.below(x, i) == expected, (x, i)
-            assert families.below_count(spec, x.rank, i) == len(expected)
+            assert parameters.nu(spec, i, x.rank) == len(expected)
 
 
 def test_above_at_rank_0_covers_every_element():
@@ -135,7 +135,12 @@ def test_coverage_seed_and_dr_match_the_scans(text):
         for t in range(top + 1):
             lam, witness = coverage_oracle(spec, elements, t)
             assert designs.is_design(spec, elements, t) == lam
-            assert designs.design_witness(spec, elements, t) == witness
+            if witness is None:
+                designs.make_certificate(spec, elements, t)
+            else:
+                with pytest.raises(VerificationError) as caught:
+                    designs.make_certificate(spec, elements, t)
+                assert caught.value.witness == witness
         cert = DesignCertificate(spec, elements, top, (1,) * (top + 1))  # unverified: indices unused
         for s in range(1, top + 1):
             assert search.greedy_lower_bound(cert, s) == greedy_oracle(cert, s)

@@ -469,6 +469,19 @@ def test_golden_reports(name, in_samples_tmp, capsys):
     assert out == golden, f"golden mismatch for {name}"
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["check_design_oa3.json", "ekr_check_fano.json", "dr_fano.json", "search_max_oa3.json", "verify_extremal_oa11.json"],
+)
+def test_golden_reports_do_not_depend_on_row_order(name, in_samples_tmp, capsys):
+    argv = GOLDEN_CASES[name]
+    design = in_samples_tmp / argv[argv.index("--design") + 1]
+    family, strength, *rows = design.read_text().splitlines()
+    design.write_text("\n".join([family, strength, *reversed(rows)]) + "\n")
+    _, out, _ = run_cli(argv, capsys)
+    assert out == (GOLDEN_DIR / name).read_text(), f"row order changed {name}"
+
+
 def test_golden_search_under_python_optimize(in_samples_tmp):
     # no check the search relies on may be an `assert` that -O strips
     env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]))

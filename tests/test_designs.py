@@ -26,7 +26,9 @@ def test_fano_is_a_2_design(fano_spec, fano_elements):
 
 def test_fano_is_not_a_3_design(fano_spec, fano_elements):
     assert designs.is_design(fano_spec, fano_elements, 3) is None
-    (z1, c1), (z2, c2) = designs.design_witness(fano_spec, fano_elements, 3)
+    with pytest.raises(VerificationError) as caught:
+        designs.make_certificate(fano_spec, fano_elements, 3)
+    (z1, c1), (z2, c2) = caught.value.witness
     assert c1 != c2
     assert {c1, c2} == {0, 1}
 

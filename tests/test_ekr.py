@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ekrlattice import designs, ekr, families
@@ -196,6 +198,15 @@ def test_compute_dr_within_bound_on_oa():
     cert = generate_linear_oa(11, 3)
     report = ekr.compute_dr(cert, 1, 0)
     assert report.d_r is not None and report.d_r <= report.bound
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_compute_dr_witness_does_not_depend_on_row_order(q):
+    cert = generate_linear_oa(q, 3)
+    rows = list(cert.elements)
+    random.Random(q).shuffle(rows)
+    shuffled = designs.make_certificate(cert.spec, rows, 2)
+    assert ekr.compute_dr(shuffled, 1, 0) == ekr.compute_dr(cert, 1, 0)
 
 
 def test_compute_dr_validates(fano_cert):

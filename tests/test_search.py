@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ekrlattice
-from ekrlattice import designs, ekr, families, search
+from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import full_fiber, generate_linear_oa
 from ekrlattice.errors import BudgetExceededError
 
@@ -106,7 +106,7 @@ def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
     blocks = [range(1, 21), range(11, 31), range(1, 41, 2)]
     rows = [sorted(block) for block in blocks] + [sorted(set(range(1, 41)) - set(block)) for block in blocks]
     cert = designs.make_certificate(spec, [families.parse_element(spec, " ".join(map(str, row))) for row in rows], 1)
-    assert len(cert.elements) * families.below_count(spec, 20, 10) > families.FIBER_CAP  # 1,108,536
+    assert len(cert.elements) * parameters.nu(spec, 10, 20) > families.FIBER_CAP  # 1,108,536
     assert search.greedy_lower_bound(cert, 10) == (1, (min(cert.elements),))
     assert search.max_intersecting(cert, 10).status == "proved-optimal"
 
@@ -254,7 +254,7 @@ def test_solver_matches_bron_kerbosch_under_relabeling(graph, data):
 
     if seeded.nodes:
         budget = data.draw(st.integers(0, seeded.nodes - 1))
-        size, mask, proved = search._Solver(relabeled, node_budget=budget).maximize(seed.bit_count(), seed)
+        size, mask, proved = search._Solver(relabeled).maximize(seed.bit_count(), seed, budget)
         assert not proved
         assert seed.bit_count() <= size == mask.bit_count() and is_clique(relabeled, mask)
 
@@ -353,10 +353,11 @@ def test_a_candidate_that_moves_the_design_is_dropped(monkeypatch):
 
 
 def test_a_wrong_orbit_partition_loses_the_optimum():
-    # vertex 0 is isolated and 1, 2, 3 form a triangle: no automorphism moves 0
-    adj = [0b0001, 0b1110, 0b1110, 0b1110]
+    # K1,3 with centre 0 and leaves 1, 2, 3, beside the triangle 4, 5, 6: no
+    # automorphism moves the centre, yet one root branches only on it, the least vertex
+    adj = [0b0001111, 0b0000011, 0b0000101, 0b0001001, 0b1110000, 0b1110000, 0b1110000]
     assert search._Solver(adj).maximize()[0] == 3
-    assert search._Solver(adj, orbit=[0b1111] * 4).maximize()[0] == 1
+    assert search._Solver(adj, [list(range(7))]).maximize()[0] == 2
 
 
 @st.composite
@@ -373,21 +374,21 @@ def cyclic_graphs(draw):
                 for j in range(b):
                     if ((y - x) % a, i, j) in rule:
                         adj[x * b + i] |= 1 << (y * b + j)
-    orbit = [sum(1 << (y * b + v % b) for y in range(a)) for v in range(a * b)]
-    return adj, orbit, draw(st.permutations(range(a * b)))
+    orbits = [[y * b + i for y in range(a)] for i in range(b)]
+    return adj, orbits, draw(st.permutations(range(a * b)))
 
 
 @settings(deadline=None, max_examples=200)
 @given(cyclic_graphs())
 def test_one_root_per_orbit_matches_bron_kerbosch(graph):
-    adj, orbit, order = graph
+    adj, orbits, order = graph
     relabeled = search._relabel(adj, order)
     omega, cliques = bron_kerbosch_max_cliques(relabeled)
-    rooted = search._Solver(relabeled, orbit=search._relabel(orbit, order))
+    rooted = search._Solver(relabeled, [[order.index(v) for v in orbit] for orbit in orbits])
     size, mask, proved = rooted.maximize()
     assert (size, proved) == (omega, True) and mask in cliques
     plain = search._Solver(relabeled)
-    singletons = search._Solver(relabeled, orbit=[1 << v for v in range(len(adj))])
+    singletons = search._Solver(relabeled, [[v] for v in range(len(adj))])
     assert plain.maximize() == singletons.maximize() and plain.nodes == singletons.nodes
 
 
