@@ -20,6 +20,19 @@ under symmetries of the design.  This is sound because:
   group maps onto itself, and a clique among them meeting the next orbit is
   moved onto one of the same size through the orbit's representative.
 
+One level down the same argument runs again (orbital branching: Ostrowski,
+Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The child of
+the root's representative r has as candidates the root's remaining set,
+which the kept group maps onto itself, cut with the neighbours of r, which
+every kept element fixing r maps onto themselves.  So any subgroup H of the
+stabilizer of r maps the child's candidates onto themselves, and the child
+branches once per H-orbit and removes each whole H-orbit after it.  H is
+generated by Schreier generators (`_stabilizer`); the orbits of any subgroup
+refine the stabilizer's, so too few generators cost only speed.  The walk
+stops exactly when H has as many orbits as there are levels of an invariant
+every automorphism fixing r keeps (adjacency to r and |N(r) & N(x)|), since
+the levels are then the stabilizer's orbits, or after a fixed number of tries.
+
 A wrong or useless candidate is dropped and costs only speed; witnesses are
 re-verified as before.  `enumerate_exact` and `lexicographically_least` need
 every clique or the canonical order and use no orbits.
@@ -78,10 +91,9 @@ def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Elem
     return best.bit_count(), tuple(x for j, x in enumerate(members) if best >> j & 1)
 
 
-def member_orbits(cert: DesignCertificate) -> list[list[int]]:
-    """The orbits, as lists of member indices, of the group generated by the
-    candidate symmetries (`families.symmetries`) that map the set of member
-    atom masks onto itself."""
+def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
+    """The candidate symmetries (`families.symmetries`) that map the set of member
+    atom masks onto itself, each as the list of member indices of its images."""
     members = cert.elements
     index = {x.atoms: j for j, x in enumerate(members)}
     kept = []
@@ -89,17 +101,100 @@ def member_orbits(cert: DesignCertificate) -> list[list[int]]:
         image = list(takewhile(lambda j: j is not None, (index.get(g(x)) for x in members)))
         if len(image) == len(members):
             kept.append(image)
+    return kept
+
+
+def member_orbits(cert: DesignCertificate) -> list[list[int]]:
+    """The orbits, as lists of member indices, of the group the kept symmetries generate."""
+    return _orbits(len(cert.elements), kept_symmetries(cert))
+
+
+def _orbits(n, generators):
+    """The orbits on range(n), each a list opened at its least point, of the group
+    that `generators` (permutations as lists of images) generate."""
     seen, orbits = set(), []
-    for j in range(len(members)):
+    for j in range(n):
         if j not in seen:
             seen.add(j)
             orbits.append([j])
-            for k in orbits[-1]:  # grows while it is walked: the closure under `kept`
-                for image in kept:
+            for k in orbits[-1]:  # grows while it is walked: the closure under `generators`
+                for image in generators:
                     if image[k] not in seen:
                         seen.add(image[k])
                         orbits[-1].append(image[k])
     return orbits
+
+
+def _orbit_masks(n, orbits):
+    """Per vertex, the mask of its orbit."""
+    masks = [0] * n
+    for orbit in orbits:
+        mask = sum(1 << v for v in orbit)
+        for v in orbit:
+            masks[v] = mask
+    return masks
+
+
+_SCHREIER_TRIES = 64  # Schreier generators tried per fixed vertex; only speed depends on it
+
+
+def _stabilizer(adj, generators, r):
+    """Generators of a subgroup H of the stabilizer of r in the group G that
+    `generators` generate, and the orbits of H (`_orbits`).
+
+    A breadth-first walk over the G-orbit of r stores, per point x, only the
+    index of the generator on its tree edge (a Schreier vector, O(n) memory), so
+    the transversal element u_x, with u_x(r) = x, is read back as a word.  By
+    Schreier's lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress,
+    *Permutation Group Algorithms*, CUP 2003); they are tried in walk order
+    and kept when they merge orbits.  An automorphism of `adj` that fixes r
+    keeps the level of every x: whether x is r, whether it is adjacent to r, and
+    |N(r) & N(x)|.  So the stabilizer's orbits refine the levels, and once H has
+    as few orbits as there are levels they are exactly the stabilizer's orbits
+    and the walk stops; it stops too after `_SCHREIER_TRIES` tries.
+    """
+    n = len(adj)
+    levels = len({(x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()) for x in range(n)})
+    inverses = [sorted(range(n), key=g.__getitem__) for g in generators]
+    edge = [None] * n  # the index of the generator into x, -1 at r
+    edge[r] = -1
+    walk = [r]
+    for x in walk:
+        for i, g in enumerate(generators):
+            if edge[g[x]] is None:
+                edge[g[x]] = i
+                walk.append(g[x])
+
+    def word(x):  # the generator indices of u_x, in the order they act
+        out = []
+        while x != r:
+            out.append(edge[x])
+            x = inverses[edge[x]][x]
+        return out[::-1]
+
+    kept, orbits = [], [[x] for x in range(n)]
+    tries, least = 0, list(range(n))  # least[p]: the least point of the orbit of p
+    for x in walk:
+        u = list(range(n))
+        for i in word(x):
+            u = [generators[i][p] for p in u]
+        for i, g in enumerate(generators):
+            if len(orbits) == levels or tries == _SCHREIER_TRIES:
+                return kept, orbits
+            y = g[x]
+            if edge[y] == i:  # a tree edge: u_y = g u_x, so the generator is the identity
+                continue
+            tries += 1
+            h = [g[p] for p in u]
+            for j in reversed(word(y)):
+                h = [inverses[j][p] for p in h]
+            if any(least[h[p]] != least[p] for p in range(n)):
+                kept.append(h)
+                orbits = _orbits(n, kept)
+                for orbit in orbits:
+                    for p in orbit:
+                        least[p] = orbit[0]
+    return kept, orbits
 
 
 @dataclass(frozen=True)
@@ -145,41 +240,49 @@ class _Solver:
     """Branch and bound over one graph, in the descending-degree labelling of
     MCQ (Tomita and Seki, DMTCS 2003).
 
-    `adj` and `orbits` (lists of vertices, as `member_orbits` returns them) are
-    in canonical labels, and so is every mask that goes into or comes out of a
-    method.  The solver relabels once, here, by descending degree; the sort is
-    stable, so ties keep their canonical order.  One instance serves every
-    search and `nodes` counts them all.
+    `adj` and `generators` (automorphisms as lists of images, as
+    `kept_symmetries` returns them) are in canonical labels, and so is every
+    mask that goes into or comes out of a method.  The solver relabels once,
+    here, by descending degree; the sort is stable, so ties keep their
+    canonical order.  `orbits` holds the generators' orbits in internal
+    labels.  One instance serves every search and `nodes` counts them all.
 
     All three searches run through `_branch`, which prunes on the colour
     bound against the threshold `need` and hands each clique that no
     candidate extends to a leaf action.  `maximize` raises `need` past every
-    clique it records, and its root starts one subtree per orbit (per
-    internal vertex, the mask of its orbit; None without orbits).
+    clique it records; its root starts one subtree per orbit (`orbit`: per
+    internal vertex, the mask of its orbit; None without generators), and
+    each child of the root one subtree per orbit of a subgroup of its
+    representative's stabilizer, computed when that child first branches and
+    skipped when the subgroup is trivial.  Deeper nodes use no orbits.
     `enumerate_exact` and `lexicographically_least` keep `need` at the proved
     optimum, where a clique of that size has no candidate left, so the leaf
     sees exactly the maximum cliques.
     """
 
-    def __init__(self, adj, orbits=None):
+    def __init__(self, adj, generators=()):
         self.n = len(adj)
         self.order = sorted(range(self.n), key=lambda v: -adj[v].bit_count())  # internal -> canonical
         self.position = sorted(range(self.n), key=self.order.__getitem__)  # canonical -> internal
         self.adj = [a & ~(1 << i) for i, a in enumerate(_relabel(adj, self.order))]
-        self.orbit = None if orbits is None else [1 << v for v in range(self.n)]
-        for found in orbits or ():
-            mask = sum(1 << self.position[k] for k in found)
-            for k in found:
-                self.orbit[self.position[k]] = mask
+        self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
+        self.orbits = _orbits(self.n, self.generators)
+        self.orbit = _orbit_masks(self.n, self.orbits) if self.generators else None
         self.node_budget = None
         self.nodes = 0
         self.need = 0
 
-    def _branch(self, size, mask, candidates, leaf, orbit=None):
+    def _branch(self, size, mask, candidates, leaf, orbit=None, fixed=None):
         """Grow the clique `mask` of `size` inside candidates; True stops the search.
-        With `orbit`, which only the root of `maximize` passes, a vertex already
-        removed is skipped, the branch is on the least-labelled candidate of its
-        orbit, and the whole orbit leaves the candidates after it."""
+        With `orbit`, per vertex the mask of its orbit under a group that maps the
+        candidates onto themselves, a vertex already removed is skipped, the
+        branch is on the least-labelled candidate of its orbit, and the whole
+        orbit leaves the candidates after it.  The root of `maximize` passes the
+        member orbits and hands each child its branch vertex as `fixed`; before
+        its first branch that child takes as its `orbit` the orbits of a
+        subgroup of the stabilizer of `fixed` (`_stabilizer`), or none when the
+        subgroup is trivial."""
+        root = orbit is not None and fixed is None
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _OutOfBudget
@@ -187,6 +290,9 @@ class _Solver:
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] < self.need:
                 return False
+            if fixed is not None:
+                kept, orbits = _stabilizer(self.adj, self.generators, fixed)
+                orbit, fixed = _orbit_masks(self.n, orbits) if kept else None, None
             v = order[i]
             bit = drop = 1 << v
             if orbit:
@@ -197,7 +303,7 @@ class _Solver:
                 v = bit.bit_length() - 1
             rest = candidates & self.adj[v]
             if rest:
-                if self._branch(size + 1, mask | bit, rest, leaf):
+                if self._branch(size + 1, mask | bit, rest, leaf, None, v if root else None):
                     return True
             elif size + 1 >= self.need and leaf(size + 1, mask | bit):
                 return True
@@ -303,8 +409,7 @@ def max_intersecting(
     members = cert.elements
     lb_size, lb_members = greedy_lower_bound(cert, s)
     seed = set(lb_members)
-    orbits = member_orbits(cert)
-    solver = _Solver(graph.adjacency, orbits)
+    solver = _Solver(graph.adjacency, kept_symmetries(cert))
     optimum, best_mask, proved = solver.maximize(
         lb_size, sum(1 << j for j, x in enumerate(members) if x in seed), node_budget
     )
@@ -338,6 +443,6 @@ def max_intersecting(
         all_max=all_max,
         all_max_overflow=overflow,
         nodes=solver.nodes,
-        orbits=len(orbits),
+        orbits=len(solver.orbits),
         status=status,
     )

@@ -290,10 +290,18 @@ def test_deterministic_witness_is_lexicographically_least(monkeypatch):
 
 
 def test_nodes_include_the_lexicographic_reconstruction():
-    # one orbit: the root branches once; the reconstruction adds its 153 nodes
+    # one orbit: the root branches once, its child once per orbit of the
+    # stabilizer; the reconstruction adds its 153 nodes
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
-    assert search.max_intersecting(cert, 2).nodes == 129
-    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 282
+    assert search.max_intersecting(cert, 2).nodes == 28
+    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 181
+
+
+def test_the_stabilizer_splits_a_one_orbit_proof():
+    # 4,144 nodes with one root per orbit alone
+    cert = full_fiber(families.parse_family_spec("johnson:v=10,m=4"))
+    result = search.max_intersecting(cert, 1)
+    assert (result.optimum, result.nodes, result.orbits) == (84, 204, 1)
 
 
 def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypatch):
@@ -354,18 +362,63 @@ def test_a_candidate_that_moves_the_design_is_dropped(monkeypatch):
 
 def test_a_wrong_orbit_partition_loses_the_optimum():
     # K1,3 with centre 0 and leaves 1, 2, 3, beside the triangle 4, 5, 6: no
-    # automorphism moves the centre, yet one root branches only on it, the least vertex
+    # automorphism moves the centre, yet the 7-cycle makes one orbit, and the
+    # root branches only on its least vertex, the centre
     adj = [0b0001111, 0b0000011, 0b0000101, 0b0001001, 0b1110000, 0b1110000, 0b1110000]
     assert search._Solver(adj).maximize()[0] == 3
-    assert search._Solver(adj, [list(range(7))]).maximize()[0] == 2
+    assert search._Solver(adj, [[1, 2, 3, 4, 5, 6, 0]]).maximize()[0] == 2
+
+
+def test_a_wrong_stabilizer_loses_the_optimum_below_the_root(monkeypatch):
+    # the triangular prism: triangles 0 2 4 and 1 3 5 and the rungs x, x + 3.
+    # The rotation x -> x + 1 is an automorphism, so the root's one orbit is
+    # right; the transposition (4 5) fixes the root 0 but is no automorphism,
+    # and the orbits it brings into the stabilizer lose the triangles through 0
+    adj = [sum(1 << (x + d) % 6 for d in (0, 2, 3, 4)) for x in range(6)]
+    rotation, swap = [1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 5, 4]
+    assert search._Solver(adj).maximize()[0] == 3
+    assert search._Solver(adj, [rotation]).maximize()[0] == 3
+    assert search._Solver(adj, [rotation, swap]).maximize()[0] == 2
+    monkeypatch.setattr(search, "_stabilizer", lambda adj, generators, r: ([], [[v] for v in range(len(adj))]))
+    assert search._Solver(adj, [rotation, swap]).maximize()[0] == 3  # the root step alone keeps it
+
+
+def level(adj, r, x):
+    """The invariant every automorphism fixing r keeps."""
+    return x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()
+
+
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_stabilizer_generators_fix_the_root_and_its_orbits_keep_the_levels(text):
+    cert = full_fiber(families.parse_family_spec(text))
+    members, generators = cert.elements, search.kept_symmetries(cert)
+    for s in range(1, cert.spec.top_rank + 1):
+        adj = search.build_graph(cert, s).adjacency
+        for r in (0, cert.size // 3, cert.size - 1):
+            kept, orbits = search._stabilizer(adj, generators, r)
+            assert kept, (s, r)
+            for h in kept:
+                assert h[r] == r
+                assert all(adj[h[x]] == search._map_bits(adj[x], h) for x in range(cert.size)), (s, r)
+            assert all(len({level(adj, r, x) for x in orbit}) == 1 for orbit in orbits), (s, r)
+            if cert.spec.kind in ("johnson", "grassmann"):
+                by_rank = {}
+                for x in range(cert.size):
+                    by_rank.setdefault(families.meet_rank(members[r], members[x]), []).append(x)
+                assert sorted(map(sorted, orbits)) == sorted(by_rank.values()), (s, r)
 
 
 @st.composite
 def cyclic_graphs(draw):
     """A graph on Z_a x [b], vertex (x, i) = x * b + i, whose edge rule reads only
-    (y - x mod a, i, j); so x -> x + 1 is an automorphism with orbits Z_a x {i}."""
+    (y - x mod a, i, j); so x -> x + 1 is an automorphism with orbits Z_a x {i}.
+    In the dihedral case the rule also holds (-d, i, j) with each (d, i, j), so
+    x -> -x is one too, and it fixes (0, i): the stabilizers are not trivial."""
     a, b = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     rule = draw(st.sets(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1), st.integers(0, b - 1))))
+    dihedral = draw(st.booleans())
+    if dihedral:
+        rule |= {((-d) % a, i, j) for d, i, j in rule}
     rule |= {((-d) % a, j, i) for d, i, j in rule}
     adj = [1 << v for v in range(a * b)]
     for x in range(a):
@@ -374,22 +427,24 @@ def cyclic_graphs(draw):
                 for j in range(b):
                     if ((y - x) % a, i, j) in rule:
                         adj[x * b + i] |= 1 << (y * b + j)
-    orbits = [[y * b + i for y in range(a)] for i in range(b)]
-    return adj, orbits, draw(st.permutations(range(a * b)))
+    generators = [[(x + 1) % a * b + i for x in range(a) for i in range(b)]]
+    if dihedral:
+        generators.append([(-x) % a * b + i for x in range(a) for i in range(b)])
+    return adj, generators, draw(st.permutations(range(a * b)))
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(cyclic_graphs())
 def test_one_root_per_orbit_matches_bron_kerbosch(graph):
-    adj, orbits, order = graph
+    adj, generators, order = graph
     relabeled = search._relabel(adj, order)
     omega, cliques = bron_kerbosch_max_cliques(relabeled)
-    rooted = search._Solver(relabeled, [[order.index(v) for v in orbit] for orbit in orbits])
+    rooted = search._Solver(relabeled, [[order.index(g[v]) for v in order] for g in generators])
     size, mask, proved = rooted.maximize()
     assert (size, proved) == (omega, True) and mask in cliques
     plain = search._Solver(relabeled)
-    singletons = search._Solver(relabeled, [[v] for v in range(len(adj))])
-    assert plain.maximize() == singletons.maximize() and plain.nodes == singletons.nodes
+    identity = search._Solver(relabeled, [list(range(len(adj)))])
+    assert plain.maximize() == identity.maximize() and plain.nodes == identity.nodes
 
 
 def test_node_budget_exhaustion():
