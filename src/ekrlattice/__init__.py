@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .audit import AuditCheck, AuditReport, audit
 from .designs import (
     DesignCertificate,
-    Star,
     derive_index,
     full_fiber,
     generate_linear_oa,
@@ -23,7 +22,6 @@ from .designs import (
     make_certificate,
     restrict_strength,
     save_design,
-    star,
 )
 from .ekr import (
     ConditionReport,
@@ -59,11 +57,9 @@ from .families import (
     meet_all,
     parse_element,
     parse_family_spec,
-    rank,
 )
 from .parameters import alpha, mu, nu, oracle_count, qbinom, theta
 from .search import (
-    IntersectionGraph,
     SearchResult,
     build_graph,
     greedy_lower_bound,
@@ -83,11 +79,9 @@ __all__ = [
     "ExtremalVerdict",
     "FamilyMismatchError",
     "FamilySpec",
-    "IntersectionGraph",
     "NonIntegralError",
     "ParseError",
     "SearchResult",
-    "Star",
     "VerificationError",
     "alpha",
     "audit",
@@ -119,11 +113,9 @@ __all__ = [
     "parse_element",
     "parse_family_spec",
     "qbinom",
-    "rank",
     "remark_conditions",
     "restrict_strength",
     "save_design",
-    "star",
     "table1_condition",
     "theta",
     "verify_extremal",

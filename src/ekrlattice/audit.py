@@ -82,7 +82,7 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     if used + glb_cost > budget:
         charge(glb_cost, "semilattice-glb")  # refuses before anything is built
 
-    els = [e for i in range(top + 1) for e in families.enumerate_fiber(spec, i)]
+    els = list(families.enumerate_all(spec))
     n = len(els)  # the alpha check compares it with the closed forms
     index = {e: i for i, e in enumerate(els)}
     ranks = [e.rank for e in els]

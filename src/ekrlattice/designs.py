@@ -1,4 +1,4 @@
-"""Designs in top fibers: strength verification, index arithmetic, stars,
+"""Designs in top fibers: strength verification, index arithmetic,
 generators, and the design file format.
 
 A design of strength t is a set Y of top-fiber elements covering every
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import families, gf as gflib, parameters
 from .errors import BudgetExceededError, NonIntegralError, ParseError, VerificationError
-from .families import DEFAULT_BUDGET, Element, FamilySpec
+from .families import Element, FamilySpec
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ class DesignCertificate:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Star:
-    """All members of a design lying above a fixed center."""
-
-    center: Element
-    members: tuple[Element, ...]
-
-
 def _validate_top_elements(spec: FamilySpec, elements):
     elements = tuple(elements)
     if not elements:
@@ -69,20 +61,27 @@ def _validate_top_elements(spec: FamilySpec, elements):
     return elements
 
 
-def _coverage(spec: FamilySpec, elements, t: int, budget: int):
+def _charge_coverage(spec: FamilySpec, t: int, design_size: int) -> None:
+    """Refuse a coverage pass of `design_size` members over the rank-t fiber whose
+    comparisons exceed `families.DEFAULT_BUDGET`; nothing is built."""
+    if not 0 <= t <= spec.top_rank:
+        raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
+    size = families.fiber_size(spec, t)
+    budget = families.DEFAULT_BUDGET
+    if size * design_size > budget:
+        raise BudgetExceededError(
+            f"strength verification needs {size * design_size} comparisons, budget is {budget}",
+            context={"fiber_size": size, "design_size": design_size},
+        )
+
+
+def _coverage(spec: FamilySpec, elements, t: int):
     """One coverage pass over the rank-t fiber for validated design elements.
 
     (lambda_t, None) when every rank-t element is covered equally, else
     (None, witness) with two (element, count) pairs of unequal counts.
     """
-    if not 0 <= t <= spec.top_rank:
-        raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
-    size = families.fiber_size(spec, t)
-    if size * len(elements) > budget:
-        raise BudgetExceededError(
-            f"strength verification needs {size * len(elements)} comparisons, budget is {budget}",
-            context={"fiber_size": size, "design_size": len(elements)},
-        )
+    _charge_coverage(spec, t, len(elements))
     fiber = families.enumerate_fiber(spec, t)
     counts = [mask.bit_count() for mask in families.above(spec, t, elements)]
     first = counts[0]
@@ -92,9 +91,9 @@ def _coverage(spec: FamilySpec, elements, t: int, budget: int):
     return first, None
 
 
-def is_design(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET) -> int | None:
+def is_design(spec: FamilySpec, elements, t: int) -> int | None:
     """lambda_t when every rank-t element is covered equally, else None."""
-    return _coverage(spec, _validate_top_elements(spec, elements), t, budget)[0]
+    return _coverage(spec, _validate_top_elements(spec, elements), t)[0]
 
 
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
@@ -110,10 +109,10 @@ def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
     return num // den
 
 
-def make_certificate(spec: FamilySpec, elements, t: int, budget: int = DEFAULT_BUDGET) -> DesignCertificate:
+def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
     """Verify strength t and package the elements with their index vector."""
     elements = _validate_top_elements(spec, elements)
-    lam, witness = _coverage(spec, elements, t, budget)
+    lam, witness = _coverage(spec, elements, t)
     if lam is None:
         (z1, c1), (z2, c2) = witness
         raise VerificationError(
@@ -130,14 +129,6 @@ def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:
     if not 0 <= t <= cert.strength:
         raise ParseError(f"strength {t} out of range 0..{cert.strength}")
     return DesignCertificate(cert.spec, cert.elements, t, cert.indices[: t + 1])
-
-
-def star(spec: FamilySpec, elements, z: Element) -> Star:
-    """All members of the design above z, in canonical order."""
-    if z.spec != spec:
-        raise ParseError("star center belongs to a different family")
-    members = tuple(sorted(x for x in elements if families.leq(z, x)))
-    return Star(z, members)
 
 
 def full_fiber(spec: FamilySpec, t: int | None = None) -> DesignCertificate:
@@ -157,13 +148,15 @@ def generate_linear_oa(q: int, m: int) -> DesignCertificate:
 
     Rows are (x_1, ..., x_{m-1}, sum x_i mod q) over all tuples; any m-1
     coordinates determine the remaining one, so each rank-(m-1) element is
-    covered exactly once.
+    covered exactly once.  The q^(m-1) rows are charged against the coverage
+    budget before any is built.
     """
     if gflib.prime_power(q) != (q, 1):
         raise ParseError(f"q must be prime, got {q}")
     if m < 2:
         raise ParseError(f"m must be at least 2, got {m}")
     spec = FamilySpec(kind="hamming", m=m, n=q)
+    _charge_coverage(spec, m - 1, q ** (m - 1))
     elements = []
     for tup in product(range(q), repeat=m - 1):
         word = tup + (sum(tup) % q,)
@@ -243,9 +236,9 @@ def read_family_file(path):
     return spec, elements
 
 
-def load_design(path, budget: int = DEFAULT_BUDGET) -> DesignCertificate:
+def load_design(path) -> DesignCertificate:
     """Load and re-verify a design file; rejects files whose strength fails."""
     spec, strength, elements = read_design_file(path)
     if not 0 <= strength <= spec.top_rank:
         raise ParseError(f"{path}: declared strength {strength} out of range 0..{spec.top_rank}")
-    return make_certificate(spec, elements, strength, budget)
+    return make_certificate(spec, elements, strength)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
-from .families import DEFAULT_BUDGET, Element, FamilySpec
+from .families import Element, FamilySpec
 from .gf import qbinom
 
 
@@ -230,12 +230,13 @@ class DrReport:
     witness: tuple[Element, Element] | None
 
 
-def compute_dr(cert: DesignCertificate, s: int, r: int, budget: int = DEFAULT_BUDGET) -> DrReport:
+def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     """Exhaustive maximum of |{z in Y : x <= z, rank(z /\\ y) >= s}|.
 
     Quantifies over every x in the rank-s fiber and every y in Y with
     rank(x /\\ y) == r, and compares against mu(r,s) * lambda_j where
-    j = t when r <= 2s-t and j = 2s-r otherwise.
+    j = t when r <= 2s-t and j = 2s-r otherwise.  The scan is refused before
+    it starts when its comparisons exceed `families.DEFAULT_BUDGET`.
     """
     spec = cert.spec
     t = cert.strength
@@ -247,6 +248,7 @@ def compute_dr(cert: DesignCertificate, s: int, r: int, budget: int = DEFAULT_BU
     size = families.fiber_size(spec, s)
     # fiber x Y meet ranks and stars through `above`, and |Y|^2 / 2 for `near`
     need = max(size * len(members) * 2, len(members) ** 2)
+    budget = families.DEFAULT_BUDGET
     if need > budget:
         raise BudgetExceededError(
             f"d_r scan needs about {need} comparisons, budget is {budget}",

@@ -160,10 +160,6 @@ def least(spec: FamilySpec) -> Element:
     return Element(spec, payload)
 
 
-def rank(x: Element) -> int:
-    return x.rank
-
-
 def _same_family(x: Element, y: Element) -> FamilySpec:
     if x.spec is not y.spec and x.spec != y.spec:
         raise FamilyMismatchError(f"family mismatch: {x.spec} vs {y.spec}")

@@ -48,31 +48,24 @@ from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
 from .families import Element
 
-DEFAULT_VERTEX_BUDGET = 5000
-ALL_MAX_CAP = 10**6
+VERTEX_CAP = 5000  # design members a search graph may have
+ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Adjacency bitmasks over the members in canonical order, bit j for
-    member j; diagonal bits are set."""
-
-    size: int
-    adjacency: tuple[int, ...]
-
-
-def build_graph(cert: DesignCertificate, s: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> IntersectionGraph:
-    """Exact adjacency by pairwise meet ranks, read from atom popcounts."""
+def build_graph(cert: DesignCertificate, s: int) -> tuple[int, ...]:
+    """Exact adjacency by pairwise meet ranks, read from atom popcounts: one
+    bitmask per member in canonical order, bit j for member j, diagonal bits
+    set.  A design above `VERTEX_CAP` members is refused."""
     if not 1 <= s <= cert.spec.top_rank:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
     n = len(members)
-    if n > vertex_budget:
+    if n > VERTEX_CAP:
         raise BudgetExceededError(
-            f"design has {n} elements, vertex budget is {vertex_budget}",
+            f"design has {n} elements, vertex budget is {VERTEX_CAP}",
             context={"design_size": n},
         )
-    return IntersectionGraph(n, tuple(ekr.intersection_masks(members, s)))
+    return tuple(ekr.intersection_masks(members, s))
 
 
 def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Element, ...]]:
@@ -102,11 +95,6 @@ def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
         if len(image) == len(members):
             kept.append(image)
     return kept
-
-
-def member_orbits(cert: DesignCertificate) -> list[list[int]]:
-    """The orbits, as lists of member indices, of the group the kept symmetries generate."""
-    return _orbits(len(cert.elements), kept_symmetries(cert))
 
 
 def _orbits(n, generators):
@@ -244,8 +232,9 @@ class _Solver:
     `kept_symmetries` returns them) are in canonical labels, and so is every
     mask that goes into or comes out of a method.  The solver relabels once,
     here, by descending degree; the sort is stable, so ties keep their
-    canonical order.  `orbits` holds the generators' orbits in internal
-    labels.  One instance serves every search and `nodes` counts them all.
+    canonical order, and a regular graph keeps its labels.  `orbits` holds
+    the generators' orbits in internal labels.  One instance serves every
+    search and `nodes` counts them all.
 
     All three searches run through `_branch`, which prunes on the colour
     bound against the threshold `need` and hands each clique that no
@@ -264,7 +253,9 @@ class _Solver:
         self.n = len(adj)
         self.order = sorted(range(self.n), key=lambda v: -adj[v].bit_count())  # internal -> canonical
         self.position = sorted(range(self.n), key=self.order.__getitem__)  # canonical -> internal
-        self.adj = [a & ~(1 << i) for i, a in enumerate(_relabel(adj, self.order))]
+        if self.order != list(range(self.n)):
+            adj = _relabel(adj, self.order)
+        self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
         self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
         self.orbits = _orbits(self.n, self.generators)
         self.orbit = _orbit_masks(self.n, self.orbits) if self.generators else None
@@ -391,8 +382,6 @@ def max_intersecting(
     deterministic: bool = False,
     enumerate_all: bool = False,
     node_budget: int | None = None,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    all_max_cap: int = ALL_MAX_CAP,
 ) -> SearchResult:
     """Exact maximum s-intersecting subfamily of the design.
 
@@ -402,14 +391,16 @@ def max_intersecting(
     `deterministic=True`: the least family of `all_max` when every maximum
     family was enumerated, else reconstructed over the canonical order.
     `nodes` counts the nodes of every search run, reconstruction included.
+    With `enumerate_all`, more than `ALL_MAX_CAP` maximum families set
+    `all_max_overflow` and leave `all_max` None.
     The witness and every family in `all_max` are re-verified through
     `families.meet` before they are returned; a failure raises AssertionError.
     """
-    graph = build_graph(cert, s, vertex_budget)
+    adjacency = build_graph(cert, s)
     members = cert.elements
     lb_size, lb_members = greedy_lower_bound(cert, s)
     seed = set(lb_members)
-    solver = _Solver(graph.adjacency, kept_symmetries(cert))
+    solver = _Solver(adjacency, kept_symmetries(cert))
     optimum, best_mask, proved = solver.maximize(
         lb_size, sum(1 << j for j, x in enumerate(members) if x in seed), node_budget
     )
@@ -422,7 +413,7 @@ def max_intersecting(
     all_max = None
     overflow = False
     if proved and enumerate_all:
-        masks, overflow = solver.enumerate_exact(optimum, all_max_cap)
+        masks, overflow = solver.enumerate_exact(optimum, ALL_MAX_CAP)
         if not overflow:
             all_max = tuple(sorted(map(read, masks)))
     if proved and deterministic:

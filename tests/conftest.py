@@ -22,6 +22,11 @@ def grid():
     return [families.parse_family_spec(text) for text in GRID_SPECS]
 
 
+def star_members(elements, z):
+    """The star oracle: every element above z, by a `leq` scan, in canonical order."""
+    return tuple(sorted(x for x in elements if families.leq(z, x)))
+
+
 @pytest.fixture(scope="session")
 def fano_spec():
     return families.parse_family_spec("johnson:v=7,m=3")

@@ -17,7 +17,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import DesignCertificate
 from ekrlattice.errors import FamilyMismatchError, VerificationError
 
-from conftest import GRID_SPECS, grid
+from conftest import GRID_SPECS, grid, star_members
 
 MEET_RANK_SPECS = (
     "johnson:v=6,m=3",
@@ -53,7 +53,7 @@ def coverage_oracle(spec, elements, t):
 def greedy_oracle(cert, s):
     best_size, best_members = 0, ()
     for z in families.enumerate_fiber(cert.spec, s):
-        members = designs.star(cert.spec, cert.elements, z).members
+        members = star_members(cert.elements, z)
         if len(members) > best_size:
             best_size, best_members = len(members), members
     return best_size, best_members

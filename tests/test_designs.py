@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import grid
+from conftest import grid, star_members
 from ekrlattice import designs, families, parameters
 from ekrlattice.errors import (
     BudgetExceededError,
@@ -53,8 +53,8 @@ def test_full_fiber_certificates():
 
 def test_derive_index_examples(fano_spec, fano_cert):
     # cross-check by counting lines through a point
-    lines_through_1 = designs.star(fano_spec, fano_cert.elements, families.parse_element(fano_spec, "1"))
-    assert len(lines_through_1.members) == 3
+    lines_through_1 = star_members(fano_cert.elements, families.parse_element(fano_spec, "1"))
+    assert len(lines_through_1) == 3
     assert designs.derive_index(fano_spec, 1, 2, 1) == 3
     assert designs.derive_index(fano_spec, 1, 2, 2) == 1  # identity at t' == t
     hs = families.parse_family_spec("hamming:m=2,n=5")
@@ -93,33 +93,32 @@ def test_index_integrality_across_grid():
                 assert lam == parameters.theta(spec, t_prime)
 
 
-def test_star_examples(fano_spec, fano_cert):
-    z = families.parse_element(fano_spec, "1")
-    st = designs.star(fano_spec, fano_cert.elements, z)
-    assert [families.format_element(x) for x in st.members] == ["1 2 3", "1 4 5", "1 6 7"]
-    st = designs.star(fano_spec, fano_cert.elements, families.least(fano_spec))
-    assert st.members == tuple(sorted(fano_cert.elements))
-    member = fano_cert.elements[0]
-    assert designs.star(fano_spec, fano_cert.elements, member).members == (member,)
-
-
 def test_star_size_equals_index(fano_spec, fano_cert):
     for s in range(fano_cert.strength + 1):
         for z in families.enumerate_fiber(fano_spec, s):
-            members = designs.star(fano_spec, fano_cert.elements, z).members
+            members = star_members(fano_cert.elements, z)
             assert len(members) == fano_cert.indices[s]
 
 
-def test_budget_guards(monkeypatch):
+def test_budget_guards(tmp_path, monkeypatch):
     spec = families.parse_family_spec("hamming:m=3,n=3")
     monkeypatch.setattr(families, "FIBER_CAP", 5)
     with pytest.raises(BudgetExceededError) as err:
         designs.full_fiber(spec)
     assert err.value.context == {"fiber_size": 27, "fiber_cap": 5}
     monkeypatch.undo()
-    cert = designs.full_fiber(spec)
-    with pytest.raises(BudgetExceededError):
-        designs.is_design(spec, cert.elements, 2, budget=5)
+    cert = designs.full_fiber(spec, 2)
+    designs.save_design(cert, tmp_path / "h.design")
+    monkeypatch.setattr(families, "DEFAULT_BUDGET", 5)  # one constant reaches every coverage pass
+    for call in (
+        lambda: designs.is_design(spec, cert.elements, 2),
+        lambda: designs.make_certificate(spec, cert.elements, 2),
+        lambda: designs.load_design(tmp_path / "h.design"),
+    ):
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert str(err.value) == "strength verification needs 729 comparisons, budget is 5"
+        assert err.value.context == {"fiber_size": 27, "design_size": 27}
 
 
 def test_lambda0_is_the_design_size(fano_spec, fano_cert):
@@ -146,6 +145,15 @@ def test_generate_linear_oa():
         designs.generate_linear_oa(4, 3)  # q must be prime
     with pytest.raises(ValueError):
         designs.generate_linear_oa(3, 1)
+
+
+def test_an_oversized_linear_oa_is_refused_before_any_row_is_built(monkeypatch):
+    # 1009^2 rows against the 3 * 1009^2 rank-2 elements they would have to cover
+    monkeypatch.setattr(designs, "Element", lambda *args: pytest.fail("built a row"))
+    with pytest.raises(BudgetExceededError) as err:
+        designs.generate_linear_oa(1009, 3)
+    assert str(err.value) == "strength verification needs 3109466767683 comparisons, budget is 100000000"
+    assert err.value.context == {"fiber_size": 3054243, "design_size": 1018081}
 
 
 def test_design_validation_errors(fano_spec, fano_elements):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import star_members
 from ekrlattice import designs, ekr, families
 from ekrlattice.errors import BudgetExceededError
 from ekrlattice.designs import full_fiber, generate_linear_oa, restrict_strength
@@ -23,8 +24,7 @@ def test_is_intersecting(fano_spec, fano_elements):
     assert ekr.is_intersecting(fano_spec, fano_elements, 1)
     assert not ekr.is_intersecting(fano_spec, fano_elements, 2)
     z = families.parse_element(fano_spec, "1")
-    st = designs.star(fano_spec, fano_elements, z)
-    assert ekr.is_intersecting(fano_spec, st.members, 1)
+    assert ekr.is_intersecting(fano_spec, star_members(fano_elements, z), 1)
     with pytest.raises(ValueError):
         ekr.is_intersecting(fano_spec, fano_elements, 0)
     with pytest.raises(ValueError):
@@ -231,8 +231,9 @@ def test_dr_budget_counts_the_pairwise_table(monkeypatch):
     # |Y|^2 = 63,504 dominates 2 * fiber * |Y| = 5,040 at s=1
     cert = full_fiber(families.parse_family_spec("johnson:v=10,m=5"))
     monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("compared before the budget check"))
+    monkeypatch.setattr(families, "DEFAULT_BUDGET", 10_000)
     with pytest.raises(BudgetExceededError) as err:
-        ekr.compute_dr(cert, 1, 0, budget=10_000)
+        ekr.compute_dr(cert, 1, 0)
     assert str(err.value) == "d_r scan needs about 63504 comparisons, budget is 10000"
     assert err.value.context == {"fiber_size": 10, "design_size": 252}
 
@@ -241,7 +242,7 @@ def test_verify_extremal_star_is_extremal(monkeypatch):
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = full_fiber(hs)
     z = families.parse_element(hs, "1:0")
-    members = designs.star(hs, cert.elements, z).members
+    members = star_members(cert.elements, z)
     # the center is sought below the common meet, not in the rank-1 fiber
     monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
     families._fiber.cache_clear()

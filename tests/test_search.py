@@ -19,7 +19,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import full_fiber, generate_linear_oa
 from ekrlattice.errors import BudgetExceededError
 
-from conftest import GRID_SPECS
+from conftest import GRID_SPECS, star_members
 
 SAMPLES_DIR = Path(ekrlattice.__file__).parent / "samples"
 
@@ -60,26 +60,30 @@ def masks_of(result, cert):
 
 
 def test_build_graph_fano_is_complete(fano_cert):
-    graph = search.build_graph(fano_cert, 1)
-    full = (1 << graph.size) - 1
-    assert all(mask == full for mask in graph.adjacency)
+    adjacency = search.build_graph(fano_cert, 1)
+    full = (1 << len(adjacency)) - 1
+    assert all(mask == full for mask in adjacency)
 
 
 def test_build_graph_hamming_degrees():
     cert = full_fiber(families.parse_family_spec("hamming:m=2,n=5"))
-    graph = search.build_graph(cert, 1)
-    assert graph.size == 25
-    assert all(mask.bit_count() == 9 for mask in graph.adjacency)  # 8 neighbours + self
+    adjacency = search.build_graph(cert, 1)
+    assert len(adjacency) == 25
+    assert all(mask.bit_count() == 9 for mask in adjacency)  # 8 neighbours + self
 
 
 def test_build_graph_top_rank_has_no_edges(fano_cert):
-    graph = search.build_graph(fano_cert, 3)
-    assert all(graph.adjacency[i] == 1 << i for i in range(graph.size))
+    adjacency = search.build_graph(fano_cert, 3)
+    assert all(adjacency[i] == 1 << i for i in range(len(adjacency)))
 
 
-def test_build_graph_vertex_budget(fano_cert):
-    with pytest.raises(BudgetExceededError):
-        search.build_graph(fano_cert, 1, vertex_budget=3)
+def test_build_graph_vertex_budget(fano_cert, monkeypatch):
+    monkeypatch.setattr(search, "VERTEX_CAP", 3)
+    for call in (search.build_graph, search.max_intersecting):
+        with pytest.raises(BudgetExceededError) as err:
+            call(fano_cert, 1)
+        assert str(err.value) == "design has 7 elements, vertex budget is 3"
+        assert err.value.context == {"design_size": 7}
 
 
 def test_greedy_lower_bound_examples(fano_cert):
@@ -133,10 +137,10 @@ def test_hamming_m2_n5_all_maximum_families_are_the_ten_stars():
     assert len(result.all_max) == 10
     stars = set()
     for z in families.enumerate_fiber(hs, 1):
-        stars.add(designs.star(hs, cert.elements, z).members)
+        stars.add(star_members(cert.elements, z))
     assert set(result.all_max) == stars
     # agreement with the independent enumerator
-    omega, cliques = bron_kerbosch_max_cliques(search.build_graph(cert, 1).adjacency)
+    omega, cliques = bron_kerbosch_max_cliques(search.build_graph(cert, 1))
     assert omega == 5
     assert masks_of(result, cert) == cliques
 
@@ -147,7 +151,7 @@ def test_johnson_v7_optimum_is_the_classical_star_size():
     assert result.optimum == 15
     assert result.status == "proved-optimal"
     assert ekr.min_meet_rank(cert.spec, result.witness) >= 1
-    omega, _ = bron_kerbosch_max_cliques(search.build_graph(cert, 1).adjacency)
+    omega, _ = bron_kerbosch_max_cliques(search.build_graph(cert, 1))
     assert omega == 15
 
 
@@ -313,7 +317,7 @@ def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypat
 
 def seedless_optimum(cert, s):
     """The clique number by the branch and bound with no seed and no orbits."""
-    return search._Solver(search.build_graph(cert, s).adjacency).maximize()[0]
+    return search._Solver(search.build_graph(cert, s)).maximize()[0]
 
 
 def differential_certs():
@@ -339,7 +343,7 @@ def test_candidates_are_automorphisms_and_a_full_top_fiber_is_one_orbit(text):
             masks = {x.atoms for x in families.enumerate_fiber(spec, i)}
             assert {g(x) for x in families.enumerate_fiber(spec, i)} == masks, (i, text)
     cert = full_fiber(spec)
-    orbits = search.member_orbits(cert)
+    orbits = search._orbits(cert.size, search.kept_symmetries(cert))
     assert len(orbits) == 1 and sorted(orbits[0]) == list(range(cert.size))
 
 
@@ -351,11 +355,11 @@ def swap_atoms(a, b):
 def test_a_candidate_that_moves_the_design_is_dropped(monkeypatch):
     cert = generate_linear_oa(3, 3)  # rows (x, y, x + y): only the position swap (1 2) keeps them
     real = families.symmetries(cert.spec)
-    assert len(search.member_orbits(cert)) == 6
+    assert len(search._orbits(cert.size, search.kept_symmetries(cert))) == 6
     expected = search.max_intersecting(cert, 1, enumerate_all=True)
     # values 0 and 1 swapped at position 3, atoms 6 and 7: (0, 0, 0) leaves the design
     monkeypatch.setattr(families, "symmetries", lambda spec: [swap_atoms(6, 7), *real])
-    assert len(search.member_orbits(cert)) == 6
+    assert len(search._orbits(cert.size, search.kept_symmetries(cert))) == 6
     result = search.max_intersecting(cert, 1, enumerate_all=True)
     assert (result.optimum, result.all_max, result.orbits) == (expected.optimum, expected.all_max, 6)
 
@@ -393,7 +397,7 @@ def test_stabilizer_generators_fix_the_root_and_its_orbits_keep_the_levels(text)
     cert = full_fiber(families.parse_family_spec(text))
     members, generators = cert.elements, search.kept_symmetries(cert)
     for s in range(1, cert.spec.top_rank + 1):
-        adj = search.build_graph(cert, s).adjacency
+        adj = search.build_graph(cert, s)
         for r in (0, cert.size // 3, cert.size - 1):
             kept, orbits = search._stabilizer(adj, generators, r)
             assert kept, (s, r)
@@ -456,12 +460,13 @@ def test_node_budget_exhaustion():
     assert len(result.witness) == result.optimum
 
 
-def test_enumeration_overflow_reported_not_truncated(fano_cert):
-    result = search.max_intersecting(fano_cert, 1, enumerate_all=True, all_max_cap=0)
+def test_enumeration_overflow_reported_not_truncated(fano_cert, monkeypatch):
+    monkeypatch.setattr(search, "ALL_MAX_CAP", 0)
+    result = search.max_intersecting(fano_cert, 1, enumerate_all=True)
     assert result.all_max_overflow
     assert result.all_max is None
     # without all_max the deterministic witness still comes from the reconstruction
-    det = search.max_intersecting(fano_cert, 1, deterministic=True, enumerate_all=True, all_max_cap=0)
+    det = search.max_intersecting(fano_cert, 1, deterministic=True, enumerate_all=True)
     assert det.witness == search.max_intersecting(fano_cert, 1, deterministic=True).witness
 
 
