@@ -49,13 +49,35 @@ def min_meet_rank(spec: FamilySpec, family) -> int:
     return best
 
 
+def star_neighbourhoods(stars, n: int) -> list[int]:
+    """For each of n members, itself OR'd with every star mask that holds it.
+
+    Two members meet in rank >= s exactly when some rank-s element lies below
+    both, so over the rank-s stars of the members this is, per member, the
+    bitmask of the members meeting it in rank >= s, itself included."""
+    masks = [1 << j for j in range(n)]
+    for star in stars:
+        rest = star
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= star
+            rest ^= low
+    return masks
+
+
 def intersection_masks(members, s: int) -> list[int]:
-    """For each member, the bitmask of the members meeting it in rank >= s,
-    itself included; meet ranks are read from atom popcounts."""
+    """The same masks as `star_neighbourhoods` over the rank-s stars, pair by
+    pair: a rank-r meet has r common atoms, or q^r - 1 for the subspace kinds,
+    so each pair compares one popcount against one threshold."""
     masks = [1 << j for j in range(len(members))]
-    for i, x in enumerate(members):
-        for j in range(i + 1, len(members)):
-            if families.meet_rank(x, members[j]) >= s:
+    if not members:
+        return masks
+    q = members[0].spec.q
+    need = s if q is None else q**s - 1
+    atoms = [x.atoms for x in members]
+    for i, a in enumerate(atoms):
+        for j in range(i + 1, len(atoms)):
+            if (a & atoms[j]).bit_count() >= need:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -246,7 +268,8 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    # fiber x Y meet ranks and stars through `above`, and |Y|^2 / 2 for `near`
+    # fiber x Y meet ranks and stars through `above`; the |Y|^2 term stays in
+    # the gate, although `near` is now read off those stars, not built pair by pair
     need = max(size * len(members) * 2, len(members) ** 2)
     budget = families.DEFAULT_BUDGET
     if need > budget:
@@ -254,10 +277,11 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
             f"d_r scan needs about {need} comparisons, budget is {budget}",
             context={"fiber_size": size, "design_size": len(members)},
         )
-    near = intersection_masks(members, s)
+    stars = families.above(spec, s, members)
+    near = star_neighbourhoods(stars, len(members))
     best = None
     witness = None
-    for x, star_x in zip(families.enumerate_fiber(spec, s), families.above(spec, s, members)):
+    for x, star_x in zip(families.enumerate_fiber(spec, s), stars):
         for y, near_y in zip(members, near):
             if families.meet_rank(x, y) != r:
                 continue

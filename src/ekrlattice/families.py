@@ -337,7 +337,7 @@ def join_bounded(x: Element, y: Element) -> Element | None:
         if kind == "injection" and len(set(merged.values())) != len(merged):
             return None
         return Element(spec, tuple(sorted(merged.items())))
-    if x.rank + y.rank - meet(x, y).rank > top:
+    if x.rank + y.rank - meet_rank(x, y) > top:
         return None  # every upper bound has at least this rank
     # one row reduction of both (graph) row sets; for bilinear the span must
     # itself be the graph of a map, i.e. have no pivot in an image column
@@ -451,6 +451,13 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     return masks
 
 
+@lru_cache(maxsize=32)
+def _coefficients(r: int, i: int, q: int) -> tuple:
+    """The i-row RREF matrices with r columns over GF(q), shared by the calls of
+    `below` on elements of one rank."""
+    return tuple(gflib.enumerate_rref_matrices(r, i, gflib.field(q)))
+
+
 def below(x: Element, i: int) -> list[Element]:
     """The rank-i elements below x, in canonical order; no fiber is built.
 
@@ -464,8 +471,8 @@ def below(x: Element, i: int) -> list[Element]:
     fld = gflib.field(spec.q)
     cols = list(zip(*_rows(spec.kind, x.payload)))
     payloads = []
-    for coeffs in gflib.enumerate_rref_matrices(x.rank, i, fld):
-        rows = tuple(tuple(reduce(fld.add, map(fld.mul, c, col)) for col in cols) for c in coeffs)
+    for coeffs in _coefficients(x.rank, i, spec.q):
+        rows = tuple(tuple(fld.dot(c, col) for col in cols) for c in coeffs)
         payloads.append(_from_rows(spec, rows))
     return [Element(spec, p) for p in sorted(payloads)]
 

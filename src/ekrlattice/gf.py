@@ -13,6 +13,7 @@ routine is a pure function of its inputs.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import combinations, product
 
 from .errors import ParseError
@@ -125,6 +126,12 @@ class GF:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    def dot(self, a, b) -> int:
+        """The sum of a_i * b_i over two equal-length vectors."""
+        if self.k == 1:
+            return sum(map(operator.mul, a, b)) % self.q
+        return functools.reduce(self.add, map(self.mul, a, b), 0)
 
     def inv(self, a: int) -> int:
         if a == 0:

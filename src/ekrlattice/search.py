@@ -2,11 +2,17 @@
 
 Reformulated as maximum clique: vertices are design members and two are
 adjacent when their meet has rank at least s, so cliques are exactly the
-s-intersecting subfamilies.  The solver is one serial branch and bound
-with greedy coloring upper bounds over int bitmasks, seeded with the best
-star as the initial incumbent; the same branch routine enumerates every
-maximum clique and reconstructs the lexicographically least one.  Each
-returned family is re-verified through `families.meet`.
+s-intersecting subfamilies.  Two members meet in rank >= s exactly when
+some rank-s element lies below both, so the graph is the union of the
+rank-s stars over the members; one table of them (`_stars`, built from the
+centers below each member) gives both the graph and the best star, which
+seeds the search.  Where that table would cost more than the pairs, the
+graph is built pair by pair and the least member seeds the search.  The
+solver is one serial branch and bound with greedy coloring upper bounds
+over int bitmasks, started from the seed as the incumbent; the same branch
+routine enumerates every maximum clique and reconstructs the
+lexicographically least one.  Each returned family is re-verified through
+`families.meet`.
 
 The maximizing search starts one root subtree per orbit of the members
 under symmetries of the design.  This is sound because:
@@ -52,20 +58,56 @@ VERTEX_CAP = 5000  # design members a search graph may have
 ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
 
 
-def build_graph(cert: DesignCertificate, s: int) -> tuple[int, ...]:
-    """Exact adjacency by pairwise meet ranks, read from atom popcounts: one
-    bitmask per member in canonical order, bit j for member j, diagonal bits
-    set.  A design above `VERTEX_CAP` members is refused."""
+def _check_graph(cert: DesignCertificate, s: int) -> None:
+    """The s range first, then `VERTEX_CAP`, before any work."""
     if not 1 <= s <= cert.spec.top_rank:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
-    members = cert.elements
-    n = len(members)
+    n = len(cert.elements)
     if n > VERTEX_CAP:
         raise BudgetExceededError(
             f"design has {n} elements, vertex budget is {VERTEX_CAP}",
             context={"design_size": n},
         )
-    return tuple(ekr.intersection_masks(members, s))
+
+
+def _stars(cert: DesignCertificate, s: int) -> dict[tuple, int] | None:
+    """Center payload -> mask of the members above it, over the rank-s centers
+    below some member (`families.below`); no fiber is built.  None when |Y|
+    times the count below one member exceeds FIBER_CAP: the stars would then
+    cost more than the pairs."""
+    members = cert.elements
+    if len(members) * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
+        return None
+    stars: dict[tuple, int] = {}
+    for j, x in enumerate(members):
+        bit = 1 << j
+        for z in families.below(x, s):
+            stars[z.payload] = stars.get(z.payload, 0) | bit
+    return stars
+
+
+def _adjacency(cert: DesignCertificate, s: int, stars) -> tuple[int, ...]:
+    if stars is None:
+        return tuple(ekr.intersection_masks(cert.elements, s))
+    return tuple(ekr.star_neighbourhoods(stars.values(), len(cert.elements)))
+
+
+def _seed(cert: DesignCertificate, stars) -> tuple[int, tuple[Element, ...]]:
+    members = cert.elements
+    if stars is None:
+        return 1, members[:1]
+    best = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
+    return best.bit_count(), tuple(x for j, x in enumerate(members) if best >> j & 1)
+
+
+def build_graph(cert: DesignCertificate, s: int) -> tuple[int, ...]:
+    """Exact adjacency: one bitmask per member in canonical order, bit j for
+    member j, diagonal bits set.  Member j's mask is the OR of the rank-s stars
+    that hold j (`ekr.star_neighbourhoods`); above the stars' gate (see
+    `greedy_lower_bound`) it compares atom popcounts pair by pair
+    (`ekr.intersection_masks`).  A design above `VERTEX_CAP` members is refused."""
+    _check_graph(cert, s)
+    return _adjacency(cert, s, _stars(cert, s))
 
 
 def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Element, ...]]:
@@ -73,15 +115,7 @@ def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Elem
     always a valid s-intersecting family.  Only centers below a member have a
     nonempty star, so no fiber is built; when |Y| times the count below one
     member exceeds FIBER_CAP, the least member alone seeds the search instead."""
-    members = cert.elements
-    if len(members) * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
-        return 1, members[:1]
-    stars: dict[tuple, int] = {}  # center payload -> mask of the members above it
-    for j, x in enumerate(members):
-        for z in families.below(x, s):
-            stars[z.payload] = stars.get(z.payload, 0) | 1 << j
-    best = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
-    return best.bit_count(), tuple(x for j, x in enumerate(members) if best >> j & 1)
+    return _seed(cert, _stars(cert, s))
 
 
 def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
@@ -396,9 +430,11 @@ def max_intersecting(
     The witness and every family in `all_max` are re-verified through
     `families.meet` before they are returned; a failure raises AssertionError.
     """
-    adjacency = build_graph(cert, s)
+    _check_graph(cert, s)
+    stars = _stars(cert, s)  # one table gives the graph and the seed
+    adjacency = _adjacency(cert, s, stars)
     members = cert.elements
-    lb_size, lb_members = greedy_lower_bound(cert, s)
+    lb_size, lb_members = _seed(cert, stars)
     seed = set(lb_members)
     solver = _Solver(adjacency, kept_symmetries(cert))
     optimum, best_mask, proved = solver.maximize(

@@ -1,10 +1,11 @@
 """The lowest-atom fiber index (`families.above`), the elements below one
-element (`families.below`) and popcount meet ranks (`families.meet_rank`),
-checked against brute-force scans.
+element (`families.below`), popcount meet ranks (`families.meet_rank`) and
+the search graph built from stars, checked against brute-force scans.
 
 The whole-fiber loops that coverage, the star seed and d_r ran before they
-moved onto `above`, `below` and `meet_rank` are kept here as oracles; outputs,
-witnesses included, must be identical.
+moved onto `above`, `below` and `meet_rank`, and the pairwise meets the
+intersection graph was built from before it became a union of stars, are kept
+here as oracles; outputs, witnesses included, must be identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from ekrlattice import designs, ekr, families, parameters, search
-from ekrlattice.designs import DesignCertificate
+from ekrlattice.designs import DesignCertificate, full_fiber
 from ekrlattice.errors import FamilyMismatchError, VerificationError
 
 from conftest import GRID_SPECS, grid, star_members
@@ -31,6 +32,9 @@ MEET_RANK_SPECS = (
     "nbjohnson:m=4,n=3,k=2",
     "signed:m=4,k=2",
 )
+
+# q = 3 tells the subspace threshold q^s - 1 apart from s, which q = 2 at s <= 2 does not
+GRAPH_SPECS = (*GRID_SPECS, "grassmann:v=4,m=2,q=3", "bilinear:m=2,n=2,q=3")
 
 
 def brute_above(spec, i, elements):
@@ -70,6 +74,11 @@ def dr_oracle(cert, s, r):
             if best is None or count > best:
                 best, witness = count, (x, y)
     return best, witness
+
+
+def graph_oracle(elements, s):
+    """Adjacency by decoded pairwise meets, diagonal bits set."""
+    return tuple(sum(1 << k for k, y in enumerate(elements) if families.meet(x, y).rank >= s) for x in elements)
 
 
 def subfamilies(spec, seed):
@@ -147,3 +156,51 @@ def test_coverage_seed_and_dr_match_the_scans(text):
             for r in range(s):
                 report = ekr.compute_dr(cert, s, r)
                 assert (report.d_r, report.witness) == dr_oracle(cert, s, r), (s, r)
+
+
+def graph_cases(text):
+    spec = families.parse_family_spec(text)
+    top = spec.top_rank
+    for elements in subfamilies(spec, text):
+        cert = DesignCertificate(spec, elements, top, (1,) * (top + 1))  # unverified: indices unused
+        for s in range(1, top + 1):
+            yield cert, s
+
+
+@pytest.mark.parametrize("text", GRAPH_SPECS)
+def test_star_graph_matches_pairwise_meets(text):
+    for cert, s in graph_cases(text):
+        assert search.build_graph(cert, s) == graph_oracle(cert.elements, s), (len(cert.elements), s)
+
+
+@pytest.mark.parametrize("text", GRAPH_SPECS)
+def test_pairwise_graph_above_the_star_gate_matches_pairwise_meets(text, monkeypatch):
+    cases = list(graph_cases(text))  # built before the cap is lowered
+    monkeypatch.setattr(families, "FIBER_CAP", 0)
+    monkeypatch.setattr(families, "below", lambda x, i: pytest.fail("took the stars route"))
+    for cert, s in cases:
+        assert search.build_graph(cert, s) == graph_oracle(cert.elements, s), (len(cert.elements), s)
+        assert search.greedy_lower_bound(cert, s) == (1, cert.elements[:1])
+
+
+@pytest.mark.parametrize("text", ("johnson:v=7,m=3", "grassmann:v=4,m=2,q=2", "bilinear:m=2,n=2,q=2"))
+def test_search_builds_one_star_table_and_no_pairwise_meets(text, monkeypatch):
+    cert = full_fiber(families.parse_family_spec(text))
+    expected = search.max_intersecting(cert, 1, deterministic=True)
+    calls = []
+    below = families.below
+    monkeypatch.setattr(families, "below", lambda x, i: calls.append(x) or below(x, i))
+    monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("compared a pair"))
+    assert search.max_intersecting(cert, 1, deterministic=True) == expected
+    assert calls == list(cert.elements)
+
+
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_dr_reads_near_from_the_stars(text, monkeypatch):
+    spec = families.parse_family_spec(text)
+    top = spec.top_rank
+    cert = full_fiber(spec)
+    expected = {(s, r): ekr.compute_dr(cert, s, r) for s in range(1, top + 1) for r in range(s)}
+    monkeypatch.setattr(ekr, "intersection_masks", lambda members, s: pytest.fail("built a pairwise table"))
+    for (s, r), report in expected.items():
+        assert ekr.compute_dr(cert, s, r) == report
