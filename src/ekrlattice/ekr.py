@@ -66,18 +66,13 @@ def star_neighbourhoods(stars, n: int) -> list[int]:
 
 
 def intersection_masks(members, s: int) -> list[int]:
-    """The same masks as `star_neighbourhoods` over the rank-s stars, pair by
-    pair: a rank-r meet has r common atoms, or q^r - 1 for the subspace kinds,
-    so each pair compares one popcount against one threshold."""
+    """For each member, the bitmask of the members meeting it in rank >= s,
+    itself included, pair by pair; meet ranks are read from atom popcounts.
+    The same masks as `star_neighbourhoods` over the rank-s stars."""
     masks = [1 << j for j in range(len(members))]
-    if not members:
-        return masks
-    q = members[0].spec.q
-    need = s if q is None else q**s - 1
-    atoms = [x.atoms for x in members]
-    for i, a in enumerate(atoms):
-        for j in range(i + 1, len(atoms)):
-            if (a & atoms[j]).bit_count() >= need:
+    for i, x in enumerate(members):
+        for j in range(i + 1, len(members)):
+            if families.meet_rank(x, members[j]) >= s:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -268,8 +263,8 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    # fiber x Y meet ranks and stars through `above`; the |Y|^2 term stays in
-    # the gate, although `near` is now read off those stars, not built pair by pair
+    # fiber x Y meet ranks and stars through `above`; the |Y|^2 term, once the
+    # cost of a pairwise `near` table, is kept so the gate refuses what it did
     need = max(size * len(members) * 2, len(members) ** 2)
     budget = families.DEFAULT_BUDGET
     if need > budget:

@@ -451,13 +451,6 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     return masks
 
 
-@lru_cache(maxsize=32)
-def _coefficients(r: int, i: int, q: int) -> tuple:
-    """The i-row RREF matrices with r columns over GF(q), shared by the calls of
-    `below` on elements of one rank."""
-    return tuple(gflib.enumerate_rref_matrices(r, i, gflib.field(q)))
-
-
 def below(x: Element, i: int) -> list[Element]:
     """The rank-i elements below x, in canonical order; no fiber is built.
 
@@ -471,7 +464,7 @@ def below(x: Element, i: int) -> list[Element]:
     fld = gflib.field(spec.q)
     cols = list(zip(*_rows(spec.kind, x.payload)))
     payloads = []
-    for coeffs in _coefficients(x.rank, i, spec.q):
+    for coeffs in gflib.enumerate_rref_matrices(x.rank, i, fld):
         rows = tuple(tuple(fld.dot(c, col) for col in cols) for c in coeffs)
         payloads.append(_from_rows(spec, rows))
     return [Element(spec, p) for p in sorted(payloads)]

@@ -6,13 +6,13 @@ s-intersecting subfamilies.  Two members meet in rank >= s exactly when
 some rank-s element lies below both, so the graph is the union of the
 rank-s stars over the members; one table of them (`_stars`, built from the
 centers below each member) gives both the graph and the best star, which
-seeds the search.  Where that table would cost more than the pairs, the
-graph is built pair by pair and the least member seeds the search.  The
-solver is one serial branch and bound with greedy coloring upper bounds
-over int bitmasks, started from the seed as the incumbent; the same branch
-routine enumerates every maximum clique and reconstructs the
-lexicographically least one.  Each returned family is re-verified through
-`families.meet`.
+seeds the search.  Where that table would hold more than
+`families.FIBER_CAP` center entries, the graph is built pair by pair and
+the least member seeds the search.  The solver is one serial branch and
+bound with greedy coloring upper bounds over int bitmasks, started from the
+seed as the incumbent; the same branch routine enumerates every maximum
+clique and reconstructs the lexicographically least one.  Each returned
+family is re-verified through `families.meet`.
 
 The maximizing search starts one root subtree per orbit of the members
 under symmetries of the design.  This is sound because:
@@ -73,8 +73,8 @@ def _check_graph(cert: DesignCertificate, s: int) -> None:
 def _stars(cert: DesignCertificate, s: int) -> dict[tuple, int] | None:
     """Center payload -> mask of the members above it, over the rank-s centers
     below some member (`families.below`); no fiber is built.  None when |Y|
-    times the count below one member exceeds FIBER_CAP: the stars would then
-    cost more than the pairs."""
+    times the count below one member, the center entries this pass would
+    list, exceeds FIBER_CAP; the graph is then built pair by pair."""
     members = cert.elements
     if len(members) * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
         return None

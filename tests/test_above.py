@@ -33,7 +33,7 @@ MEET_RANK_SPECS = (
     "signed:m=4,k=2",
 )
 
-# q = 3 tells the subspace threshold q^s - 1 apart from s, which q = 2 at s <= 2 does not
+# q = 3 tells a rank-s meet's q^s - 1 atoms apart from s atoms, which q = 2 at s <= 2 does not
 GRAPH_SPECS = (*GRID_SPECS, "grassmann:v=4,m=2,q=3", "bilinear:m=2,n=2,q=3")
 
 
