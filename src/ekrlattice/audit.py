@@ -23,7 +23,7 @@ small for it is refused before any fiber is built.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
@@ -40,8 +40,7 @@ CHECK_IDS = (
 )
 
 
-@dataclass
-class AuditCheck:
+class AuditCheck(NamedTuple):
     check_id: str
     passed: bool
     cases: int
@@ -49,8 +48,7 @@ class AuditCheck:
     elapsed: float
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     spec: FamilySpec
     checks: list[AuditCheck]
 

@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
 
 from . import __version__, designs, ekr, families, parameters, search
 from .audit import audit as run_audit
@@ -35,21 +34,17 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _fields(record) -> dict:
-    """A dataclass record's fields, one level deep."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
 def _normalize(obj, flag: dict):
     """The JSON form of a report value; the one place that encodes elements,
-    family specs and records.  Elements and specs are dataclasses too, so
-    they are checked first and become their text encodings."""
+    family specs and records.  All three are named tuples, so they are
+    checked before tuples: elements and specs become their text encodings,
+    any other record the dict of its fields."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (families.Element, families.FamilySpec)):
         return str(obj)
-    if is_dataclass(obj):
-        return _normalize(_fields(obj), flag)
+    if hasattr(obj, "_asdict"):
+        return _normalize(obj._asdict(), flag)
     if isinstance(obj, int):
         if obj > _INT64_MAX or obj < _INT64_MIN:
             flag["hit"] = True
@@ -203,7 +198,7 @@ def _load_cert(args):
 def _cmd_ekr_check(args):
     cert = _load_cert(args)
     report = ekr.check_conditions(cert, args.s)
-    result = _fields(report)
+    result = report._asdict()
     result["family"] = result.pop("spec")
     result["design_size"] = cert.size
     lines = [f"{cert.spec}: design of {cert.size} elements, s={report.s}, t={report.t}, bound lambda_s={report.bound}"]
@@ -231,7 +226,7 @@ def _cmd_ekr_check(args):
 def _cmd_dr(args):
     cert = _load_cert(args)
     report = ekr.compute_dr(cert, args.s, args.r)
-    result = _fields(report)
+    result = report._asdict()
     result["family"] = cert.spec
     result["within_bound"] = None if report.d_r is None else report.d_r <= report.bound
     if report.witness is not None:
@@ -253,7 +248,7 @@ def _cmd_search_max(args):
         enumerate_all=args.all,
         node_budget=args.node_budget,
     )
-    result = {"family": cert.spec, "s": args.s, "design_size": cert.size, **_fields(result_obj)}
+    result = {"family": cert.spec, "s": args.s, "design_size": cert.size, **result_obj._asdict()}
     lines = [
         f"maximum {args.s}-intersecting family size: {result_obj.optimum} "
         f"({result_obj.status}, {result_obj.nodes} nodes, {result_obj.orbits} orbits)",
@@ -275,7 +270,7 @@ def _cmd_verify_extremal(args):
             f"family file spec {spec} does not match design spec {cert.spec}"
         )
     verdict = ekr.verify_extremal(cert, members, args.s)
-    result = {"family": cert.spec, "s": args.s, **_fields(verdict)}
+    result = {"family": cert.spec, "s": args.s, **verdict._asdict()}
     line = f"family of {verdict.size} vs bound {verdict.bound}: {verdict.status}"
     if verdict.center is not None:
         line += f" (center {verdict.center})"

@@ -18,7 +18,7 @@ Design files are UTF-8 with LF line endings::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
@@ -27,19 +27,16 @@ from .errors import BudgetExceededError, NonIntegralError, ParseError, Verificat
 from .families import Element, FamilySpec
 
 
-@dataclass(frozen=True)
-class DesignCertificate:
-    """A verified design: elements, strength, and exact index vector.  The
-    elements are kept in canonical (payload) order whatever order they came
-    in, so nothing read off a certificate depends on a design file's row order."""
+class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices")):
+    """A verified design: spec, elements, strength, and exact index vector
+    (indices[j] == lambda_j for 0 <= j <= strength).  The elements are kept
+    in canonical (payload) order whatever order they came in, so nothing read
+    off a certificate depends on a design file's row order."""
 
-    spec: FamilySpec
-    elements: tuple[Element, ...]
-    strength: int
-    indices: tuple[int, ...]  # indices[j] == lambda_j for 0 <= j <= strength
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements, key=lambda x: x.payload)))
+    def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...]):
+        return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices)
 
     @property
     def size(self) -> int:

@@ -22,7 +22,7 @@ never silently reconciled with the raw rows:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import families, parameters
 from .designs import DesignCertificate
@@ -85,8 +85,7 @@ def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
     return min_meet_rank(spec, family) >= s
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(NamedTuple):
     """One r-row of the hypothesis, in design-index and theta form."""
 
     r: int
@@ -98,8 +97,7 @@ class ConditionRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class RemarkRow:
+class RemarkRow(NamedTuple):
     r: int
     conditions: tuple[str, ...]
     lhs: int
@@ -107,8 +105,7 @@ class RemarkRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     spec: FamilySpec
     s: int
     t: int
@@ -236,8 +233,7 @@ def ekr_bound(cert: DesignCertificate, s: int) -> int:
     return cert.indices[s]
 
 
-@dataclass(frozen=True)
-class DrReport:
+class DrReport(NamedTuple):
     """Exact d_r with its witness pair and the applicable bound."""
 
     r: int
@@ -263,9 +259,9 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    # fiber x Y meet ranks and stars through `above`; the |Y|^2 term, once the
-    # cost of a pairwise `near` table, is kept so the gate refuses what it did
-    need = max(size * len(members) * 2, len(members) ** 2)
+    # fiber x Y meet ranks, and at most as many `leq` tests in `above`; the
+    # `near` table's ORs, |Y| nu(s, M), are fewer, since nu(s, M) <= size
+    need = size * len(members) * 2
     budget = families.DEFAULT_BUDGET
     if need > budget:
         raise BudgetExceededError(
@@ -286,8 +282,7 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     return DrReport(r=r, s=s, d_r=best, bound=bound, witness=witness)
 
 
-@dataclass(frozen=True)
-class ExtremalVerdict:
+class ExtremalVerdict(NamedTuple):
     """How an intersecting family compares with the bound lambda_s."""
 
     size: int

@@ -24,7 +24,7 @@ nbjohnson and 1-based for injection and signed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from typing import Iterator
@@ -47,22 +47,18 @@ _REQUIRED = {
 _MAP_KINDS = ("hamming", "injection", "nbjohnson", "signed")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5)):
     """Which family, plus its integer parameters.
 
     The top rank M is m for johnson/grassmann/hamming/bilinear/injection
-    and k for nbjohnson/signed.
+    and k for nbjohnson/signed.  A named tuple, so it hashes and compares
+    in C; the parameters are validated when it is built.
     """
 
-    kind: str
-    v: int | None = None
-    m: int | None = None
-    n: int | None = None
-    q: int | None = None
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _REQUIRED:
             raise ParseError(f"unknown family kind {self.kind!r}")
         required = _REQUIRED[self.kind]
@@ -92,6 +88,7 @@ class FamilySpec:
                 gflib.field(self.q)
             except ParseError as exc:
                 raise ParseError(f"{kind}: {exc}") from exc
+        return self
 
     @property
     def top_rank(self) -> int:
@@ -127,12 +124,9 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(kind=kind, **params)
 
 
-@dataclass(frozen=True)
-class Element:
-    """One canonical semilattice point; equality is payload equality."""
-
-    spec: FamilySpec
-    payload: tuple
+class Element(namedtuple("Element", "spec payload")):
+    """One canonical semilattice point: equal and hashed as (spec, payload),
+    both in C.  No `__slots__`, so the cached `atoms` has a `__dict__`."""
 
     @property
     def rank(self) -> int:
@@ -145,10 +139,24 @@ class Element:
         """Bitmask of the atoms below this element, computed once."""
         return _atoms(self.spec).encode(self.payload)
 
-    def __lt__(self, other: "Element") -> bool:
+    # Tuple order would compare (spec, payload); elements order by payload
+    # within one family and refuse to compare across families.
+    def _other_payload(self, other: "Element") -> tuple:
         if self.spec != other.spec:
             raise FamilyMismatchError("cannot order elements of different families")
-        return self.payload < other.payload
+        return other.payload
+
+    def __lt__(self, other: "Element") -> bool:
+        return self.payload < self._other_payload(other)
+
+    def __le__(self, other: "Element") -> bool:
+        return self.payload <= self._other_payload(other)
+
+    def __gt__(self, other: "Element") -> bool:
+        return self.payload > self._other_payload(other)
+
+    def __ge__(self, other: "Element") -> bool:
+        return self.payload >= self._other_payload(other)
 
     def __str__(self) -> str:
         return format_element(self)

@@ -46,8 +46,8 @@ every clique or the canonical order and use no orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
+from typing import NamedTuple
 
 from . import ekr, families, parameters
 from .designs import DesignCertificate
@@ -219,8 +219,7 @@ def _stabilizer(adj, generators, r):
     return kept, orbits
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     optimum: int
     witness: tuple[Element, ...]
     all_max: tuple[tuple[Element, ...], ...] | None

@@ -227,14 +227,20 @@ def test_dr_scan_is_refused_before_its_fiber_is_built(monkeypatch):
     assert err.value.context == {"fiber_size": 847660528, "design_size": 1}
 
 
-def test_dr_budget_counts_the_pairwise_table(monkeypatch):
-    # |Y|^2 = 63,504 dominates 2 * fiber * |Y| = 5,040 at s=1
+def test_dr_budget_counts_the_scan_not_pairs(monkeypatch):
+    # 2 * fiber * |Y| = 2 * 10 * 252 = 5,040; the stars' |Y| * nu(1, 5) = 1,260
+    # ORs are fewer, and no |Y|^2 = 63,504 pairwise table is charged
     cert = full_fiber(families.parse_family_spec("johnson:v=10,m=5"))
-    monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("compared before the budget check"))
+    expected = ekr.compute_dr(cert, 1, 0)
+    assert (expected.d_r, expected.bound) == (125, 280)
     monkeypatch.setattr(families, "DEFAULT_BUDGET", 10_000)
+    assert ekr.compute_dr(cert, 1, 0) == expected
+    for name in ("meet_rank", "leq"):
+        monkeypatch.setattr(families, name, lambda x, y: pytest.fail("compared before the budget check"))
+    monkeypatch.setattr(families, "DEFAULT_BUDGET", 5_039)
     with pytest.raises(BudgetExceededError) as err:
         ekr.compute_dr(cert, 1, 0)
-    assert str(err.value) == "d_r scan needs about 63504 comparisons, budget is 10000"
+    assert str(err.value) == "d_r scan needs about 5040 comparisons, budget is 5039"
     assert err.value.context == {"fiber_size": 10, "design_size": 252}
 
 

@@ -148,6 +148,30 @@ def test_family_mismatch_raises():
         families.join_bounded(a, b)
 
 
+def test_element_order_is_payload_order_within_one_family():
+    # the tuple base would compare (spec, payload); every order test reads payloads
+    js = families.parse_family_spec("johnson:v=4,m=2")
+    lo, hi = families.parse_element(js, "1 2"), families.parse_element(js, "1 3")
+    assert (lo < hi, lo <= hi, lo > hi, lo >= hi) == (True, True, False, False)
+    assert (hi < lo, hi <= lo, hi > lo, hi >= lo) == (False, False, True, True)
+    assert (lo < lo, lo <= lo, lo > lo, lo >= lo) == (False, True, False, True)
+    # "johnson:v=6" > "johnson:v=4" as specs, yet no order crosses families
+    other = families.parse_element(families.parse_family_spec("johnson:v=6,m=2"), "1 2")
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(FamilyMismatchError):
+            getattr(lo, compare)(other)
+    with pytest.raises(FamilyMismatchError):
+        other > lo
+    with pytest.raises(FamilyMismatchError):
+        sorted([lo, other])
+    # equal but distinct spec objects give equal, equally hashed elements
+    twin = families.parse_family_spec("johnson:v=4,m=2")
+    assert twin is not js
+    copy = families.Element(twin, (1, 2))
+    assert copy == lo and hash(copy) == hash(lo) and copy != other
+    assert {lo: 1}[copy] == 1
+
+
 # ---------------------------------------------------------------------------
 # fibers
 

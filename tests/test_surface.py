@@ -1,9 +1,13 @@
-"""The public surface: every exported name resolves, and the resource limits
-that only the library sets are module constants, not per-call parameters."""
+"""The public surface: every exported name resolves, the resource limits
+that only the library sets are module constants, not per-call parameters,
+and importing the CLI loads no code-generation modules."""
 
 from __future__ import annotations
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +30,18 @@ def test_every_exported_name_resolves():
 )
 def test_no_function_takes_a_limit_the_cli_does_not_set(fn):
     assert REMOVED_LIMITS.isdisjoint(inspect.signature(fn).parameters)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI run is one process, so what `import ekrlattice.cli` loads is paid every time
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); import ekrlattice.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60
+    )
+    added = set(proc.stdout.split())
+    assert "ekrlattice.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
