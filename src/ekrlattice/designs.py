@@ -38,6 +38,11 @@ class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength 
     def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...]):
         return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through `__new__`, so `_replace` keeps payload order too."""
+        return cls(*iterable)
+
     @property
     def size(self) -> int:
         return len(self.elements)

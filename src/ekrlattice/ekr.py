@@ -249,7 +249,8 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     Quantifies over every x in the rank-s fiber and every y in Y with
     rank(x /\\ y) == r, and compares against mu(r,s) * lambda_j where
     j = t when r <= 2s-t and j = 2s-r otherwise.  The scan is refused before
-    it starts when its comparisons exceed `families.DEFAULT_BUDGET`.
+    it starts when its comparisons, or the word operations that fill its
+    `near` table, exceed `families.DEFAULT_BUDGET`.
     """
     spec = cert.spec
     t = cert.strength
@@ -259,17 +260,19 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    # fiber x Y meet ranks, and at most as many `leq` tests in `above`; the
-    # `near` table's ORs, |Y| nu(s, M), are fewer, since nu(s, M) <= size
-    need = size * len(members) * 2
+    # fiber x Y meet ranks, and at most as many `leq` tests in `above`; or the
+    # `near` table's |Y| nu(s, M) ORs, each over |Y| bits (|Y| // 64 + 1
+    # words), which also bounds the table's |Y|^2 bits
+    n = len(members)
+    need = max(size * n * 2, n * parameters.nu(spec, s, spec.top_rank) * (n // 64 + 1))
     budget = families.DEFAULT_BUDGET
     if need > budget:
         raise BudgetExceededError(
             f"d_r scan needs about {need} comparisons, budget is {budget}",
-            context={"fiber_size": size, "design_size": len(members)},
+            context={"fiber_size": size, "design_size": n},
         )
     stars = families.above(spec, s, members)
-    near = star_neighbourhoods(stars, len(members))
+    near = star_neighbourhoods(stars, n)
     best = None
     witness = None
     for x, star_x in zip(families.enumerate_fiber(spec, s), stars):

@@ -52,7 +52,8 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
 
     The top rank M is m for johnson/grassmann/hamming/bilinear/injection
     and k for nbjohnson/signed.  A named tuple, so it hashes and compares
-    in C; the parameters are validated when it is built.
+    in C; the parameters are validated when it is built, also by `_make`
+    and `_replace`.
     """
 
     __slots__ = ()
@@ -89,6 +90,11 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
             except ParseError as exc:
                 raise ParseError(f"{kind}: {exc}") from exc
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through `__new__`, so `_replace` validates too."""
+        return cls(*iterable)
 
     @property
     def top_rank(self) -> int:

@@ -33,6 +33,12 @@ def test_fano_is_not_a_3_design(fano_spec, fano_elements):
     assert {c1, c2} == {0, 1}
 
 
+def test_replace_keeps_the_certificate_in_payload_order(fano_cert):
+    rows = fano_cert.elements
+    assert fano_cert._replace(elements=rows[::-1]) == fano_cert
+    assert designs.DesignCertificate._make((fano_cert.spec, rows[::-1], 2, fano_cert.indices)).elements == rows
+
+
 def test_full_fiber_certificates():
     js = families.parse_family_spec("johnson:v=5,m=2")
     cert = designs.full_fiber(js)

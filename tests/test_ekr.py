@@ -244,6 +244,21 @@ def test_dr_budget_counts_the_scan_not_pairs(monkeypatch):
     assert err.value.context == {"fiber_size": 10, "design_size": 252}
 
 
+def test_dr_budget_counts_the_near_table_words(monkeypatch):
+    # 924 members: the scan is 2 * 12 * 924 = 22,176, while the near table's
+    # 924 * nu(1, 6) = 5,544 ORs span 924 // 64 + 1 = 15 words each: 83,160
+    cert = full_fiber(families.parse_family_spec("johnson:v=12,m=6"))
+    monkeypatch.setattr(families, "DEFAULT_BUDGET", 83_160)
+    result = ekr.compute_dr(cert, 1, 0)
+    assert (result.d_r, result.bound) == (461, 1260)
+    monkeypatch.setattr(families, "above", lambda *args: pytest.fail("built the stars before the budget check"))
+    monkeypatch.setattr(families, "DEFAULT_BUDGET", 83_159)
+    with pytest.raises(BudgetExceededError) as err:
+        ekr.compute_dr(cert, 1, 0)
+    assert str(err.value) == "d_r scan needs about 83160 comparisons, budget is 83159"
+    assert err.value.context == {"fiber_size": 12, "design_size": 924}
+
+
 def test_verify_extremal_star_is_extremal(monkeypatch):
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = full_fiber(hs)

@@ -65,6 +65,17 @@ def test_bad_specs_rejected(bad):
         families.parse_family_spec(bad)
 
 
+def test_replace_validates_the_spec():
+    gs = families.parse_family_spec("grassmann:v=4,m=2,q=2")
+    assert gs._replace(q=3) == families.parse_family_spec("grassmann:v=4,m=2,q=3")
+    with pytest.raises(ParseError):
+        gs._replace(q=6)
+    with pytest.raises(ParseError):
+        gs._replace(m=3)
+    with pytest.raises(ParseError):
+        families.FamilySpec._make(("johnson", 4, 2, None, 2, None))
+
+
 def test_top_rank():
     assert families.parse_family_spec("johnson:v=7,m=3").top_rank == 3
     assert families.parse_family_spec("nbjohnson:m=4,n=3,k=2").top_rank == 2
