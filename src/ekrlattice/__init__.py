@@ -59,12 +59,7 @@ from .families import (
     parse_family_spec,
 )
 from .parameters import alpha, mu, nu, oracle_count, qbinom, theta
-from .search import (
-    SearchResult,
-    build_graph,
-    greedy_lower_bound,
-    max_intersecting,
-)
+from .search import SearchResult, max_intersecting
 
 __all__ = [
     "__version__",
@@ -85,7 +80,6 @@ __all__ = [
     "VerificationError",
     "alpha",
     "audit",
-    "build_graph",
     "check_conditions",
     "compute_dr",
     "derive_index",
@@ -95,7 +89,6 @@ __all__ = [
     "format_element",
     "full_fiber",
     "generate_linear_oa",
-    "greedy_lower_bound",
     "is_design",
     "is_intersecting",
     "join_bounded",

@@ -4,7 +4,7 @@ Reformulated as maximum clique: vertices are design members and two are
 adjacent when their meet has rank at least s, so cliques are exactly the
 s-intersecting subfamilies.  Two members meet in rank >= s exactly when
 some rank-s element lies below both, so the graph is the union of the
-rank-s stars over the members; one table of them (`_stars`, built from the
+rank-s stars over the members; one table of them (`_graph`, built from the
 centers below each member) gives both the graph and the best star, which
 seeds the search.  Where that table would hold more than
 `families.FIBER_CAP` center entries, the graph is built pair by pair and
@@ -58,64 +58,32 @@ VERTEX_CAP = 5000  # design members a search graph may have
 ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
 
 
-def _check_graph(cert: DesignCertificate, s: int) -> None:
-    """The s range first, then `VERTEX_CAP`, before any work."""
+def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
+    """(adjacency, seed mask) of the search, bit j for member j, after the s
+    range and then `VERTEX_CAP` are checked.  Member j's mask, its own bit
+    set, is the OR of the rank-s stars holding j (`ekr.star_neighbourhoods`),
+    tabulated from the centers below each member, so no fiber is built; the
+    seed is the first largest star in canonical center order.  When that table
+    would list more than `families.FIBER_CAP` center entries, the graph is
+    built pair by pair (`ekr.intersection_masks`) and member 0 is the seed."""
     if not 1 <= s <= cert.spec.top_rank:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
-    n = len(cert.elements)
+    members = cert.elements
+    n = len(members)
     if n > VERTEX_CAP:
         raise BudgetExceededError(
             f"design has {n} elements, vertex budget is {VERTEX_CAP}",
             context={"design_size": n},
         )
-
-
-def _stars(cert: DesignCertificate, s: int) -> dict[tuple, int] | None:
-    """Center payload -> mask of the members above it, over the rank-s centers
-    below some member (`families.below`); no fiber is built.  None when |Y|
-    times the count below one member, the center entries this pass would
-    list, exceeds FIBER_CAP; the graph is then built pair by pair."""
-    members = cert.elements
-    if len(members) * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
-        return None
-    stars: dict[tuple, int] = {}
+    if n * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
+        return tuple(ekr.intersection_masks(members, s)), 1
+    stars: dict[tuple, int] = {}  # center payload -> mask of the members above it
     for j, x in enumerate(members):
         bit = 1 << j
         for z in families.below(x, s):
             stars[z.payload] = stars.get(z.payload, 0) | bit
-    return stars
-
-
-def _adjacency(cert: DesignCertificate, s: int, stars) -> tuple[int, ...]:
-    if stars is None:
-        return tuple(ekr.intersection_masks(cert.elements, s))
-    return tuple(ekr.star_neighbourhoods(stars.values(), len(cert.elements)))
-
-
-def _seed(cert: DesignCertificate, stars) -> tuple[int, tuple[Element, ...]]:
-    members = cert.elements
-    if stars is None:
-        return 1, members[:1]
-    best = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
-    return best.bit_count(), tuple(x for j, x in enumerate(members) if best >> j & 1)
-
-
-def build_graph(cert: DesignCertificate, s: int) -> tuple[int, ...]:
-    """Exact adjacency: one bitmask per member in canonical order, bit j for
-    member j, diagonal bits set.  Member j's mask is the OR of the rank-s stars
-    that hold j (`ekr.star_neighbourhoods`); above the stars' gate (see
-    `greedy_lower_bound`) it compares atom popcounts pair by pair
-    (`ekr.intersection_masks`).  A design above `VERTEX_CAP` members is refused."""
-    _check_graph(cert, s)
-    return _adjacency(cert, s, _stars(cert, s))
-
-
-def greedy_lower_bound(cert: DesignCertificate, s: int) -> tuple[int, tuple[Element, ...]]:
-    """Best star over rank-s centers, the first of maximum size in canonical order;
-    always a valid s-intersecting family.  Only centers below a member have a
-    nonempty star, so no fiber is built; when |Y| times the count below one
-    member exceeds FIBER_CAP, the least member alone seeds the search instead."""
-    return _seed(cert, _stars(cert, s))
+    seed = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
+    return tuple(ekr.star_neighbourhoods(stars.values(), n)), seed
 
 
 def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
@@ -334,14 +302,14 @@ class _Solver:
             candidates &= ~drop
         return False
 
-    def maximize(self, init_size=0, init_mask=0, node_budget=None):
-        """Returns (best size, best mask, proved) growing from the incumbent;
-        at most `node_budget` nodes are visited."""
+    def maximize(self, init_mask=0, node_budget=None):
+        """Returns (best size, best mask, proved) growing from the incumbent
+        clique `init_mask`; at most `node_budget` nodes are visited."""
 
         def record(size, mask):
             self.best_size, self.best_mask, self.need = size, mask, size + 1
 
-        record(init_size, _map_bits(init_mask, self.position))
+        record(init_mask.bit_count(), _map_bits(init_mask, self.position))
         self.node_budget, proved = node_budget, True
         try:
             if self.n:
@@ -351,15 +319,16 @@ class _Solver:
         self.node_budget = None  # the budget bounds this search only
         return self.best_size, _map_bits(self.best_mask, self.order), proved
 
-    def enumerate_exact(self, target, cap):
-        """All cliques of size exactly target, which must be the clique number."""
+    def enumerate_exact(self, target):
+        """All cliques of size exactly target, which must be the clique number,
+        and False; None and True when there are more than `ALL_MAX_CAP`."""
         if target == 0:
             return [0], False
         out = []
 
         def collect(size, mask):
             out.append(mask)
-            if len(out) > cap:
+            if len(out) > ALL_MAX_CAP:
                 raise _Overflow
 
         self.need = target
@@ -429,16 +398,10 @@ def max_intersecting(
     The witness and every family in `all_max` are re-verified through
     `families.meet` before they are returned; a failure raises AssertionError.
     """
-    _check_graph(cert, s)
-    stars = _stars(cert, s)  # one table gives the graph and the seed
-    adjacency = _adjacency(cert, s, stars)
+    adjacency, seed = _graph(cert, s)
     members = cert.elements
-    lb_size, lb_members = _seed(cert, stars)
-    seed = set(lb_members)
     solver = _Solver(adjacency, kept_symmetries(cert))
-    optimum, best_mask, proved = solver.maximize(
-        lb_size, sum(1 << j for j, x in enumerate(members) if x in seed), node_budget
-    )
+    optimum, best_mask, proved = solver.maximize(seed, node_budget)
     status = "proved-optimal" if proved else "budget-exhausted"
 
     def read(mask):  # bit j is member j, so the family comes out sorted
@@ -448,7 +411,7 @@ def max_intersecting(
     all_max = None
     overflow = False
     if proved and enumerate_all:
-        masks, overflow = solver.enumerate_exact(optimum, ALL_MAX_CAP)
+        masks, overflow = solver.enumerate_exact(optimum)
         if not overflow:
             all_max = tuple(sorted(map(read, masks)))
     if proved and deterministic:

@@ -27,6 +27,12 @@ def star_members(elements, z):
     return tuple(sorted(x for x in elements if families.leq(z, x)))
 
 
+def seed_family(cert, mask):
+    """(size, members) of a seed mask, bit j for member j, members in canonical order."""
+    members = tuple(x for j, x in enumerate(cert.elements) if mask >> j & 1)
+    return len(members), members
+
+
 @pytest.fixture(scope="session")
 def fano_spec():
     return families.parse_family_spec("johnson:v=7,m=3")

@@ -18,7 +18,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import DesignCertificate, full_fiber
 from ekrlattice.errors import FamilyMismatchError, VerificationError
 
-from conftest import GRID_SPECS, grid, star_members
+from conftest import GRID_SPECS, grid, seed_family, star_members
 
 MEET_RANK_SPECS = (
     "johnson:v=6,m=3",
@@ -152,7 +152,7 @@ def test_coverage_seed_and_dr_match_the_scans(text):
                 assert caught.value.witness == witness
         cert = DesignCertificate(spec, elements, top, (1,) * (top + 1))  # unverified: indices unused
         for s in range(1, top + 1):
-            assert search.greedy_lower_bound(cert, s) == greedy_oracle(cert, s)
+            assert seed_family(cert, search._graph(cert, s)[1]) == greedy_oracle(cert, s)
             for r in range(s):
                 report = ekr.compute_dr(cert, s, r)
                 assert (report.d_r, report.witness) == dr_oracle(cert, s, r), (s, r)
@@ -170,7 +170,7 @@ def graph_cases(text):
 @pytest.mark.parametrize("text", GRAPH_SPECS)
 def test_star_graph_matches_pairwise_meets(text):
     for cert, s in graph_cases(text):
-        assert search.build_graph(cert, s) == graph_oracle(cert.elements, s), (len(cert.elements), s)
+        assert search._graph(cert, s)[0] == graph_oracle(cert.elements, s), (len(cert.elements), s)
 
 
 @pytest.mark.parametrize("text", GRAPH_SPECS)
@@ -179,8 +179,22 @@ def test_pairwise_graph_above_the_star_gate_matches_pairwise_meets(text, monkeyp
     monkeypatch.setattr(families, "FIBER_CAP", 0)
     monkeypatch.setattr(families, "below", lambda x, i: pytest.fail("took the stars route"))
     for cert, s in cases:
-        assert search.build_graph(cert, s) == graph_oracle(cert.elements, s), (len(cert.elements), s)
-        assert search.greedy_lower_bound(cert, s) == (1, cert.elements[:1])
+        assert search._graph(cert, s) == (graph_oracle(cert.elements, s), 1), (len(cert.elements), s)
+
+
+@pytest.mark.parametrize("text", GRAPH_SPECS)
+def test_both_graph_routes_give_the_same_answers(text, monkeypatch):
+    # the seed changes only how fast the search proves the optimum, never what it returns
+    def answers(cert, s):
+        result = search.max_intersecting(cert, s, deterministic=True, enumerate_all=True)
+        return result.optimum, result.status, result.witness, result.all_max
+
+    cases = list(graph_cases(text))  # built before the cap is lowered
+    expected = [answers(cert, s) for cert, s in cases]
+    monkeypatch.setattr(families, "FIBER_CAP", 0)
+    monkeypatch.setattr(families, "below", lambda x, i: pytest.fail("took the stars route"))
+    for (cert, s), stars in zip(cases, expected):
+        assert answers(cert, s) == stars, (len(cert.elements), s)
 
 
 @pytest.mark.parametrize("text", ("johnson:v=7,m=3", "grassmann:v=4,m=2,q=2", "bilinear:m=2,n=2,q=2"))

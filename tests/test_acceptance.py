@@ -171,7 +171,7 @@ def test_criterion_7_determinism(tmp_path, monkeypatch, fano_cert):
         designs.full_fiber(families.parse_family_spec("johnson:v=7,m=3")),
     ]
     for cert in instances:
-        adjacency = search.build_graph(cert, 1)
+        adjacency, _ = search._graph(cert, 1)
         payloads = [x.payload for x in cert.elements]
         canonical = sorted(range(cert.size), key=payloads.__getitem__)
         degree = sorted(canonical, key=lambda i: -adjacency[i].bit_count())

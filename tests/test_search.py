@@ -19,7 +19,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import full_fiber, generate_linear_oa
 from ekrlattice.errors import BudgetExceededError
 
-from conftest import GRID_SPECS, star_members
+from conftest import GRID_SPECS, seed_family, star_members
 
 SAMPLES_DIR = Path(ekrlattice.__file__).parent / "samples"
 
@@ -59,40 +59,47 @@ def masks_of(result, cert):
     return sorted(out)
 
 
+def graph_of(cert, s):
+    return search._graph(cert, s)[0]
+
+
+def seed_of(cert, s):
+    return seed_family(cert, search._graph(cert, s)[1])
+
+
 def test_build_graph_fano_is_complete(fano_cert):
-    adjacency = search.build_graph(fano_cert, 1)
+    adjacency = graph_of(fano_cert, 1)
     full = (1 << len(adjacency)) - 1
     assert all(mask == full for mask in adjacency)
 
 
 def test_build_graph_hamming_degrees():
     cert = full_fiber(families.parse_family_spec("hamming:m=2,n=5"))
-    adjacency = search.build_graph(cert, 1)
+    adjacency = graph_of(cert, 1)
     assert len(adjacency) == 25
     assert all(mask.bit_count() == 9 for mask in adjacency)  # 8 neighbours + self
 
 
 def test_build_graph_top_rank_has_no_edges(fano_cert):
-    adjacency = search.build_graph(fano_cert, 3)
+    adjacency = graph_of(fano_cert, 3)
     assert all(adjacency[i] == 1 << i for i in range(len(adjacency)))
 
 
 def test_build_graph_vertex_budget(fano_cert, monkeypatch):
     monkeypatch.setattr(search, "VERTEX_CAP", 3)
-    for call in (search.build_graph, search.max_intersecting):
-        with pytest.raises(BudgetExceededError) as err:
-            call(fano_cert, 1)
-        assert str(err.value) == "design has 7 elements, vertex budget is 3"
-        assert err.value.context == {"design_size": 7}
+    with pytest.raises(BudgetExceededError) as err:
+        search.max_intersecting(fano_cert, 1)
+    assert str(err.value) == "design has 7 elements, vertex budget is 3"
+    assert err.value.context == {"design_size": 7}
 
 
 def test_greedy_lower_bound_examples(fano_cert):
-    assert search.greedy_lower_bound(generate_linear_oa(11, 3), 1)[0] == 11
-    size, members = search.greedy_lower_bound(fano_cert, 1)
+    assert seed_of(generate_linear_oa(11, 3), 1)[0] == 11
+    size, members = seed_of(fano_cert, 1)
     assert size == 3
     assert ekr.is_intersecting(fano_cert.spec, members, 1)
     cert = full_fiber(families.parse_family_spec("johnson:v=5,m=2"))
-    assert search.greedy_lower_bound(cert, 1)[0] == 4
+    assert seed_of(cert, 1)[0] == 4
 
 
 def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
@@ -102,7 +109,7 @@ def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
     cert = designs.make_certificate(spec, [families.parse_element(spec, row) for row in rows], 1)
     assert families.fiber_size(cert.spec, 6) > families.FIBER_CAP  # 3,838,380
     monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
-    assert search.greedy_lower_bound(cert, 6) == (1, (min(cert.elements),))
+    assert seed_of(cert, 6) == (1, (min(cert.elements),))
     result = search.max_intersecting(cert, 6, deterministic=True)
     assert (result.optimum, result.status) == (1, "proved-optimal")
     assert result.witness == (min(cert.elements),)
@@ -111,7 +118,7 @@ def test_star_seed_above_the_fiber_cap_is_the_least_member(monkeypatch):
     rows = [sorted(block) for block in blocks] + [sorted(set(range(1, 41)) - set(block)) for block in blocks]
     cert = designs.make_certificate(spec, [families.parse_element(spec, " ".join(map(str, row))) for row in rows], 1)
     assert len(cert.elements) * parameters.nu(spec, 10, 20) > families.FIBER_CAP  # 1,108,536
-    assert search.greedy_lower_bound(cert, 10) == (1, (min(cert.elements),))
+    assert seed_of(cert, 10) == (1, (min(cert.elements),))
     assert search.max_intersecting(cert, 10).status == "proved-optimal"
 
 
@@ -140,7 +147,7 @@ def test_hamming_m2_n5_all_maximum_families_are_the_ten_stars():
         stars.add(star_members(cert.elements, z))
     assert set(result.all_max) == stars
     # agreement with the independent enumerator
-    omega, cliques = bron_kerbosch_max_cliques(search.build_graph(cert, 1))
+    omega, cliques = bron_kerbosch_max_cliques(graph_of(cert, 1))
     assert omega == 5
     assert masks_of(result, cert) == cliques
 
@@ -151,7 +158,7 @@ def test_johnson_v7_optimum_is_the_classical_star_size():
     assert result.optimum == 15
     assert result.status == "proved-optimal"
     assert ekr.min_meet_rank(cert.spec, result.witness) >= 1
-    omega, _ = bron_kerbosch_max_cliques(search.build_graph(cert, 1))
+    omega, _ = bron_kerbosch_max_cliques(graph_of(cert, 1))
     assert omega == 15
 
 
@@ -177,7 +184,7 @@ def test_witness_is_always_valid_and_greedy_never_exceeds():
         result = search.max_intersecting(cert, s)
         assert ekr.min_meet_rank(cert.spec, result.witness) >= s
         assert len(result.witness) == result.optimum
-        assert search.greedy_lower_bound(cert, s)[0] <= result.optimum
+        assert seed_of(cert, s)[0] <= result.optimum
 
 
 def test_greedy_equals_optimum_when_conditions_hold():
@@ -188,7 +195,7 @@ def test_greedy_equals_optimum_when_conditions_hold():
     )
     for cert in instances:
         assert ekr.check_conditions(cert, 1).theorem_form
-        assert search.greedy_lower_bound(cert, 1)[0] == search.max_intersecting(cert, 1).optimum
+        assert seed_of(cert, 1)[0] == search.max_intersecting(cert, 1).optimum
 
 
 def test_bound_certified_on_truncated_families():
@@ -248,17 +255,17 @@ def test_solver_matches_bron_kerbosch_under_relabeling(graph, data):
     assert (size, proved) == (omega, True) and mask in cliques
     seed = data.draw(st.sampled_from(cliques)) & data.draw(st.integers(0, 2**14 - 1))  # a subclique
     seeded = search._Solver(relabeled)
-    size, mask, proved = seeded.maximize(seed.bit_count(), seed)
+    size, mask, proved = seeded.maximize(seed)
     assert (size, proved) == (omega, True) and mask in cliques
 
-    masks, overflow = search._Solver(relabeled).enumerate_exact(omega, 10**6)
+    masks, overflow = search._Solver(relabeled).enumerate_exact(omega)
     assert not overflow and sorted(masks) == cliques
     least = search._Solver(relabeled).lexicographically_least(omega)
     assert vertex_tuple(least) == min(vertex_tuple(m) for m in cliques)
 
     if seeded.nodes:
         budget = data.draw(st.integers(0, seeded.nodes - 1))
-        size, mask, proved = search._Solver(relabeled).maximize(seed.bit_count(), seed, budget)
+        size, mask, proved = search._Solver(relabeled).maximize(seed, budget)
         assert not proved
         assert seed.bit_count() <= size == mask.bit_count() and is_clique(relabeled, mask)
 
@@ -317,7 +324,7 @@ def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypat
 
 def seedless_optimum(cert, s):
     """The clique number by the branch and bound with no seed and no orbits."""
-    return search._Solver(search.build_graph(cert, s)).maximize()[0]
+    return search._Solver(graph_of(cert, s)).maximize()[0]
 
 
 def differential_certs():
@@ -397,7 +404,7 @@ def test_stabilizer_generators_fix_the_root_and_its_orbits_keep_the_levels(text)
     cert = full_fiber(families.parse_family_spec(text))
     members, generators = cert.elements, search.kept_symmetries(cert)
     for s in range(1, cert.spec.top_rank + 1):
-        adj = search.build_graph(cert, s)
+        adj = graph_of(cert, s)
         for r in (0, cert.size // 3, cert.size - 1):
             kept, orbits = search._stabilizer(adj, generators, r)
             assert kept, (s, r)
@@ -472,6 +479,6 @@ def test_enumeration_overflow_reported_not_truncated(fano_cert, monkeypatch):
 
 def test_invalid_s(fano_cert):
     with pytest.raises(ValueError):
-        search.build_graph(fano_cert, 0)
+        search.max_intersecting(fano_cert, 0)
     with pytest.raises(ValueError):
         search.max_intersecting(fano_cert, 4)
