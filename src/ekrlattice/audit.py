@@ -1,9 +1,14 @@
 """Exhaustive regularity audit for one family instance.
 
-Builds the whole truncated lattice, precomputes pairwise meets plus
-below/above bitmasks, and then checks by brute force:
+Builds the whole truncated lattice and reads the pairwise meet table off
+the elements' atom masks: entry (i, j) is the element whose atoms are
+`atoms(i) & atoms(j)`.  `families.meet` depends only on those common atoms,
+so it is called once per distinct meet, on the first pair that has it, and
+must decode to that element.  The below/above bitmasks fall out of the
+table.  Then it checks by brute force:
 
-* every pair has a unique greatest lower bound (the meet);
+* every pair has a unique greatest lower bound (the meet), and no two
+  elements share an atom mask;
 * covering steps raise rank by exactly one and every positive-rank element
   covers something;
 * the four constants mu/nu/theta/alpha are constant over ALL witness
@@ -88,32 +93,36 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     for i, e in enumerate(els):
         fiber_masks[e.rank] |= 1 << i
 
-    # pairwise meet table; below/above masks fall out of it
-    meets = [[0] * n for _ in range(n)]
-    missing = None
-    for i in range(n):
-        meets[i][i] = i
-        for j in range(i + 1, n):
-            m = families.meet(els[i], els[j])
-            mi = index.get(m)
-            if mi is None:
-                missing = (i, j)
-                mi = 0
-            meets[i][j] = meets[j][i] = mi
-    below = [0] * n  # bit z of below[i]: els[z] <= els[i]
-    for z in range(n):
-        bz = 1 << z
-        for i in range(n):
-            if meets[z][i] == z:
-                below[i] |= bz
+    # pairwise meet table read off the atom masks; below/above masks fall out of it
+    masks = [e.atoms for e in els]
+    at: dict[int, int] = {}
+    shared = None  # the first two elements with one atom mask
+    for i, mask in enumerate(masks):
+        if at.setdefault(mask, i) != i and shared is None:
+            shared = (at[mask], i)
+    meets = [[at.get(a & b) for b in masks] for a in masks]
+    first = {}  # meet index (None: no element has those atoms) -> its first pair i < j
+    for i, row in enumerate(meets):
+        for k in set(row[i + 1 :]).difference(first):
+            first[k] = (i, row.index(k, i + 1))
+    # a meet depends only on the common atoms, so one decode checks each distinct meet
+    not_canonical = min(
+        (pair for k, pair in first.items() if k is None or families.meet(els[pair[0]], els[pair[1]]) != els[k]),
+        default=None,
+    )
+    if None in first:  # the join check reads the meet's rank, so a missing meet reads as element 0
+        meets = [[0 if k is None else k for k in row] for row in meets]
+    below = [sum(1 << z for z, k in enumerate(row) if k == z) for row in meets]  # bit z: els[z] <= els[i]
     above = [0] * n
     for i in range(n):
         for z in _bits(below[i]):
             above[z] |= 1 << i
 
     def check_glb():
-        if missing is not None:
-            yield missing, "meet is not canonical"
+        if shared is not None:
+            yield shared, "elements share one atom mask"
+        if not_canonical is not None:
+            yield not_canonical, "meet is not canonical"
         for i in range(n):
             for j in range(i, n):
                 k = meets[i][j]

@@ -192,9 +192,10 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 #                so the meet of two maps is the intersection of their graphs.
 #
 # Vector c of GF(q)^width is bit sum_j c_j * q^(width-1-j).  Then meet is
-# `a & b` and leq is `a & ~b == 0`; the payload stays the codec and the
-# canonical sort key.  A rank-r element has r atoms (set and map kinds) or
-# q^r - 1 (subspace kinds), so the meet's rank is read off the popcount.
+# `a & b`, leq is `a & ~b == 0` and, for set and map kinds, join is `a | b`;
+# the payload stays the codec and the canonical sort key.  A rank-r element
+# has r atoms (set and map kinds) or q^r - 1 (subspace kinds), so the meet's
+# rank is read off the popcount.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
 _DECODED_CAP = 1 << 12  # decoded meet results kept per family
@@ -228,6 +229,11 @@ class _Atoms:
                 f"{spec} has {count} atoms, above the cap of {ATOM_CAP}",
                 context={"atoms": count, "atom_cap": ATOM_CAP},
             )
+        if kind in _MAP_KINDS:
+            # per position, its top atom (high) and the atoms under it (low)
+            ones = ((1 << count) - 1) // ((1 << self.stride) - 1)  # each position's first atom
+            self.high = ones << self.stride - 1
+            self.low = ones * ((1 << self.stride - 1) - 1)
         self.spec = spec
         self.decoded: dict[int, Element] = {}
 
@@ -248,6 +254,21 @@ class _Atoms:
             found = self.decoded[mask] = Element(self.spec, self._decode(mask))
             found.__dict__["atoms"] = mask
         return found
+
+    def clash(self, mask: int) -> bool:
+        """Whether two atoms of a map kind's mask share a position or, for
+        injection, a value."""
+        count = mask.bit_count()
+        # a position's top bit is set, or carried into, iff the position holds an atom
+        if (((mask & self.low) + self.low | mask) & self.high).bit_count() != count:
+            return True
+        if self.spec.kind != "injection":
+            return False
+        values, block = 0, (1 << self.stride) - 1
+        while mask:
+            values |= mask & block
+            mask >>= self.stride
+        return values.bit_count() != count
 
     def _decode(self, mask: int) -> tuple:
         kind = self.spec.kind
@@ -332,25 +353,18 @@ def join_bounded(x: Element, y: Element) -> Element | None:
     """Least upper bound within the truncated lattice, or None.
 
     When an upper bound exists its rank is rank(x) + rank(y) - rank(x/\\y);
-    upper bounds are only sought at rank <= M.
+    upper bounds are only sought at rank <= M.  Set and map kinds join by
+    the union of their atoms; subspace kinds row-reduce both row sets.
     """
     spec = _same_family(x, y)
     kind = spec.kind
     top = spec.top_rank
-    if kind == "johnson":
-        union = tuple(sorted(set(x.payload) | set(y.payload)))
-        return Element(spec, union) if len(union) <= top else None
-    if kind in _MAP_KINDS:
-        merged = dict(x.payload)
-        for pos, val in y.payload:
-            if merged.get(pos, val) != val:
-                return None
-            merged[pos] = val
-        if len(merged) > top:
+    if spec.q is None:  # set and map kinds: the join's atoms are the union
+        union = x.atoms | y.atoms
+        atoms = _atoms(spec)
+        if union.bit_count() > top or kind != "johnson" and atoms.clash(union):
             return None
-        if kind == "injection" and len(set(merged.values())) != len(merged):
-            return None
-        return Element(spec, tuple(sorted(merged.items())))
+        return atoms.element(union)
     if x.rank + y.rank - meet_rank(x, y) > top:
         return None  # every upper bound has at least this rank
     # one row reduction of both (graph) row sets; for bilinear the span must

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from conftest import grid
@@ -44,6 +46,11 @@ def test_audit_is_deterministic():
     [
         ("johnson:v=6,m=3", [903, 191, 400, 138, 42, 72, 903]),
         ("grassmann:v=4,m=2,q=2", [1326, 155, 350, 136, 51, 68, 1326]),
+        ("hamming:m=3,n=3", [2080, 279, 540, 208, 64, 112, 2080]),
+        ("bilinear:m=2,n=2,q=2", [435, 76, 160, 73, 29, 43, 435]),
+        ("injection:m=3,n=5", [9316, 615, 1200, 451, 136, 229, 9316]),
+        ("nbjohnson:m=4,n=3,k=2", [2278, 174, 432, 187, 67, 81, 2278]),
+        ("signed:m=4,k=2", [2278, 174, 432, 187, 67, 81, 2278]),
     ],
 )
 def test_cases_per_check(text, cases):
@@ -95,3 +102,53 @@ def test_wrong_closed_form_is_caught_with_counterexample(monkeypatch, name, args
     failed = {c.check_id: c for c in report.checks if not c.passed}
     assert check_id in failed
     assert failed[check_id].counterexample["note"] == note
+
+
+def test_non_canonical_meet_names_the_first_pair(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    decode = families._Atoms._decode
+    wrong = {1: (2,), 2: (3,)}  # atoms {1} and {2}: two bad meets, so the first one must be named
+    monkeypatch.setattr(
+        families._Atoms, "_decode", lambda self, mask: wrong[mask] if self.spec == spec and mask in wrong else decode(self, mask)
+    )
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))  # no meet decoded before the patch
+    checks = {c.check_id: c for c in audit(spec).checks}
+    assert checks["semilattice-glb"].counterexample == {"elements": ["1", "1 2"], "note": "meet is not canonical"}
+    for check_id in ("mu-constant", "nu-constant", "theta-constant", "alpha-lemma"):
+        assert checks[check_id].passed
+
+
+def test_shared_atom_mask_is_a_counterexample(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    encode = families._Atoms.encode
+    monkeypatch.setattr(
+        families._Atoms, "encode", lambda self, payload: 1 if self.spec == spec and payload == (2,) else encode(self, payload)
+    )
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
+    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))  # atoms not yet cached
+    glb = audit(spec).checks[0]
+    assert glb.counterexample == {"elements": ["1", "2"], "note": "elements share one atom mask"}
+
+
+@pytest.mark.parametrize(
+    "pair, answer, witnesses, note",
+    [
+        (("1", "2"), None, ["1", "2"], "upper bounds exist but join_bounded returned none"),
+        (("-", "1"), "1 2", ["-", "1", "1 2"], "least upper bound must have rank 1"),
+        (("1 2", "3 4"), "1 2", ["1 2", "3 4"], "join_bounded returned an element but no upper bound exists"),
+    ],
+    ids=["none-on-a-bounded-pair", "not-least", "element-on-an-unbounded-pair"],
+)
+def test_wrong_join_is_caught_with_counterexample(monkeypatch, pair, answer, witnesses, note):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    real = families.join_bounded
+
+    def join_bounded(x, y):
+        if (str(x), str(y)) != pair:
+            return real(x, y)
+        return None if answer is None else families.parse_element(spec, answer)
+
+    monkeypatch.setattr(families, "join_bounded", join_bounded)
+    report = audit(spec)
+    assert [c.check_id for c in report.checks if not c.passed] == ["join-rank"]
+    assert report.checks[-1].counterexample == {"elements": witnesses, "note": note}

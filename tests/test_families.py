@@ -326,6 +326,35 @@ def test_join_rank_identity_exhaustive():
                     assert joined in uppers
 
 
+def join_oracle(x, y):
+    """The payload rule for set and map kinds: the sorted union of two sets, or the
+    merge of two maps that agree where both are defined and, for injection, stay
+    injective; None above the top rank."""
+    spec = x.spec
+    if spec.kind == "johnson":
+        union = tuple(sorted(set(x.payload) | set(y.payload)))
+        return families.Element(spec, union) if len(union) <= spec.top_rank else None
+    merged = dict(x.payload)
+    for pos, val in y.payload:
+        if merged.get(pos, val) != val:
+            return None
+        merged[pos] = val
+    if len(merged) > spec.top_rank or spec.kind == "injection" and len(set(merged.values())) != len(merged):
+        return None
+    return families.Element(spec, tuple(sorted(merged.items())))
+
+
+@pytest.mark.parametrize(
+    # injection:m=1,n=1 has one atom per position
+    "spec", [s for s in grid() if s.q is None] + [families.parse_family_spec("injection:m=1,n=1")], ids=str
+)
+def test_join_bounded_matches_the_payload_rule(spec):
+    universe = list(families.enumerate_all(spec))
+    for x in universe:
+        for y in universe:
+            assert families.join_bounded(x, y) == join_oracle(x, y), (x, y)
+
+
 def test_leq_agrees_with_meet_definition_exhaustive():
     for spec, universe in small_universes():
         for x in universe:
