@@ -130,25 +130,89 @@ def test_shared_atom_mask_is_a_counterexample(monkeypatch):
     assert glb.counterexample == {"elements": ["1", "2"], "note": "elements share one atom mask"}
 
 
+def test_missing_meet_fails_every_check(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    encode = families._Atoms.encode
+    wrong = {(1, 2): 0b111, (1, 3): 0b1101}  # their common atoms 0b101 are no element's mask
+    monkeypatch.setattr(
+        families._Atoms, "encode", lambda self, payload: wrong[payload] if self.spec == spec and payload in wrong else encode(self, payload)
+    )
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
+    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
+    report = [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks]
+    assert report == [
+        ("semilattice-glb", 1, {"elements": ["1 2", "1 3"], "note": "meet is not canonical"}),
+        ("rank-function", 10, {"elements": ["2 3", "1 2"], "note": "covering step changes rank by 0"}),
+        ("mu-constant", 2, {"elements": ["-", "1 2"], "note": "mu(0,1) counted 3, closed form 2"}),
+        ("nu-constant", 13, {"elements": ["1 2"], "note": "nu(1,2) counted 3, closed form 2"}),
+        ("theta-constant", 4, {"elements": ["3"], "note": "theta(1) counted 5, closed form 4"}),
+        ("alpha-lemma", 9, {"elements": ["3"], "note": "alpha(1,2) counted 5, closed form 4"}),
+        ("join-rank", 7, {"elements": ["-", "1 2"], "note": "upper bounds exist but join_bounded returned none"}),
+    ]
+
+
 @pytest.mark.parametrize(
-    "pair, answer, witnesses, note",
+    "fault, answer, witnesses, note, cases",
     [
-        (("1", "2"), None, ["1", "2"], "upper bounds exist but join_bounded returned none"),
-        (("-", "1"), "1 2", ["-", "1", "1 2"], "least upper bound must have rank 1"),
-        (("1 2", "3 4"), "1 2", ["1 2", "3 4"], "join_bounded returned an element but no upper bound exists"),
+        ("1 2", None, ["-", "1 2"], "upper bounds exist but join_bounded returned none", 7),
+        (("-", "1"), (1, 2), ["-", "1", "1 2"], "least upper bound must have rank 1", 2),
+        (("1 2", "3 4"), (1, 2), ["1 2", "3 4"], "join_bounded returned an element but no upper bound exists", 89),
+        ("1 2", (2, 1), ["-", "1 2"], "join_bounded returned an element outside the lattice", 7),
+        ("1 2", (1, 2, 3), ["-", "1 2"], "join_bounded returned an element outside the lattice", 7),
     ],
-    ids=["none-on-a-bounded-pair", "not-least", "element-on-an-unbounded-pair"],
+    ids=["none-on-a-bounded-pair", "not-least", "element-on-an-unbounded-pair", "outside-the-lattice", "above-the-top"],
 )
-def test_wrong_join_is_caught_with_counterexample(monkeypatch, pair, answer, witnesses, note):
+def test_wrong_join_is_caught_with_counterexample(monkeypatch, fault, answer, witnesses, note, cases):
+    # fault: the element whose atoms are the faulty union, or one (x, y) pair
     spec = families.parse_family_spec("johnson:v=5,m=2")
     real = families.join_bounded
+    union = families.parse_element(spec, fault).atoms if isinstance(fault, str) else None
 
     def join_bounded(x, y):
-        if (str(x), str(y)) != pair:
+        hit = x.atoms | y.atoms == union if union is not None else (str(x), str(y)) == fault
+        if not hit:
             return real(x, y)
-        return None if answer is None else families.parse_element(spec, answer)
+        return None if answer is None else families.Element(spec, answer)
 
     monkeypatch.setattr(families, "join_bounded", join_bounded)
     report = audit(spec)
     assert [c.check_id for c in report.checks if not c.passed] == ["join-rank"]
     assert report.checks[-1].counterexample == {"elements": witnesses, "note": note}
+    assert report.checks[-1].cases == cases
+
+
+@pytest.mark.parametrize("spec", [s for s in grid() if s.q is None], ids=str)
+def test_join_bounded_reads_only_the_atom_union(spec):
+    # the audit calls join_bounded once per atom union of these kinds
+    universe = list(families.enumerate_all(spec))
+    answers = {}
+    for x in universe:
+        for y in universe:
+            answer = families.join_bounded(x, y)
+            assert answers.setdefault(x.atoms | y.atoms, answer) == answer, (x, y)
+
+
+@pytest.mark.parametrize(
+    "text, calls", [("johnson:v=5,m=2", 31), ("johnson:v=6,m=3", 64), ("grassmann:v=4,m=2,q=2", 1326)]
+)
+def test_join_bounded_calls_per_audit(monkeypatch, text, calls):
+    # one call per atom union for set and map kinds, one per pair i <= j for subspace kinds
+    real = families.join_bounded
+    made = []
+    monkeypatch.setattr(families, "join_bounded", lambda x, y: made.append(1) or real(x, y))
+    assert audit(families.parse_family_spec(text)).passed
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "text, needed", [("johnson:v=6,m=3", 113_064), ("grassmann:v=4,m=2,q=2", 176_664), ("hamming:m=3,n=3", 347_392)]
+)
+def test_budget_is_exact(text, needed):
+    # n for the fibers, n^2 for the meet table, n per case
+    spec = families.parse_family_spec(text)
+    report = audit(spec, budget=needed)
+    n = sum(families.fiber_size(spec, i) for i in range(spec.top_rank + 1))
+    assert report.passed and needed == n + n * n + n * sum(c.cases for c in report.checks)
+    with pytest.raises(BudgetExceededError) as err:
+        audit(spec, budget=needed - 1)
+    assert err.value.context["check"] == "join-rank"

@@ -482,6 +482,20 @@ def test_golden_reports_do_not_depend_on_row_order(name, in_samples_tmp, capsys)
     assert out == (GOLDEN_DIR / name).read_text(), f"row order changed {name}"
 
 
+AUDIT_GOLDEN_CASES = {"audit_grassmann.json": "grassmann:v=4,m=2,q=2", "audit_hamming.json": "hamming:m=3,n=3"}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_GOLDEN_CASES))
+def test_golden_audit_reports(name, capsys):
+    # every field but the per-check timing `elapsed` is byte-stable
+    code, out, _ = run_cli(["audit", "--family", AUDIT_GOLDEN_CASES[name], "--json"], capsys)
+    report = json.loads(out)
+    for check in report["result"]["checks"]:
+        check["elapsed"] = 0
+    assert code == 0
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == (GOLDEN_DIR / name).read_text()
+
+
 def test_golden_search_under_python_optimize(in_samples_tmp):
     # no check the search relies on may be an `assert` that -O strips
     env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]))
