@@ -161,14 +161,21 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
                 yield (j,), "element covers nothing"
 
     def constant(name, cases):
-        """Each (witnesses, args, counted) case against `parameters.<name>(spec, *args)`."""
+        """Each (witnesses, args, counted) case against `parameters.<name>(spec, *args)`,
+        evaluated once per distinct args."""
         closed_form = getattr(parameters, name)
+        forms = {}  # args -> the closed form's value, or its NonIntegralError
         held = 0
         for witnesses, args, counted in cases:
-            try:
-                want = closed_form(spec, *args)
-            except NonIntegralError as exc:
-                note = str(exc)
+            want = forms.get(args)
+            if want is None:
+                try:
+                    want = closed_form(spec, *args)
+                except NonIntegralError as exc:
+                    want = exc
+                forms[args] = want
+            if isinstance(want, NonIntegralError):
+                note = str(want)
             else:
                 note = None if counted == want else (
                     f"{name}({','.join(map(str, args))}) counted {counted}, closed form {want}"

@@ -40,8 +40,12 @@ every automorphism fixing r keeps (adjacency to r and |N(r) & N(x)|), since
 the levels are then the stabilizer's orbits, or after a fixed number of tries.
 
 A wrong or useless candidate is dropped and costs only speed; witnesses are
-re-verified as before.  `enumerate_exact` and `lexicographically_least` need
-every clique or the canonical order and use no orbits.
+re-verified as before.  `enumerate_exact` branches as the maximizing search
+does, then closes the cliques it finds under the kept generators.  That
+lists every maximum clique: the argument above moves any maximum clique, by
+an element of the kept group, onto one the root's child of its first orbit
+reaches, and the child's search below its own orbits is exhaustive.
+`lexicographically_least` needs the canonical order and uses no orbits.
 """
 
 from __future__ import annotations
@@ -247,7 +251,9 @@ class _Solver:
     skipped when the subgroup is trivial.  Deeper nodes use no orbits.
     `enumerate_exact` and `lexicographically_least` keep `need` at the proved
     optimum, where a clique of that size has no candidate left, so the leaf
-    sees exactly the maximum cliques.
+    sees exactly the maximum cliques.  `enumerate_exact` branches on orbits
+    as `maximize` does and closes what it finds under the generators;
+    `lexicographically_least` uses no orbits.
     """
 
     def __init__(self, adj, generators=()):
@@ -321,22 +327,30 @@ class _Solver:
 
     def enumerate_exact(self, target):
         """All cliques of size exactly target, which must be the clique number,
-        and False; None and True when there are more than `ALL_MAX_CAP`."""
+        and False; None and True when there are more than `ALL_MAX_CAP`.
+        The search branches as `maximize` does, so it finds at least one clique
+        of every orbit of the kept group; a breadth-first walk then closes what
+        it found under the generators, charging the cap as it grows."""
         if target == 0:
             return [0], False
-        out = []
+        out, seen = [], set()
 
         def collect(size, mask):
-            out.append(mask)
-            if len(out) > ALL_MAX_CAP:
-                raise _Overflow
+            if mask not in seen:
+                seen.add(mask)
+                out.append(mask)
+                if len(out) > ALL_MAX_CAP:
+                    raise _Overflow
 
         self.need = target
         try:
-            self._branch(0, 0, (1 << self.n) - 1, collect)
-            return [_map_bits(mask, self.order) for mask in out], False
+            self._branch(0, 0, (1 << self.n) - 1, collect, self.orbit)
+            for mask in out:  # grows while it is walked: the closure under the generators
+                for g in self.generators:
+                    collect(target, _map_bits(mask, g))
         except _Overflow:
             return None, True
+        return [_map_bits(mask, self.order) for mask in out], False
 
     def lexicographically_least(self, omega):
         """Vertex-greedy least maximum clique in canonical vertex order."""

@@ -9,7 +9,7 @@ import pytest
 from conftest import grid
 from ekrlattice import families, parameters
 from ekrlattice.audit import CHECK_IDS, audit
-from ekrlattice.errors import BudgetExceededError
+from ekrlattice.errors import BudgetExceededError, NonIntegralError
 
 
 @pytest.mark.parametrize("spec", grid(), ids=str)
@@ -102,6 +102,35 @@ def test_wrong_closed_form_is_caught_with_counterexample(monkeypatch, name, args
     failed = {c.check_id: c for c in report.checks if not c.passed}
     assert check_id in failed
     assert failed[check_id].counterexample["note"] == note
+
+
+def test_closed_forms_are_evaluated_once_per_argument_tuple(monkeypatch):
+    # 400 mu-constant cases on johnson:v=6,m=3; the parent evaluated mu 472 times
+    calls = {}
+    for name in ("mu", "nu", "theta", "alpha"):
+        real = getattr(parameters, name)
+        monkeypatch.setattr(
+            parameters, name, lambda spec, *a, name=name, real=real: calls.update({name: calls.get(name, 0) + 1}) or real(spec, *a)
+        )
+    assert audit(families.parse_family_spec("johnson:v=6,m=3")).passed
+    assert calls == {"mu": 20, "nu": 10, "theta": 24, "alpha": 10}
+
+
+def test_a_non_integral_closed_form_is_the_note(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    real = parameters.mu
+
+    def mu(spec, *a):
+        if a == (1, 2):
+            raise NonIntegralError("mu(1,2) is not an integer")
+        return real(spec, *a)
+
+    monkeypatch.setattr(parameters, "mu", mu)
+    failed = [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks if not c.passed]
+    assert failed == [  # alpha reads mu
+        ("mu-constant", 5, {"elements": ["1", "1 2"], "note": "mu(1,2) is not an integer"}),
+        ("alpha-lemma", 5, {"elements": ["1"], "note": "mu(1,2) is not an integer"}),
+    ]
 
 
 def test_non_canonical_meet_names_the_first_pair(monkeypatch):

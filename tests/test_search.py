@@ -322,11 +322,6 @@ def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypat
     assert (result.optimum, result.nodes, result.orbits) == (17, 1040, 70)
 
 
-def seedless_optimum(cert, s):
-    """The clique number by the branch and bound with no seed and no orbits."""
-    return search._Solver(graph_of(cert, s)).maximize()[0]
-
-
 def differential_certs():
     yield from (full_fiber(families.parse_family_spec(text)) for text in GRID_SPECS)
     yield from (designs.load_design(SAMPLES_DIR / name) for name in ("fano.design", "oa3.design", "oa11.design"))
@@ -336,8 +331,12 @@ def differential_certs():
 @pytest.mark.parametrize("cert", differential_certs(), ids=lambda cert: f"{cert.spec}/{cert.size}")
 def test_rooted_search_matches_the_exhaustive_one(cert):
     for s in range(1, cert.spec.top_rank + 1):
-        result = search.max_intersecting(cert, s)
-        assert (result.optimum, result.status) == (seedless_optimum(cert, s), "proved-optimal"), s
+        result = search.max_intersecting(cert, s, enumerate_all=True)
+        plain = search._Solver(graph_of(cert, s))
+        optimum = plain.maximize()[0]
+        assert (result.optimum, result.status) == (optimum, "proved-optimal"), s
+        masks, overflow = plain.enumerate_exact(optimum)
+        assert (masks_of(result, cert), result.all_max_overflow) == (sorted(masks), overflow), s
 
 
 @pytest.mark.parametrize(
@@ -453,9 +452,44 @@ def test_one_root_per_orbit_matches_bron_kerbosch(graph):
     rooted = search._Solver(relabeled, [[order.index(g[v]) for v in order] for g in generators])
     size, mask, proved = rooted.maximize()
     assert (size, proved) == (omega, True) and mask in cliques
+    found, overflow = rooted.enumerate_exact(omega)
+    assert (sorted(found), overflow) == (cliques, False)
     plain = search._Solver(relabeled)
     identity = search._Solver(relabeled, [list(range(len(adj)))])
     assert plain.maximize() == identity.maximize() and plain.nodes == identity.nodes
+
+
+def test_the_closure_lists_every_maximum_family_in_few_nodes():
+    # 2,727 nodes without orbits; five cliques found close to the 70 families
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    result = search.max_intersecting(cert, 2, enumerate_all=True)
+    assert (result.optimum, len(result.all_max), result.all_max_overflow) == (17, 70, False)
+    assert result.nodes < 200
+
+
+def test_a_closure_past_the_cap_reports_overflow(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    monkeypatch.setattr(search, "ALL_MAX_CAP", 70)
+    assert len(search.max_intersecting(cert, 2, enumerate_all=True).all_max) == 70
+    monkeypatch.setattr(search, "ALL_MAX_CAP", 10)  # above the 5 cliques the search finds
+    result = search.max_intersecting(cert, 2, enumerate_all=True)
+    assert (result.optimum, result.all_max, result.all_max_overflow) == (17, None, True)
+
+
+def test_a_closure_missing_a_generator_loses_families():
+    # without one generator the child's stabilizer subgroup only shrinks, which
+    # costs speed alone; the closure under the rest misses families
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    adj, generators = graph_of(cert, 2), search.kept_symmetries(cert)
+    plain = search._Solver(adj)
+    expected = sorted(plain.enumerate_exact(plain.maximize()[0])[0])
+    assert len(expected) == 70 and len(generators) == 2
+    assert sorted(search._Solver(adj, generators).enumerate_exact(17)[0]) == expected
+    for i in range(len(generators)):
+        solver = search._Solver(adj, generators)
+        del solver.generators[i]
+        found = sorted(solver.enumerate_exact(17)[0])
+        assert set(found) < set(expected), i
 
 
 def test_node_budget_exhaustion():
