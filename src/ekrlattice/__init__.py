@@ -17,7 +17,6 @@ from .designs import (
     derive_index,
     full_fiber,
     generate_linear_oa,
-    is_design,
     load_design,
     make_certificate,
     restrict_strength,
@@ -89,7 +88,6 @@ __all__ = [
     "format_element",
     "full_fiber",
     "generate_linear_oa",
-    "is_design",
     "is_intersecting",
     "join_bounded",
     "least",

@@ -88,8 +88,7 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         used += amount
         if used > budget:
             raise BudgetExceededError(
-                f"case budget {budget} exceeded during check {check_id!r}",
-                context={"check": check_id, "fiber_sizes": fiber_sizes},
+                f"audit check {check_id!r}", used, "cases", budget, check=check_id, fiber_sizes=fiber_sizes
             )
 
     for i in range(top + 1):

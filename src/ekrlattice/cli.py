@@ -6,10 +6,10 @@ fail / bound exceeded, 2 usage or parse error, 3 budget exhausted.
 JSON reports share an envelope (command, version, inputs echoing every
 parsed option, result, exit_code).  An error raised while the subcommand
 runs still prints the envelope in `--json` mode, with `"result": null` and
-`error` holding its type, message and context (a budget error's sizes and
-caps; empty otherwise).  An argparse usage error (unknown option, missing
-or malformed argument, negative budget) exits 2 with argparse's message and
-no envelope.
+`error` holding its type, message and context (a budget error's sizes,
+need and cap; a failed re-verification's witness; empty otherwise).  An
+argparse usage error (unknown option, missing or malformed argument,
+negative budget) exits 2 with argparse's message and no envelope.
 
 A result mirrors the library record behind it (`ConditionReport`,
 `DrReport`, `SearchResult`, `ExtremalVerdict`): one key per field, plus the
@@ -176,8 +176,9 @@ def _cmd_check_design(args):
     try:
         cert = designs.make_certificate(spec, elements, t)
     except VerificationError as exc:
-        (z1, c1), (z2, c2) = exc.witness
-        result.update(verified=False, witness={"element_1": z1, "count_1": c1, "element_2": z2, "count_2": c2})
+        witness = exc.context["witness"]
+        z1, c1, z2, c2 = witness.values()
+        result.update(verified=False, witness=witness)
         return 1, result, [f"NOT a {t}-design: {z1} covered {c1} times, {z2} covered {c2} times"]
     indices = list(cert.indices)
     result.update(verified=True, indices=indices)
@@ -240,7 +241,9 @@ def _cmd_dr(args):
 
 
 def _cmd_search_max(args):
-    cert = _load_cert(args)
+    spec, strength, elements = designs.read_design_file(args.design)
+    search.check_vertices(len(elements))  # before the coverage pass
+    cert = designs.verify_design_file(args.design, spec, strength, elements)
     result_obj = search.max_intersecting(
         cert,
         args.s,

@@ -69,11 +69,10 @@ def _charge_coverage(spec: FamilySpec, t: int, design_size: int) -> None:
     if not 0 <= t <= spec.top_rank:
         raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
     size = families.fiber_size(spec, t)
-    budget = families.DEFAULT_BUDGET
-    if size * design_size > budget:
+    if size * design_size > families.DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"strength verification needs {size * design_size} comparisons, budget is {budget}",
-            context={"fiber_size": size, "design_size": design_size},
+            "strength verification", size * design_size, "comparisons", families.DEFAULT_BUDGET,
+            fiber_size=size, design_size=design_size,
         )
 
 
@@ -84,18 +83,13 @@ def _coverage(spec: FamilySpec, elements, t: int):
     (None, witness) with two (element, count) pairs of unequal counts.
     """
     _charge_coverage(spec, t, len(elements))
-    fiber = families.enumerate_fiber(spec, t)
     counts = [mask.bit_count() for mask in families.above(spec, t, elements)]
     first = counts[0]
+    fiber = families.enumerate_fiber(spec, t)
     for z, c in zip(fiber, counts):
         if c != first:
             return None, ((fiber[0], first), (z, c))
     return first, None
-
-
-def is_design(spec: FamilySpec, elements, t: int) -> int | None:
-    """lambda_t when every rank-t element is covered equally, else None."""
-    return _coverage(spec, _validate_top_elements(spec, elements), t)[0]
 
 
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
@@ -116,12 +110,7 @@ def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
     elements = _validate_top_elements(spec, elements)
     lam, witness = _coverage(spec, elements, t)
     if lam is None:
-        (z1, c1), (z2, c2) = witness
-        raise VerificationError(
-            f"not a {t}-design: {families.format_element(z1)} is covered {c1} times "
-            f"but {families.format_element(z2)} is covered {c2} times",
-            witness=witness,
-        )
+        raise VerificationError(t, witness)
     indices = tuple(derive_index(spec, lam, t, j) for j in range(t + 1))
     return DesignCertificate(spec, elements, t, indices)
 
@@ -240,7 +229,11 @@ def read_family_file(path):
 
 def load_design(path) -> DesignCertificate:
     """Load and re-verify a design file; rejects files whose strength fails."""
-    spec, strength, elements = read_design_file(path)
+    return verify_design_file(path, *read_design_file(path))
+
+
+def verify_design_file(path, spec: FamilySpec, strength: int, elements) -> DesignCertificate:
+    """Re-verify what `read_design_file(path)` parsed, at its declared strength."""
     if not 0 <= strength <= spec.top_rank:
         raise ParseError(f"{path}: declared strength {strength} out of range 0..{spec.top_rank}")
     return make_certificate(spec, elements, strength)

@@ -265,11 +265,9 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     # words), which also bounds the table's |Y|^2 bits
     n = len(members)
     need = max(size * n * 2, n * parameters.nu(spec, s, spec.top_rank) * (n // 64 + 1))
-    budget = families.DEFAULT_BUDGET
-    if need > budget:
+    if need > families.DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"d_r scan needs about {need} comparisons, budget is {budget}",
-            context={"fiber_size": size, "design_size": n},
+            "the d_r scan", need, "comparisons", families.DEFAULT_BUDGET, fiber_size=size, design_size=n
         )
     stars = families.above(spec, s, members)
     near = star_neighbourhoods(stars, n)

@@ -16,20 +16,26 @@ class NonIntegralError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration or search exceeded its case budget."""
+    """Work refused before it is done, because it needs more than a budget or cap allows.
 
-    def __init__(self, message: str, *, context: dict | None = None):
-        super().__init__(message)
-        self.context = context or {}
+    The one refusal rule: the message reads "<what> needs <need> <unit>, above
+    the cap of <cap>", and `context` holds the sizes `need` is computed from,
+    then `need` and `cap`.
+    """
+
+    def __init__(self, what: str, need: int, unit: str, cap: int, **sizes):
+        super().__init__(f"{what} needs {need} {unit}, above the cap of {cap}")
+        self.context = {**sizes, "need": need, "cap": cap}
 
 
 class VerificationError(Exception):
-    """A declared design property failed re-verification.
+    """A declared design strength failed re-verification.
 
-    Carries a concrete witness: two rank-t elements covered by unequal
-    numbers of design members.
+    `context["witness"]` holds two rank-t elements covered by unequal numbers
+    of design members: `element_1`, `count_1`, `element_2`, `count_2`.
     """
 
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    def __init__(self, t: int, witness):
+        (z1, c1), (z2, c2) = witness
+        super().__init__(f"not a {t}-design: {z1} is covered {c1} times but {z2} is covered {c2} times")
+        self.context = {"witness": {"element_1": z1, "count_1": c1, "element_2": z2, "count_2": c2}}

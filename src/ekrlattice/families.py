@@ -225,10 +225,7 @@ class _Atoms:
             self.base = 0 if kind in ("hamming", "nbjohnson") else 1
             count = spec.m * self.stride
         if count > ATOM_CAP:
-            raise BudgetExceededError(
-                f"{spec} has {count} atoms, above the cap of {ATOM_CAP}",
-                context={"atoms": count, "atom_cap": ATOM_CAP},
-            )
+            raise BudgetExceededError(str(spec), count, "atoms", ATOM_CAP)
         if kind in _MAP_KINDS:
             # per position, its top atom (high) and the atoms under it (low)
             ones = ((1 << count) - 1) // ((1 << self.stride) - 1)  # each position's first atom
@@ -450,10 +447,7 @@ def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     A fiber above FIBER_CAP elements is refused, by fiber_size, before it is built."""
     size = fiber_size(spec, i)
     if size > FIBER_CAP:
-        raise BudgetExceededError(
-            f"rank-{i} fiber of {spec} has {size} elements, above the cap of {FIBER_CAP}",
-            context={"fiber_size": size, "fiber_cap": FIBER_CAP},
-        )
+        raise BudgetExceededError(f"the rank-{i} fiber of {spec}", size, "elements", FIBER_CAP)
     return _fiber(spec, i)
 
 
@@ -465,6 +459,7 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     the fiber elements whose lowest atom is one of x's; the least element has
     no atoms and sits in bucket 0, which every x tries.
     """
+    _atoms(spec)  # a family above ATOM_CAP is refused before its fiber is built
     fiber = enumerate_fiber(spec, i)
     buckets: dict[int, list[tuple[int, Element]]] = {}
     for k, z in enumerate(fiber):

@@ -62,6 +62,12 @@ VERTEX_CAP = 5000  # design members a search graph may have
 ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
 
 
+def check_vertices(n: int) -> None:
+    """Refuse a search graph of `n` vertices, one per design member, above `VERTEX_CAP`."""
+    if n > VERTEX_CAP:
+        raise BudgetExceededError("the search graph", n, "vertices", VERTEX_CAP)
+
+
 def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
     """(adjacency, seed mask) of the search, bit j for member j, after the s
     range and then `VERTEX_CAP` are checked.  Member j's mask, its own bit
@@ -74,11 +80,7 @@ def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
     n = len(members)
-    if n > VERTEX_CAP:
-        raise BudgetExceededError(
-            f"design has {n} elements, vertex budget is {VERTEX_CAP}",
-            context={"design_size": n},
-        )
+    check_vertices(n)
     if n * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
         return tuple(ekr.intersection_masks(members, s)), 1
     stars: dict[tuple, int] = {}  # center payload -> mask of the members above it

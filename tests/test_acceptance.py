@@ -64,8 +64,8 @@ def test_criterion_3_proposition_check(fano_spec, fano_cert):
     start = time.perf_counter()
     assert designs.derive_index(fano_spec, 1, 2, 1) == 3
     assert designs.derive_index(fano_spec, 1, 2, 0) == 7
-    assert designs.is_design(fano_spec, fano_cert.elements, 1) == 3
-    assert designs.is_design(fano_spec, fano_cert.elements, 0) == 7
+    assert designs.make_certificate(fano_spec, fano_cert.elements, 1).indices == (7, 3)
+    assert designs.make_certificate(fano_spec, fano_cert.elements, 0).indices == (7,)
     for spec in grid():
         top = spec.top_rank
         for t in range(top + 1):

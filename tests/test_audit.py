@@ -58,6 +58,11 @@ def test_cases_per_check(text, cases):
     assert [c.cases for c in report.checks] == cases
 
 
+# the cases charged when the budget is crossed: n = 42 for the fibers, +42^2
+# for the meet table, +42 * 43 * 42 / 2 for semilattice-glb, then rows of checks
+NEED_AT_BUDGET = {10: 22, 10**2: 1806, 10**3: 1806, 10**4: 39732, 10**5: 100464}
+
+
 @pytest.mark.parametrize(
     "budget, check",
     [(10, "setup"), (10**2, "setup"), (10**3, "setup"), (10**4, "semilattice-glb"), (10**5, "join-rank"), (10**6, None)],
@@ -67,11 +72,13 @@ def test_budget_exceeded_names_the_check(budget, check):
     if check is None:
         assert audit(spec, budget=budget).passed
         return
+    need = NEED_AT_BUDGET[budget]
     with pytest.raises(BudgetExceededError) as err:
         audit(spec, budget=budget)
-    assert str(err.value) == f"case budget {budget} exceeded during check {check!r}"
+    assert str(err.value) == f"audit check {check!r} needs {need} cases, above the cap of {budget}"
     assert err.value.context["check"] == check
     assert err.value.context["fiber_sizes"]
+    assert (err.value.context["need"], err.value.context["cap"]) == (need, budget)
 
 
 def test_glb_budget_is_refused_before_the_meet_table(monkeypatch):
@@ -81,7 +88,12 @@ def test_glb_budget_is_refused_before_the_meet_table(monkeypatch):
     monkeypatch.setattr(families, "meet", no_meets)
     with pytest.raises(BudgetExceededError) as err:
         audit(families.parse_family_spec("signed:m=5,k=3"))
-    assert err.value.context == {"check": "semilattice-glb", "fiber_sizes": [1, 20, 160, 640]}
+    assert err.value.context == {
+        "check": "semilattice-glb",
+        "fiber_sizes": [1, 20, 160, 640],
+        "need": 277_705_713,
+        "cap": families.DEFAULT_BUDGET,
+    }
 
 
 @pytest.mark.parametrize(

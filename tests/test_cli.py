@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ekrlattice
-from ekrlattice import cli, families
+from ekrlattice import cli, families, search
 from ekrlattice.audit import audit
 from ekrlattice.cli import main
 from ekrlattice.errors import FamilyMismatchError
@@ -91,7 +91,7 @@ def test_audit_pass_and_quiet(capsys):
 def test_audit_budget_exit_3(capsys):
     code, _, err = run_cli(["audit", "--family", "johnson:v=6,m=3", "--budget", "10"], capsys)
     assert code == 3
-    assert "budget" in err
+    assert err == "error: audit check 'setup' needs 22 cases, above the cap of 10\n"
 
 
 def test_parse_error_exit_2(capsys):
@@ -114,7 +114,7 @@ def test_negative_audit_budget_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and "--budget" in err
     code, _, err = run_cli(["audit", "--family", "johnson:v=5,m=2", "--budget", "0"], capsys)
-    assert code == 3 and "budget 0" in err
+    assert code == 3 and err == "error: audit check 'setup' needs 1 cases, above the cap of 0\n"
 
 
 def test_negative_node_budget_is_a_usage_error(in_samples_tmp, capsys):
@@ -143,22 +143,36 @@ def test_only_input_errors_are_usage_errors(monkeypatch, capsys):
 
 # each refusal comes from closed-form sizes; _fiber_payloads raises if a fiber is built first
 J40_ROW = " ".join(map(str, range(1, 21)))  # one row of a strength-10 johnson:v=40,m=20 design
-J40_CONTEXT = {"fiber_size": 847660528, "design_size": 1}
-CAP_CONTEXT = {"fiber_size": 10400600, "fiber_cap": 10**6}
+J40_CONTEXT = {"fiber_size": 847660528, "design_size": 1, "need": 847660528, "cap": 10**8}
+CAP_CONTEXT = {"need": 10400600, "cap": 10**6}
+G17_ROW = ".".join(["1"] + ["0"] * 16)  # a point of grassmann:v=17,m=1,q=2, whose 2^17 atoms are above the cap
 REFUSALS = {
     "audit-hamming-7-5": (
         ["audit", "--family", "hamming:m=7,n=5"],
-        {"check": "setup", "fiber_sizes": [1, 35, 525, 4375, 21875, 65625, 109375, 78125]},
+        {
+            "check": "setup",
+            "fiber_sizes": [1, 35, 525, 4375, 21875, 65625, 109375, 78125],
+            "need": 78364444032,
+            "cap": 10**8,
+        },
     ),
     "audit-hamming-8-6": (
         ["audit", "--family", "hamming:m=8,n=6"],
-        {"check": "setup", "fiber_sizes": [1, 48, 1008, 12096, 90720, 435456, 1306368, 2239488, 1679616]},
+        {
+            "check": "setup",
+            "fiber_sizes": [1, 48, 1008, 12096, 90720, 435456, 1306368, 2239488, 1679616],
+            "need": 33232936334402,
+            "cap": 10**8,
+        },
     ),
     "check-design": (["check-design", "--design", "j40.design"], J40_CONTEXT),
     "dr": (["dr", "--design", "j40.design", "--s", "2", "--r", "1"], J40_CONTEXT),
     "search-max": (["search-max", "--design", "j40.design", "--s", "1"], J40_CONTEXT),
     "enumerate": (["enumerate", "--family", "johnson:v=26,m=13", "--rank", "13"], CAP_CONTEXT),
     "gen-full-fiber": (["gen", "--kind", "full-fiber", "--family", "johnson:v=26,m=13", "-o", "x.design"], CAP_CONTEXT),
+    "atom-cap": (["check-design", "--design", "g17.design"], {"need": 131072, "cap": 65536}),
+    # six members against the vertex cap of 5 set below, refused before the coverage pass
+    "vertex-cap": (["search-max", "--design", "pairs.design", "--s", "1"], {"need": 6, "cap": 5}),
 }
 
 
@@ -167,14 +181,32 @@ def test_oversized_work_is_refused_before_any_fiber_is_built(name, tmp_path, mon
     def no_fibers(spec, i):
         raise AssertionError(f"built the rank-{i} fiber of {spec} for refused work")
 
+    families._fiber.cache_clear()  # so that every fiber built here reaches the patched builder
     monkeypatch.setattr(families, "_fiber_payloads", no_fibers)
+    monkeypatch.setattr(search, "VERTEX_CAP", 5)
     monkeypatch.chdir(tmp_path)
     Path("j40.design").write_text(f"family johnson:v=40,m=20\nstrength 10\n{J40_ROW}\n")
+    Path("g17.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{G17_ROW}\n")
+    Path("pairs.design").write_text("family johnson:v=4,m=2\nstrength 1\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
     argv, context = REFUSALS[name]
     code, out, err = run_cli([*argv, "--json"], capsys)
     assert code == 3 and err.startswith("error:")
-    assert json.loads(out)["error"]["context"] == context
+    error = json.loads(out)["error"]
+    assert error["context"] == context
+    assert context["need"] > context["cap"]
+    assert f"needs {context['need']} " in error["message"] and error["message"].endswith(f" cap of {context['cap']}")
     assert not Path("x.design").exists()
+
+
+def test_search_max_refuses_an_oversized_design_before_its_coverage_pass(tmp_path, monkeypatch, capsys):
+    # the file fails its declared strength, which a coverage pass would report with exit 1
+    monkeypatch.setattr(search, "VERTEX_CAP", 1)
+    monkeypatch.setattr(families, "above", lambda *args: pytest.fail("covered a design the search refuses"))
+    monkeypatch.chdir(tmp_path)
+    Path("broken.design").write_text("family johnson:v=7,m=3\nstrength 2\n1 2 3\n1 4 5\n")
+    code, out, _ = run_cli(["search-max", "--design", "broken.design", "--s", "1", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["context"] == {"need": 2, "cap": 1}
 
 
 def test_missing_file_exit_2(tmp_path, monkeypatch, capsys):
@@ -415,14 +447,38 @@ def test_json_error_envelope_carries_budget_context(tmp_path, monkeypatch, capsy
     assert body["inputs"] == {"family": "johnson:v=6,m=3", "budget": 10}
     error = body["error"]
     assert error["type"] == "BudgetExceededError"
-    assert error["context"] == {"check": "setup", "fiber_sizes": [1, 6, 15]}
+    assert error["context"] == {"check": "setup", "fiber_sizes": [1, 6, 15], "need": 22, "cap": 10}
 
     monkeypatch.chdir(tmp_path)
-    row = ".".join(["1"] + ["0"] * 16)
-    Path("big.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{row}\n")
+    Path("big.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{G17_ROW}\n")
     code, out, _ = run_cli(["check-design", "--design", "big.design", "--json"], capsys)
     assert code == 3
-    assert json.loads(out)["error"]["context"] == {"atoms": 131072, "atom_cap": 65536}
+    assert json.loads(out)["error"]["context"] == {"need": 131072, "cap": 65536}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["search-max", "--s", "1"],
+        ["dr", "--s", "1", "--r", "0"],
+        ["ekr-check", "--s", "1"],
+        ["verify-extremal", "--s", "1", "--family-file", "broken.design"],
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_a_failed_reverification_carries_its_witness(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("broken.design").write_text("family johnson:v=7,m=3\nstrength 2\n1 2 3\n1 4 5\n")
+    code, out, _ = run_cli(["check-design", "--design", "broken.design", "--json"], capsys)
+    assert code == 1
+    witness = json.loads(out)["result"]["witness"]
+    assert witness == {"element_1": "1 2", "count_1": 1, "element_2": "1 6", "count_2": 0}
+    code, out, err = run_cli([*argv, "--design", "broken.design", "--json"], capsys)
+    error = json.loads(out)["error"]
+    assert code == 1 and error["type"] == "VerificationError"
+    assert error["context"] == {"witness": witness}
+    assert err == f"error: {error['message']}\n"
+    assert error["message"] == "not a 2-design: 1 2 is covered 1 times but 1 6 is covered 0 times"
 
 
 def test_json_error_envelope_for_parse_error(capsys):

@@ -21,16 +21,15 @@ def test_fano_is_a_2_design(fano_spec, fano_elements):
         for pair in __import__("itertools").combinations(range(1, 8), 2)
     }
     assert set(pair_counts.values()) == {1}
-    assert designs.is_design(fano_spec, fano_elements, 2) == 1
+    assert designs.make_certificate(fano_spec, fano_elements, 2).indices[2] == 1
 
 
 def test_fano_is_not_a_3_design(fano_spec, fano_elements):
-    assert designs.is_design(fano_spec, fano_elements, 3) is None
     with pytest.raises(VerificationError) as caught:
         designs.make_certificate(fano_spec, fano_elements, 3)
-    (z1, c1), (z2, c2) = caught.value.witness
-    assert c1 != c2
-    assert {c1, c2} == {0, 1}
+    line, off_line = (families.parse_element(fano_spec, text) for text in ("1 2 3", "1 2 4"))
+    assert caught.value.context == {"witness": {"element_1": line, "count_1": 1, "element_2": off_line, "count_2": 0}}
+    assert str(caught.value) == "not a 3-design: 1 2 3 is covered 1 times but 1 2 4 is covered 0 times"
 
 
 def test_replace_keeps_the_certificate_in_payload_order(fano_cert):
@@ -44,7 +43,7 @@ def test_full_fiber_certificates():
     cert = designs.full_fiber(js)
     assert cert.size == 10
     assert cert.indices[1] == 4
-    assert designs.is_design(js, cert.elements, 1) == 4
+    assert designs.make_certificate(js, cert.elements, 1).indices[1] == 4
 
     hs = families.parse_family_spec("hamming:m=2,n=5")
     cert = designs.full_fiber(hs)
@@ -78,7 +77,7 @@ def test_derive_index_rejects_non_integral(fano_spec):
 
 def test_proposition_reverification(fano_spec, fano_cert):
     for t_prime in (1, 0):
-        measured = designs.is_design(fano_spec, fano_cert.elements, t_prime)
+        measured = designs.make_certificate(fano_spec, fano_cert.elements, t_prime).indices[t_prime]
         assert measured == designs.derive_index(fano_spec, 1, 2, t_prime)
     assert fano_cert.indices == (7, 3, 1)
 
@@ -86,7 +85,7 @@ def test_proposition_reverification(fano_spec, fano_cert):
 def test_proposition_reverification_on_generated_oa():
     cert = designs.generate_linear_oa(3, 3)
     for t_prime in range(cert.strength + 1):
-        measured = designs.is_design(cert.spec, cert.elements, t_prime)
+        measured = designs.make_certificate(cert.spec, cert.elements, t_prime).indices[t_prime]
         assert measured == cert.indices[t_prime]
 
 
@@ -111,20 +110,20 @@ def test_budget_guards(tmp_path, monkeypatch):
     monkeypatch.setattr(families, "FIBER_CAP", 5)
     with pytest.raises(BudgetExceededError) as err:
         designs.full_fiber(spec)
-    assert err.value.context == {"fiber_size": 27, "fiber_cap": 5}
+    assert str(err.value) == "the rank-3 fiber of hamming:m=3,n=3 needs 27 elements, above the cap of 5"
+    assert err.value.context == {"need": 27, "cap": 5}
     monkeypatch.undo()
     cert = designs.full_fiber(spec, 2)
     designs.save_design(cert, tmp_path / "h.design")
     monkeypatch.setattr(families, "DEFAULT_BUDGET", 5)  # one constant reaches every coverage pass
     for call in (
-        lambda: designs.is_design(spec, cert.elements, 2),
         lambda: designs.make_certificate(spec, cert.elements, 2),
         lambda: designs.load_design(tmp_path / "h.design"),
     ):
         with pytest.raises(BudgetExceededError) as err:
             call()
-        assert str(err.value) == "strength verification needs 729 comparisons, budget is 5"
-        assert err.value.context == {"fiber_size": 27, "design_size": 27}
+        assert str(err.value) == "strength verification needs 729 comparisons, above the cap of 5"
+        assert err.value.context == {"fiber_size": 27, "design_size": 27, "need": 729, "cap": 5}
 
 
 def test_lambda0_is_the_design_size(fano_spec, fano_cert):
@@ -137,7 +136,7 @@ def test_lambda0_is_the_design_size(fano_spec, fano_cert):
 def test_generate_linear_oa():
     cert = designs.generate_linear_oa(3, 3)
     assert cert.size == 9 and cert.strength == 2 and cert.indices[2] == 1
-    assert designs.is_design(cert.spec, cert.elements, 2) == 1
+    assert designs.make_certificate(cert.spec, cert.elements, 2).indices[2] == 1
 
     cert = designs.generate_linear_oa(2, 2)
     assert [families.format_element(x) for x in cert.elements] == ["1:0,2:0", "1:1,2:1"]
@@ -145,7 +144,7 @@ def test_generate_linear_oa():
 
     cert = designs.generate_linear_oa(11, 3)
     assert cert.size == 121 and cert.strength == 2 and cert.indices == (121, 11, 1)
-    assert designs.is_design(cert.spec, cert.elements, 2) == 1
+    assert designs.make_certificate(cert.spec, cert.elements, 2).indices[2] == 1
 
     with pytest.raises(ValueError):
         designs.generate_linear_oa(4, 3)  # q must be prime
@@ -158,20 +157,20 @@ def test_an_oversized_linear_oa_is_refused_before_any_row_is_built(monkeypatch):
     monkeypatch.setattr(designs, "Element", lambda *args: pytest.fail("built a row"))
     with pytest.raises(BudgetExceededError) as err:
         designs.generate_linear_oa(1009, 3)
-    assert str(err.value) == "strength verification needs 3109466767683 comparisons, budget is 100000000"
-    assert err.value.context == {"fiber_size": 3054243, "design_size": 1018081}
+    assert str(err.value) == "strength verification needs 3109466767683 comparisons, above the cap of 100000000"
+    assert err.value.context == {"fiber_size": 3054243, "design_size": 1018081, "need": 3109466767683, "cap": 10**8}
 
 
 def test_design_validation_errors(fano_spec, fano_elements):
     with pytest.raises(ValueError):
-        designs.is_design(fano_spec, (), 1)
+        designs.make_certificate(fano_spec, (), 1)
     with pytest.raises(ValueError):
-        designs.is_design(fano_spec, fano_elements + fano_elements[:1], 2)
+        designs.make_certificate(fano_spec, fano_elements + fano_elements[:1], 2)
     low_rank = families.parse_element(fano_spec, "1 2")
     with pytest.raises(ValueError):
-        designs.is_design(fano_spec, fano_elements + (low_rank,), 2)
+        designs.make_certificate(fano_spec, fano_elements + (low_rank,), 2)
     with pytest.raises(ValueError):
-        designs.is_design(fano_spec, fano_elements, 4)
+        designs.make_certificate(fano_spec, fano_elements, 4)
 
 
 def test_restrict_strength(fano_cert):
@@ -205,7 +204,7 @@ def test_load_rejects_failed_strength(tmp_path, fano_elements):
     path.write_text(f"family johnson:v=7,m=3\nstrength 3\n{lines}\n")
     with pytest.raises(VerificationError) as err:
         designs.load_design(path)
-    assert err.value.witness is not None
+    assert set(err.value.context["witness"]) == {"element_1", "count_1", "element_2", "count_2"}
 
 
 def test_load_accepts_comments_and_blanks(tmp_path, fano_cert):

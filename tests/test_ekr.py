@@ -223,8 +223,8 @@ def test_dr_scan_is_refused_before_its_fiber_is_built(monkeypatch):
     monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
     with pytest.raises(BudgetExceededError) as err:
         ekr.compute_dr(cert, 10, 9)
-    assert str(err.value) == "d_r scan needs about 1695321056 comparisons, budget is 100000000"
-    assert err.value.context == {"fiber_size": 847660528, "design_size": 1}
+    assert str(err.value) == "the d_r scan needs 1695321056 comparisons, above the cap of 100000000"
+    assert err.value.context == {"fiber_size": 847660528, "design_size": 1, "need": 1695321056, "cap": 10**8}
 
 
 def test_dr_budget_counts_the_scan_not_pairs(monkeypatch):
@@ -240,8 +240,8 @@ def test_dr_budget_counts_the_scan_not_pairs(monkeypatch):
     monkeypatch.setattr(families, "DEFAULT_BUDGET", 5_039)
     with pytest.raises(BudgetExceededError) as err:
         ekr.compute_dr(cert, 1, 0)
-    assert str(err.value) == "d_r scan needs about 5040 comparisons, budget is 5039"
-    assert err.value.context == {"fiber_size": 10, "design_size": 252}
+    assert str(err.value) == "the d_r scan needs 5040 comparisons, above the cap of 5039"
+    assert err.value.context == {"fiber_size": 10, "design_size": 252, "need": 5040, "cap": 5039}
 
 
 def test_dr_budget_counts_the_near_table_words(monkeypatch):
@@ -255,8 +255,8 @@ def test_dr_budget_counts_the_near_table_words(monkeypatch):
     monkeypatch.setattr(families, "DEFAULT_BUDGET", 83_159)
     with pytest.raises(BudgetExceededError) as err:
         ekr.compute_dr(cert, 1, 0)
-    assert str(err.value) == "d_r scan needs about 83160 comparisons, budget is 83159"
-    assert err.value.context == {"fiber_size": 12, "design_size": 924}
+    assert str(err.value) == "the d_r scan needs 83160 comparisons, above the cap of 83159"
+    assert err.value.context == {"fiber_size": 12, "design_size": 924, "need": 83160, "cap": 83159}
 
 
 def test_verify_extremal_star_is_extremal(monkeypatch):

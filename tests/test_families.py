@@ -420,7 +420,8 @@ def test_oversized_atom_table_is_refused():
     z = families.least(spec)
     with pytest.raises(BudgetExceededError) as info:
         families.meet(z, z)
-    assert info.value.context["atoms"] == 2**64
+    assert str(info.value) == f"grassmann:v=64,m=32,q=2 needs {2**64} atoms, above the cap of {2**16}"
+    assert info.value.context == {"need": 2**64, "cap": families.ATOM_CAP}
     with pytest.raises(BudgetExceededError):
         families.leq(z, z)
     at_cap = families.parse_family_spec("grassmann:v=16,m=1,q=2")  # 2^16 atoms

@@ -89,8 +89,8 @@ def test_build_graph_vertex_budget(fano_cert, monkeypatch):
     monkeypatch.setattr(search, "VERTEX_CAP", 3)
     with pytest.raises(BudgetExceededError) as err:
         search.max_intersecting(fano_cert, 1)
-    assert str(err.value) == "design has 7 elements, vertex budget is 3"
-    assert err.value.context == {"design_size": 7}
+    assert str(err.value) == "the search graph needs 7 vertices, above the cap of 3"
+    assert err.value.context == {"need": 7, "cap": 3}
 
 
 def test_greedy_lower_bound_examples(fano_cert):

@@ -18,13 +18,13 @@ REMOVED_LIMITS = {"budget", "vertex_budget", "all_max_cap"}
 
 
 def test_every_exported_name_resolves():
-    assert len(ekrlattice.__all__) == len(set(ekrlattice.__all__)) == 50
+    assert len(ekrlattice.__all__) == len(set(ekrlattice.__all__)) == 49
     assert [name for name in ekrlattice.__all__ if not hasattr(ekrlattice, name)] == []
 
 
 @pytest.mark.parametrize(
     "fn",
-    (designs.is_design, designs.make_certificate, designs.load_design, ekr.compute_dr, search.max_intersecting),
+    (designs.make_certificate, designs.load_design, ekr.compute_dr, search.max_intersecting),
     ids=lambda fn: fn.__qualname__,
 )
 def test_no_function_takes_a_limit_the_cli_does_not_set(fn):
