@@ -260,8 +260,8 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements
     size = families.fiber_size(spec, s)
-    # fiber x Y meet ranks, and at most as many `leq` tests in `above`; or the
-    # `near` table's |Y| nu(s, M) ORs, each over |Y| bits (|Y| // 64 + 1
+    # fiber x Y meet popcounts, and at most as many `leq` tests in `above`; or
+    # the `near` table's |Y| nu(s, M) ORs, each over |Y| bits (|Y| // 64 + 1
     # words), which also bounds the table's |Y|^2 bits
     n = len(members)
     need = max(size * n * 2, n * parameters.nu(spec, s, spec.top_rank) * (n // 64 + 1))
@@ -271,11 +271,14 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
         )
     stars = families.above(spec, s, members)
     near = star_neighbourhoods(stars, n)
+    count_r = families.atom_count(spec, r)  # x /\ y has rank r iff x and y share this many atoms
+    member_atoms = [y.atoms for y in members]
     best = None
     witness = None
     for x, star_x in zip(families.enumerate_fiber(spec, s), stars):
-        for y, near_y in zip(members, near):
-            if families.meet_rank(x, y) != r:
+        atoms_x = x.atoms
+        for y, atoms_y, near_y in zip(members, member_atoms, near):
+            if (atoms_x & atoms_y).bit_count() != count_r:
                 continue
             count = (star_x & near_y).bit_count()
             if best is None or count > best:

@@ -217,7 +217,8 @@ class _Atoms:
             self.fld = gflib.field(spec.q)
             self.width = spec.v if kind == "grassmann" else spec.m + spec.n
             count = spec.q**self.width
-            self.ranks = {spec.q**r - 1: r for r in range(spec.top_rank + 1)}  # popcount -> rank
+            self.counts = tuple(spec.q**r - 1 for r in range(spec.top_rank + 1))  # rank -> popcount
+            self.ranks = {c: r for r, c in enumerate(self.counts)}  # popcount -> rank
         elif kind == "johnson":
             count = spec.v
         else:
@@ -340,6 +341,11 @@ def meet_rank(x: Element, y: Element) -> int:
     return count if spec.q is None else _atoms(spec).ranks[count]  # q: the subspace kinds
 
 
+def atom_count(spec: FamilySpec, r: int) -> int:
+    """Popcount of a rank-r element's atoms, the inverse of `meet_rank`'s map."""
+    return r if spec.q is None else _atoms(spec).counts[r]
+
+
 def leq(x: Element, y: Element) -> bool:
     """True iff x is below y (equivalently meet(x, y) == x)."""
     _same_family(x, y)
@@ -455,22 +461,38 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     """For each rank-i element, in canonical order, the bitmask of the indices of
     `elements` above it.
 
-    z <= x puts z's atoms inside x's, so each x is tested by `leq` only against
-    the fiber elements whose lowest atom is one of x's; the least element has
-    no atoms and sits in bucket 0, which every x tries.
+    z <= x puts z's atoms inside x's, so the fiber is filed by a key made of
+    atoms of z, and each x is tested by `leq` only against the keys made of
+    its own atoms.  Set and map kinds at rank i >= 2 key z by its two lowest
+    atoms and x tries each pair of its atoms; at i = 2 a key holds one
+    element.  Otherwise the key is z's lowest atom, and the least element,
+    with no atoms, sits in bucket 0, which every x tries.
     """
     _atoms(spec)  # a family above ATOM_CAP is refused before its fiber is built
     fiber = enumerate_fiber(spec, i)
-    buckets: dict[int, list[tuple[int, Element]]] = {}
+    pairs = spec.q is None and i >= 2
+    # one int per element, no list per key: head[key] is the highest index
+    # with that key, chain[k] the next lower one, -1 ends a chain
+    head: dict[int, int] = {}
+    chain = [-1] * len(fiber)
     for k, z in enumerate(fiber):
-        buckets.setdefault(z.atoms & -z.atoms, []).append((k, z))
+        atoms = z.atoms
+        key = atoms & -atoms
+        if pairs:
+            rest = atoms ^ key
+            key |= rest & -rest
+        chain[k] = head.get(key, -1)
+        head[key] = k
     masks = [0] * len(fiber)
     for j, x in enumerate(elements):
         bit = 1 << j
-        for low in (0, *(1 << b for b in _bits(x.atoms))):
-            for k, z in buckets.get(low, ()):
-                if leq(z, x):
+        atoms = [1 << b for b in _bits(x.atoms)]
+        for key in [a | b for a, b in combinations(atoms, 2)] if pairs else (0, *atoms):
+            k = head.get(key, -1)
+            while k >= 0:
+                if leq(fiber[k], x):
                     masks[k] |= bit
+                k = chain[k]
     return masks
 
 

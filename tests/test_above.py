@@ -1,6 +1,8 @@
-"""The lowest-atom fiber index (`families.above`), the elements below one
-element (`families.below`), popcount meet ranks (`families.meet_rank`) and
-the search graph built from stars, checked against brute-force scans.
+"""The atom-keyed fiber index (`families.above`: two lowest atoms for set and
+map kinds at rank >= 2, else the lowest atom), the elements below one element
+(`families.below`), popcount meet ranks (`families.meet_rank`, and d_r's
+`families.atom_count`) and the search graph built from stars, checked
+against brute-force scans.
 
 The whole-fiber loops that coverage, the star seed and d_r ran before they
 moved onto `above`, `below` and `meet_rank`, and the pairwise meets the
@@ -108,6 +110,22 @@ def test_below_matches_a_leq_scan_at_every_rank(spec):
             assert parameters.nu(spec, i, x.rank) == len(expected)
 
 
+def test_above_tests_each_pair_key_once_on_a_strength_2_array(monkeypatch):
+    # at rank 2 a pair key names one element, and an index-1 array covers each once
+    cert = designs.generate_linear_oa(5, 3)
+    expected = brute_above(cert.spec, 2, cert.elements)
+    results = []
+    leq = families.leq
+
+    def recording_leq(z, x):
+        results.append(leq(z, x))
+        return results[-1]
+
+    monkeypatch.setattr(families, "leq", recording_leq)
+    assert families.above(cert.spec, 2, cert.elements) == expected
+    assert results == [True] * families.fiber_size(cert.spec, 2)
+
+
 def test_above_at_rank_0_covers_every_element():
     spec = families.parse_family_spec("grassmann:v=4,m=2,q=3")
     elements = families.enumerate_fiber(spec, 2)
@@ -136,7 +154,7 @@ def test_meet_rank_rejects_mixed_families():
         families.meet_rank(a, b)
 
 
-@pytest.mark.parametrize("text", GRID_SPECS)
+@pytest.mark.parametrize("text", GRAPH_SPECS)
 def test_coverage_seed_and_dr_match_the_scans(text):
     spec = families.parse_family_spec(text)
     top = spec.top_rank
@@ -218,3 +236,18 @@ def test_dr_reads_near_from_the_stars(text, monkeypatch):
     monkeypatch.setattr(ekr, "intersection_masks", lambda members, s: pytest.fail("built a pairwise table"))
     for (s, r), report in expected.items():
         assert ekr.compute_dr(cert, s, r) == report
+
+
+@pytest.mark.parametrize(
+    "cert",
+    (designs.generate_linear_oa(5, 3), full_fiber(families.parse_family_spec("bilinear:m=2,n=2,q=3"))),
+    ids=("oa5", "bilinear-q3"),
+)
+def test_dr_reads_meet_ranks_off_popcounts(cert, monkeypatch):
+    t = cert.strength
+    expected = {(s, r): dr_oracle(cert, s, r) for s in range(1, t + 1) for r in range(s)}
+    monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("called meet_rank"))
+    monkeypatch.setattr(families, "meet", lambda x, y: pytest.fail("decoded a meet"))
+    for (s, r), found in expected.items():
+        report = ekr.compute_dr(cert, s, r)
+        assert (report.d_r, report.witness) == found, (s, r)
