@@ -5,7 +5,7 @@ map kinds at rank >= 2, else the lowest atom), the elements below one element
 against brute-force scans.
 
 The whole-fiber loops that coverage, the star seed and d_r ran before they
-moved onto `above`, `below` and `meet_rank`, and the pairwise meets the
+moved onto `above`, `below` and atom popcounts, and the pairwise meets the
 intersection graph was built from before it became a union of stars, are kept
 here as oracles; outputs, witnesses included, must be identical.
 """
