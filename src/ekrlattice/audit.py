@@ -38,7 +38,9 @@ small for them is refused before any fiber is built.
 For set and map kinds `families.join_bounded` reads nothing but the union
 of its arguments' atoms, so the join check calls it once per distinct
 union, on the first pair (row order) that has it.  The subspace kinds,
-whose pairs nearly all have a union of their own, call it once per pair.
+whose pairs nearly all have a union of their own, call it once per pair;
+their join is the sumset of the two atom sets, decoded once per distinct
+join.
 """
 
 from __future__ import annotations

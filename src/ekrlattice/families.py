@@ -24,6 +24,7 @@ nbjohnson and 1-based for injection and signed.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -191,14 +192,17 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 # * bilinear  -- the nonzero vectors of the graph {(w, f(w))} in GF(q)^(m+n),
 #                so the meet of two maps is the intersection of their graphs.
 #
-# Vector c of GF(q)^width is bit sum_j c_j * q^(width-1-j).  Then meet is
-# `a & b`, leq is `a & ~b == 0` and, for set and map kinds, join is `a | b`;
-# the payload stays the codec and the canonical sort key.  A rank-r element
-# has r atoms (set and map kinds) or q^r - 1 (subspace kinds), so the meet's
-# rank is read off the popcount.
+# Vector c of GF(q)^width is bit sum_j c_j * q^(width-1-j), its code.  Then
+# meet is `a & b`, leq is `a & ~b == 0` and, for set and map kinds, join is
+# `a | b`; the payload stays the codec and the canonical sort key.  A rank-r
+# element has r atoms (set and map kinds) or q^r - 1 (subspace kinds), so the
+# meet's rank is read off the popcount.  Subspace kinds add and scale vectors
+# on their codes (`plus`, `scale`), so spans, the join (the sumset of two atom
+# sets) and `below` row-reduce nothing; a decode reads the RREF rows off the
+# mask, once per distinct mask.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
-_DECODED_CAP = 1 << 12  # decoded meet results kept per family
+_DECODED_CAP = 1 << 12  # decoded meet and join results kept per family
 
 
 def _bits(mask: int):
@@ -219,6 +223,12 @@ class _Atoms:
             count = spec.q**self.width
             self.counts = tuple(spec.q**r - 1 for r in range(spec.top_rank + 1))  # rank -> popcount
             self.ranks = {c: r for r, c in enumerate(self.counts)}  # popcount -> rank
+            self.top_size = spec.q**spec.top_rank  # vectors of a top-rank element
+            self.vectors: dict[int, tuple] = {}  # code -> vector, filled by `_vector`
+            # GF(2^k) elements are bit polynomials, so vectors add by the xor of their codes
+            self.plus = operator.xor if self.fld.p == 2 else self._digit_plus
+            # bilinear: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
+            self.flat = (1 << spec.q**spec.n) - 2 if kind == "bilinear" else 0
         elif kind == "johnson":
             count = spec.v
         else:
@@ -240,16 +250,21 @@ class _Atoms:
         if kind == "johnson":
             return sum(1 << (i - 1) for i in payload)
         if kind in ("grassmann", "bilinear"):
-            return self._span_mask(_rows(kind, payload))
+            return self._span(sum(1 << self.code(row) for row in _rows(kind, payload)))
         return sum(1 << ((p - 1) * self.stride + v - self.base) for p, v in payload)
 
     def element(self, mask: int) -> Element:
-        """The element whose atom set is mask, e.g. the meet `a & b`."""
+        """The element whose atom set is mask, e.g. the meet `a & b`.  A subspace
+        kind's first decode of a mask is encoded back, and a mask that is not
+        the atom set of an element raises AssertionError."""
         found = self.decoded.get(mask)
         if found is None:
+            found = Element(self.spec, self._decode(mask))
+            if self.spec.q is not None and (mask & self.flat or self.encode(found.payload) != mask):
+                raise AssertionError(f"{self.spec}: atoms {mask:#x} are not an element's; decoded {found}")
             if len(self.decoded) >= _DECODED_CAP:
                 self.decoded.clear()
-            found = self.decoded[mask] = Element(self.spec, self._decode(mask))
+            self.decoded[mask] = found
             found.__dict__["atoms"] = mask
         return found
 
@@ -274,38 +289,83 @@ class _Atoms:
             return tuple(b + 1 for b in _bits(mask))
         if kind not in ("grassmann", "bilinear"):
             return tuple((b // self.stride + 1, b % self.stride + self.base) for b in _bits(mask))
-        # pick spanning vectors greedily, then take the canonical basis
-        rows, rest = [], mask
-        while rest:
-            rows.append(self._vector((rest & -rest).bit_length() - 1))
-            rest = mask & ~self._span_mask(rows)
-        # a graph meets {0} x GF(q)^n trivially, so every pivot is a domain column
-        return _from_rows(self.spec, gflib.rref(rows, self.fld)[0])
+        # Adding later RREF rows to a row puts a nonzero entry at a later pivot,
+        # where the row has 0, so the row with its pivot at column c is the least
+        # vector whose first nonzero entry is a 1 at c: its code is the lowest
+        # atom in [lo, 2 lo), lo = q^(width-1-c).  A graph meets {0} x GF(q)^n
+        # trivially, so every pivot is a domain column.
+        rows, lo = [], self.fld.q**self.width
+        while lo > 1:
+            lo //= self.fld.q
+            lead = mask >> lo & (1 << lo) - 1
+            if lead:
+                rows.append(self._vector(lo + (lead & -lead).bit_length() - 1))
+        return _from_rows(self.spec, tuple(rows))
+
+    # vector arithmetic of the subspace kinds, on codes
+
+    def code(self, vec) -> int:
+        """The code of a vector, the inverse of `_vector`."""
+        q, code = self.fld.q, 0
+        for c in vec:
+            code = code * q + c
+        return code
 
     def _vector(self, code: int) -> tuple:
-        q = self.fld.q
-        digits = []
-        for _ in range(self.width):
-            code, c = divmod(code, q)
-            digits.append(c)
-        return tuple(reversed(digits))
+        """The vector whose code is `code`, kept once met."""
+        vec = self.vectors.get(code)
+        if vec is None:
+            q, rest, digits = self.fld.q, code, []
+            for _ in range(self.width):
+                rest, c = divmod(rest, q)
+                digits.append(c)
+            vec = self.vectors[code] = tuple(reversed(digits))
+        return vec
 
-    def _span_mask(self, rows) -> int:
-        fld, q = self.fld, self.fld.q
-        span = [(0,) * self.width]
-        for row in rows:
-            span = [
-                tuple(fld.add(a, fld.mul(c, b)) for a, b in zip(vec, row))
-                for c in range(q)
-                for vec in span
-            ]
-        mask = 0
-        for vec in span:
-            code = 0
-            for c in vec:
-                code = code * q + c
-            mask |= 1 << code
-        return mask & ~1  # the zero vector is no atom
+    def _digit_plus(self, u: int, v: int) -> int:
+        """`plus` for odd p.  A code is also a base-p numeral, since GF(p^k) elements
+        are polynomials over GF(p) in base p, and vectors add digit by digit mod p:
+        u + v, less p^(j+1) for each base-p digit j whose two digits reach p."""
+        p = self.fld.p
+        out, place = u + v, p
+        while u and v:
+            u, a = divmod(u, p)
+            v, b = divmod(v, p)
+            if a + b >= p:
+                out -= place
+            place *= p
+        return out
+
+    def scale(self, c: int, u: int) -> int:
+        """The code of c times the vector whose code is u."""
+        if c == 1:
+            return u
+        q, mul = self.fld.q, self.fld.mul
+        out, place = 0, 1
+        while u:
+            u, a = divmod(u, q)
+            out += mul(c, a) * place
+            place *= q
+        return out
+
+    def sumset(self, a: int, b: int) -> int:
+        """The atoms of x + y for subspaces x and y with atoms a and b: their join."""
+        return self._span(b, a)
+
+    def _span(self, mask: int, under: int = 0) -> int:
+        """The atoms of the span of `under`, the atoms of a subspace, and the
+        vectors of mask."""
+        plus, q = self.plus, self.fld.q
+        vecs, span = [0, *_bits(under)], under | 1  # bit 0: the zero vector
+        rest = mask & ~span
+        while rest:
+            code = (rest & -rest).bit_length() - 1
+            new = [plus(s, m) for m in [self.scale(c, code) for c in range(1, q)] for s in vecs]
+            vecs += new
+            for v in new:
+                span |= 1 << v
+            rest &= ~span
+        return span & ~1
 
 
 @lru_cache(maxsize=16)
@@ -357,25 +417,32 @@ def join_bounded(x: Element, y: Element) -> Element | None:
 
     When an upper bound exists its rank is rank(x) + rank(y) - rank(x/\\y);
     upper bounds are only sought at rank <= M.  Set and map kinds join by
-    the union of their atoms; subspace kinds row-reduce both row sets.
+    the union of their atoms.  Subspace kinds return the larger of two
+    comparable elements; otherwise, within that rank, the join's atoms are
+    the sumset of the two atom sets, which for bilinear must hold no vector
+    (0, u).  The result is decoded through the family's cache, so each
+    distinct join is decoded, and checked, once.
     """
     spec = _same_family(x, y)
-    kind = spec.kind
-    top = spec.top_rank
+    atoms = _atoms(spec)
+    a, b = x.atoms, y.atoms
     if spec.q is None:  # set and map kinds: the join's atoms are the union
-        union = x.atoms | y.atoms
-        atoms = _atoms(spec)
-        if union.bit_count() > top or kind != "johnson" and atoms.clash(union):
+        union = a | b
+        if union.bit_count() > spec.top_rank or spec.kind != "johnson" and atoms.clash(union):
             return None
         return atoms.element(union)
-    if x.rank + y.rank - meet_rank(x, y) > top:
-        return None  # every upper bound has at least this rank
-    # one row reduction of both (graph) row sets; for bilinear the span must
-    # itself be the graph of a map, i.e. have no pivot in an image column
-    rows, pivots = gflib.rref(_rows(kind, x.payload) + _rows(kind, y.payload), gflib.field(spec.q))
-    if kind == "bilinear" and any(p >= spec.m for p in pivots):
+    common = a & b
+    # q^rank(x) q^rank(y) / q^rank(x /\ y) > q^M: every upper bound is above the top rank
+    if (a.bit_count() + 1) * (b.bit_count() + 1) > (common.bit_count() + 1) * atoms.top_size:
         return None
-    return Element(spec, _from_rows(spec, rows))
+    if common == a:
+        return y
+    if common == b:
+        return x
+    total = atoms.sumset(a, b)
+    if total & atoms.flat:
+        return None  # not the graph of a map
+    return atoms.element(total)
 
 
 def meet_all(elements) -> Element:
@@ -496,22 +563,33 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _coefficients(r: int, i: int, q: int) -> tuple:
+    """Every i-row RREF matrix with r columns over GF(q), in enumeration order."""
+    return tuple(gflib.enumerate_rref_matrices(r, i, gflib.field(q)))
+
+
 def below(x: Element, i: int) -> list[Element]:
     """The rank-i elements below x, in canonical order; no fiber is built.
 
     Set and map kinds take the i-subsets of x's payload.  Subspace kinds
-    multiply x's RREF (graph) rows R by every i-row RREF matrix C; C R is
-    already in RREF, since at R's pivot columns it reads C.
+    multiply x's RREF (graph) rows R by every i-row RREF matrix C, on the
+    rows' codes; C R is already in RREF, since at R's pivot columns it reads C.
     """
     spec = x.spec
     if spec.q is None:
         return [Element(spec, sub) for sub in combinations(x.payload, i)]
-    fld = gflib.field(spec.q)
-    cols = list(zip(*_rows(spec.kind, x.payload)))
+    atoms = _atoms(spec)
+    plus = atoms.plus
+    # multiples[j][c]: the code of c times row j
+    multiples = [
+        [0, *(atoms.scale(c, code) for c in range(1, spec.q))]
+        for code in map(atoms.code, _rows(spec.kind, x.payload))
+    ]
     payloads = []
-    for coeffs in gflib.enumerate_rref_matrices(x.rank, i, fld):
-        rows = tuple(tuple(fld.dot(c, col) for col in cols) for c in coeffs)
-        payloads.append(_from_rows(spec, rows))
+    for coeffs in _coefficients(x.rank, i, spec.q):
+        codes = [reduce(plus, map(list.__getitem__, multiples, row)) for row in coeffs]
+        payloads.append(_from_rows(spec, tuple(map(atoms._vector, codes))))
     return [Element(spec, p) for p in sorted(payloads)]
 
 
@@ -561,8 +639,7 @@ def symmetries(spec: FamilySpec) -> list:
             maps += [lambda c, a=a: a(c[:m]) + c[m:] for a in _linear_maps(fld, m)]
             maps += [lambda c, d=d: c[:m] + d(c[m:]) for d in _linear_maps(fld, spec.n)]
             maps.append(lambda c: c[:m] + (fld.add(c[m], c[0]),) + c[m + 1 :])
-        code = lambda vec: reduce(lambda acc, c: acc * fld.q + c, vec, 0)  # inverse of `_vector`
-        moves = [lru_cache(maxsize=None)(lambda b, g=g: code(g(atoms._vector(b)))) for g in maps]
+        moves = [lru_cache(maxsize=None)(lambda b, g=g: atoms.code(g(atoms._vector(b)))) for g in maps]
     else:
         m, width = (spec.v, 1) if kind == "johnson" else (spec.m, _atoms(spec).stride)
         pairs = [lambda p, a: (_swap(p), a), lambda p, a: ((p + 1) % m, a)]

@@ -249,8 +249,9 @@ class _Solver:
     clique it records; its root starts one subtree per orbit (`orbit`: per
     internal vertex, the mask of its orbit; None without generators), and
     each child of the root one subtree per orbit of a subgroup of its
-    representative's stabilizer, computed when that child first branches and
-    skipped when the subgroup is trivial.  Deeper nodes use no orbits.
+    representative's stabilizer, computed when that child first branches, once
+    per representative for every search, and skipped when the subgroup is
+    trivial.  Deeper nodes use no orbits.
     `enumerate_exact` and `lexicographically_least` keep `need` at the proved
     optimum, where a clique of that size has no candidate left, so the leaf
     sees exactly the maximum cliques.  `enumerate_exact` branches on orbits
@@ -268,6 +269,7 @@ class _Solver:
         self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
         self.orbits = _orbits(self.n, self.generators)
         self.orbit = _orbit_masks(self.n, self.orbits) if self.generators else None
+        self.stabilizers = {}  # root vertex -> `_stabilizer_orbit`
         self.node_budget = None
         self.nodes = 0
         self.need = 0
@@ -291,8 +293,7 @@ class _Solver:
             if size + colors[i] < self.need:
                 return False
             if fixed is not None:
-                kept, orbits = _stabilizer(self.adj, self.generators, fixed)
-                orbit, fixed = _orbit_masks(self.n, orbits) if kept else None, None
+                orbit, fixed = self._stabilizer_orbit(fixed), None
             v = order[i]
             bit = drop = 1 << v
             if orbit:
@@ -309,6 +310,14 @@ class _Solver:
                 return True
             candidates &= ~drop
         return False
+
+    def _stabilizer_orbit(self, r):
+        """Per vertex, the mask of its orbit under `_stabilizer`'s subgroup for r, or
+        None when that subgroup is trivial; computed once per r."""
+        if r not in self.stabilizers:
+            kept, orbits = _stabilizer(self.adj, self.generators, r)
+            self.stabilizers[r] = _orbit_masks(self.n, orbits) if kept else None
+        return self.stabilizers[r]
 
     def maximize(self, init_mask=0, node_budget=None):
         """Returns (best size, best mask, proved) growing from the incumbent

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ekrlattice import designs, families
@@ -15,11 +17,31 @@ GRID_SPECS = (
     "signed:m=4,k=2",
 )
 
+# (spec, elements kept per rank or None for all): odd prime and prime-power
+# fields, with rank-2 joins wherever the top rank is 2
+ODD_FIELD_SPECS = (
+    ("grassmann:v=4,m=2,q=3", 40),
+    ("bilinear:m=2,n=1,q=3", None),
+    ("grassmann:v=4,m=2,q=5", 30),
+    ("bilinear:m=2,n=1,q=5", None),
+    ("bilinear:m=2,n=1,q=8", 30),
+)
+
 FANO_LINES = ("1 2 3", "1 4 5", "1 6 7", "2 4 6", "2 5 7", "3 4 7", "3 5 6")
 
 
 def grid():
     return [families.parse_family_spec(text) for text in GRID_SPECS]
+
+
+def sampled_universe(spec, per_rank):
+    """Every element, or `per_rank` of each fiber drawn by a generator seeded by the spec."""
+    rng = random.Random(str(spec))
+    universe = []
+    for i in range(spec.top_rank + 1):
+        fiber = families.enumerate_fiber(spec, i)
+        universe += fiber if per_rank is None or len(fiber) <= per_rank else rng.sample(fiber, per_rank)
+    return universe
 
 
 def star_members(elements, z):

@@ -20,7 +20,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import DesignCertificate, full_fiber
 from ekrlattice.errors import FamilyMismatchError, VerificationError
 
-from conftest import GRID_SPECS, grid, seed_family, star_members
+from conftest import GRID_SPECS, ODD_FIELD_SPECS, grid, sampled_universe, seed_family, star_members
 
 MEET_RANK_SPECS = (
     "johnson:v=6,m=3",
@@ -101,9 +101,13 @@ def test_above_matches_a_leq_scan_at_every_rank(spec):
             assert families.above(spec, i, elements) == brute_above(spec, i, elements), (i, len(elements))
 
 
-@pytest.mark.parametrize("spec", grid(), ids=str)
-def test_below_matches_a_leq_scan_at_every_rank(spec):
-    for x in families.enumerate_all(spec):
+BELOW_CASES = (*((text, None) for text in GRID_SPECS), *ODD_FIELD_SPECS)
+
+
+@pytest.mark.parametrize("text, per_rank", BELOW_CASES, ids=[text for text, _ in BELOW_CASES])
+def test_below_matches_a_leq_scan_at_every_rank(text, per_rank):
+    spec = families.parse_family_spec(text)
+    for x in sampled_universe(spec, per_rank):
         for i in range(x.rank + 1):
             expected = [z for z in families.enumerate_fiber(spec, i) if families.leq(z, x)]
             assert families.below(x, i) == expected, (x, i)

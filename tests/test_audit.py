@@ -222,6 +222,28 @@ def test_wrong_join_is_caught_with_counterexample(monkeypatch, fault, answer, wi
     assert report.checks[-1].cases == cases
 
 
+@pytest.mark.parametrize(
+    "text, witnesses, cases",
+    [
+        ("grassmann:v=4,m=2,q=2", ["0.0.0.1", "0.0.1.0", "0.0.0.1"], 53),
+        ("bilinear:m=2,n=1,q=3", ["E=0.1;f=0", "E=1.0;f=0", "E=0.1;f=0"], 26),
+    ],
+)
+def test_wrong_subspace_join_is_caught_with_counterexample(monkeypatch, text, witnesses, cases):
+    # the fault: x for every pair whose join is neither x nor y
+    real = families.join_bounded
+
+    def join_bounded(x, y):
+        joined = real(x, y)
+        return x if joined not in (None, x, y) else joined
+
+    monkeypatch.setattr(families, "join_bounded", join_bounded)
+    report = audit(families.parse_family_spec(text))
+    assert [c.check_id for c in report.checks if not c.passed] == ["join-rank"]
+    assert report.checks[-1].counterexample == {"elements": witnesses, "note": "least upper bound must have rank 2"}
+    assert report.checks[-1].cases == cases
+
+
 @pytest.mark.parametrize("spec", [s for s in grid() if s.q is None], ids=str)
 def test_join_bounded_reads_only_the_atom_union(spec):
     # the audit calls join_bounded once per atom union of these kinds

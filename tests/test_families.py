@@ -7,10 +7,11 @@ mixed element pool.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from conftest import grid
+from conftest import ODD_FIELD_SPECS, grid, sampled_universe
 from hypothesis import given, settings, strategies as st
 from test_gf import brute_span, sample_cases
 
@@ -392,27 +393,67 @@ def test_meet_matches_brute_span_intersection(q):
         assert vector_set(met, fld) == vector_set(a, fld) & vector_set(b, fld)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["grassmann:v=4,m=2,q=2", "bilinear:m=2,n=2,q=2", "bilinear:m=1,n=1,q=4", "grassmann:v=2,m=1,q=9"],
+SUBSPACE_CASES = (
+    *((text, None) for text in ("grassmann:v=4,m=2,q=2", "bilinear:m=2,n=2,q=2", "bilinear:m=1,n=1,q=4", "grassmann:v=2,m=1,q=9")),
+    *ODD_FIELD_SPECS,
 )
-def test_subspace_operations_against_vector_enumeration(text):
+
+
+@pytest.mark.parametrize("text, per_rank", SUBSPACE_CASES, ids=[text for text, _ in SUBSPACE_CASES])
+def test_subspace_operations_against_vector_enumeration(text, per_rank):
     spec = families.parse_family_spec(text)
     fld = gf.field(spec.q)
-    vectors = {x: vector_set(x, fld) for x in families.enumerate_all(spec)}
-    for x, vx in vectors.items():
-        for y, vy in vectors.items():
-            met = families.meet(x, y)
-            assert met in vectors and vectors[met] == vx & vy
+    universe = sampled_universe(spec, per_rank)
+    spans = {}
+
+    def span(x):
+        """x's vectors; the first time, x must also parse back from its canonical encoding."""
+        if x not in spans:
+            assert families.parse_element(spec, str(x)) == x
+            spans[x] = vector_set(x, fld)
+        return spans[x]
+
+    for x in universe:
+        for y in universe:
+            vx, vy = span(x), span(y)
+            common = vx & vy
+            assert span(families.meet(x, y)) == common
             assert families.leq(x, y) == (vx <= vy)
-            total = frozenset(tuple(fld.add(a, b) for a, b in zip(u, w)) for u in vx for w in vy)
-            # bilinear: a sum of graphs is a graph iff no nonzero vector has a zero domain part
-            is_element = spec.kind == "grassmann" or all(any(v[: spec.m]) for v in total if any(v))
             joined = families.join_bounded(x, y)
-            if is_element and len(total) <= spec.q**spec.top_rank:
-                assert joined in vectors and vectors[joined] == total
+            # the sum of two subspaces has |vx| |vy| / |vx & vy| vectors
+            if len(vx) * len(vy) > len(common) * spec.q**spec.top_rank:
+                assert joined is None
+                continue
+            if vx <= vy or vy <= vx:
+                total = vx | vy
+            else:
+                total = frozenset(tuple(fld.add(a, b) for a, b in zip(u, w)) for u in vx for w in vy)
+            # bilinear: a sum of graphs is a graph iff no nonzero vector has a zero domain part
+            if spec.kind == "grassmann" or all(any(v[: spec.m]) for v in total if any(v)):
+                assert joined is not None and span(joined) == total
             else:
                 assert joined is None
+
+
+@pytest.mark.parametrize(
+    "text, x, y", [("grassmann:v=4,m=2,q=2", "0.0.0.1", "0.0.1.0"), ("bilinear:m=2,n=1,q=3", "E=0.1;f=0", "E=1.0;f=2")]
+)
+def test_a_join_whose_atoms_are_no_span_raises(monkeypatch, text, x, y):
+    # a sumset that drops one vector decodes to an element whose atoms are its
+    # span, not the mask; the first decode encodes back and refuses to cache it
+    spec = families.parse_family_spec(text)
+    sumset = families._Atoms.sumset
+
+    def short(self, a, b):  # the sumset less its highest vector
+        total = sumset(self, a, b)
+        return total ^ 1 << total.bit_length() - 1
+
+    monkeypatch.setattr(families._Atoms, "sumset", short)
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))  # nothing decoded before the patch
+    x, y = families.parse_element(spec, x), families.parse_element(spec, y)
+    with pytest.raises(AssertionError, match="are not an element's"):
+        families.join_bounded(x, y)
+    assert not families._atoms(spec).decoded
 
 
 def test_oversized_atom_table_is_refused():

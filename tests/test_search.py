@@ -467,6 +467,18 @@ def test_the_closure_lists_every_maximum_family_in_few_nodes():
     assert result.nodes < 200
 
 
+def test_each_root_stabilizer_is_computed_once(monkeypatch):
+    # one member orbit: maximize and enumerate_exact both branch below vertex 0,
+    # and the deterministic witness comes from `all_max`
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
+    stabilizer, fixed = search._stabilizer, []
+    monkeypatch.setattr(search, "_stabilizer", lambda adj, generators, r: fixed.append(r) or stabilizer(adj, generators, r))
+    result = search.max_intersecting(cert, 2, enumerate_all=True, deterministic=True)
+    assert fixed == [0]
+    assert (result.optimum, result.nodes, len(result.all_max)) == (17, 112, 70)
+    assert result.witness == result.all_max[0]
+
+
 def test_a_closure_past_the_cap_reports_overflow(monkeypatch):
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
     monkeypatch.setattr(search, "ALL_MAX_CAP", 70)
