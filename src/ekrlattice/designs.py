@@ -27,16 +27,21 @@ from .errors import BudgetExceededError, NonIntegralError, ParseError, Verificat
 from .families import Element, FamilySpec
 
 
-class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices")):
+class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices stars", defaults=(None,))):
     """A verified design: spec, elements, strength, and exact index vector
     (indices[j] == lambda_j for 0 <= j <= strength).  The elements are kept
     in canonical (payload) order whatever order they came in, so nothing read
-    off a certificate depends on a design file's row order."""
+    off a certificate depends on a design file's row order.
+
+    `stars`, kept by `make_certificate` from its coverage pass, holds for each
+    rank-`strength` element, in canonical order, the mask of the members above
+    it, bit j for elements[j]; it is None when no coverage pass ran.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...]):
-        return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices)
+    def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...], stars=None):
+        return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices, stars)
 
     @classmethod
     def _make(cls, iterable):
@@ -76,20 +81,29 @@ def _charge_coverage(spec: FamilySpec, t: int, design_size: int) -> None:
         )
 
 
-def _coverage(spec: FamilySpec, elements, t: int):
-    """One coverage pass over the rank-t fiber for validated design elements.
-
-    (lambda_t, None) when every rank-t element is covered equally, else
-    (None, witness) with two (element, count) pairs of unequal counts.
-    """
+def _stars(spec: FamilySpec, elements, t: int) -> tuple[int, ...]:
+    """The coverage pass, charged first: per rank-t element, in canonical order,
+    the mask of the validated design elements above it (`families.above`)."""
     _charge_coverage(spec, t, len(elements))
-    counts = [mask.bit_count() for mask in families.above(spec, t, elements)]
+    return tuple(families.above(spec, t, elements))
+
+
+def _index(spec: FamilySpec, t: int, stars):
+    """(lambda_t, None) when the coverage pass `stars` covers every rank-t
+    element equally, else (None, witness) with two (element, count) pairs of
+    unequal counts."""
+    counts = [mask.bit_count() for mask in stars]
     first = counts[0]
     fiber = families.enumerate_fiber(spec, t)
     for z, c in zip(fiber, counts):
         if c != first:
             return None, ((fiber[0], first), (z, c))
     return first, None
+
+
+def _coverage(spec: FamilySpec, elements, t: int):
+    """`_index` of one coverage pass over the rank-t fiber."""
+    return _index(spec, t, _stars(spec, elements, t))
 
 
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
@@ -106,13 +120,16 @@ def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
 
 
 def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
-    """Verify strength t and package the elements with their index vector."""
-    elements = _validate_top_elements(spec, elements)
-    lam, witness = _coverage(spec, elements, t)
+    """Verify strength t and package the elements with their index vector and
+    the coverage pass's stars.  The elements are put in canonical order first,
+    so bit j of a star is the certificate's member j."""
+    elements = tuple(sorted(_validate_top_elements(spec, elements), key=lambda x: x.payload))
+    stars = _stars(spec, elements, t)
+    lam, witness = _index(spec, t, stars)
     if lam is None:
         raise VerificationError(t, witness)
     indices = tuple(derive_index(spec, lam, t, j) for j in range(t + 1))
-    return DesignCertificate(spec, elements, t, indices)
+    return DesignCertificate(spec, elements, t, indices, stars)
 
 
 def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:

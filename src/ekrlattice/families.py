@@ -530,31 +530,34 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
 
     z <= x puts z's atoms inside x's, so the fiber is filed by a key made of
     atoms of z, and each x is tested by `leq` only against the keys made of
-    its own atoms.  Set and map kinds at rank i >= 2 key z by its two lowest
-    atoms and x tries each pair of its atoms; at i = 2 a key holds one
-    element.  Otherwise the key is z's lowest atom, and the least element,
-    with no atoms, sits in bucket 0, which every x tries.
+    its own atoms.  Set and map kinds key z by its whole atom mask, which names
+    z alone, and x tries each of its C(rank, i) i-atom sub-masks: one `leq`
+    call for each element below x.  Subspace kinds key z by its lowest atom,
+    and the least element, with no atoms, sits in bucket 0, which every x tries.
     """
     _atoms(spec)  # a family above ATOM_CAP is refused before its fiber is built
     fiber = enumerate_fiber(spec, i)
-    pairs = spec.q is None and i >= 2
+    masks = [0] * len(fiber)
+    if spec.q is None:
+        index = {z.atoms: k for k, z in enumerate(fiber)}
+        for j, x in enumerate(elements):
+            bit = 1 << j
+            for sub in combinations([1 << b for b in _bits(x.atoms)], i):
+                k = index.get(sum(sub))
+                if k is not None and leq(fiber[k], x):
+                    masks[k] |= bit
+        return masks
     # one int per element, no list per key: head[key] is the highest index
     # with that key, chain[k] the next lower one, -1 ends a chain
     head: dict[int, int] = {}
     chain = [-1] * len(fiber)
     for k, z in enumerate(fiber):
-        atoms = z.atoms
-        key = atoms & -atoms
-        if pairs:
-            rest = atoms ^ key
-            key |= rest & -rest
+        key = z.atoms & -z.atoms
         chain[k] = head.get(key, -1)
         head[key] = k
-    masks = [0] * len(fiber)
     for j, x in enumerate(elements):
         bit = 1 << j
-        atoms = [1 << b for b in _bits(x.atoms)]
-        for key in [a | b for a, b in combinations(atoms, 2)] if pairs else (0, *atoms):
+        for key in (0, *(1 << b for b in _bits(x.atoms))):
             k = head.get(key, -1)
             while k >= 0:
                 if leq(fiber[k], x):
@@ -619,9 +622,25 @@ def _linear_maps(fld, width: int) -> list:
     return (maps if width >= 2 else []) + ([lambda c: (fld.mul(g, c[0]),) + c[1:]] if g != 1 else [])
 
 
-def symmetries(spec: FamilySpec) -> list:
-    """Candidate generators, each the function from an element to the atom mask
-    of its image.
+class Symmetry:
+    """A candidate automorphism given by `move`, a map of atom indices.  Called
+    on an element, it gives the atom mask of the element's image."""
+
+    __slots__ = ("move",)
+
+    def __init__(self, move):
+        self.move = move
+
+    def __call__(self, x: Element) -> int:
+        return sum(1 << self.move(b) for b in _bits(x.atoms))
+
+    def injective_on(self, mask: int) -> bool:
+        """Whether `move` maps the atoms of mask to distinct atoms."""
+        return len({self.move(b) for b in _bits(mask)}) == mask.bit_count()
+
+
+def symmetries(spec: FamilySpec) -> list[Symmetry]:
+    """Candidate generators of the family's automorphism group.
 
     Set and map kinds permute (position, value) atoms, 0-based; johnson has one
     position per point.  Subspace kinds apply an invertible linear map to an
@@ -654,7 +673,7 @@ def symmetries(spec: FamilySpec) -> list:
         perms = [[p * width + a for p, a in (f(*divmod(b, width)) for b in range(m * width))] for f in pairs]
         # a swap needs two positions or values: keep only true permutations
         moves = [perm.__getitem__ for perm in perms if sorted(perm) == list(range(m * width))]
-    return [lambda x, f=f: sum(1 << f(b) for b in _bits(x.atoms)) for f in moves]
+    return [Symmetry(f) for f in moves]
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ Reformulated as maximum clique: vertices are design members and two are
 adjacent when their meet has rank at least s, so cliques are exactly the
 s-intersecting subfamilies.  Two members meet in rank >= s exactly when
 some rank-s element lies below both, so the graph is the union of the
-rank-s stars over the members; one table of them (`_graph`, built from the
-centers below each member) gives both the graph and the best star, which
-seeds the search.  Where that table would hold more than
+rank-s stars over the members; one table of them (`_graph`: at the design's
+strength the certificate's coverage stars, below it the centers below each
+member) gives both the graph and the best star, which seeds the search.
+Where the table below the strength would hold more than
 `families.FIBER_CAP` center entries, the graph is built pair by pair and
 the least member seeds the search.  The solver is one serial branch and
 bound with greedy coloring upper bounds over int bitmasks, started from the
 seed as the incumbent; the same branch routine enumerates every maximum
-clique and reconstructs the lexicographically least one.  Each returned
-family is re-verified through `families.meet`.
+clique and reconstructs the lexicographically least one.
 
 The maximizing search starts one root subtree per orbit of the members
 under symmetries of the design.  This is sound because:
@@ -46,6 +46,18 @@ lists every maximum clique: the argument above moves any maximum clique, by
 an element of the kept group, onto one the root's child of its first orbit
 reaches, and the child's search below its own orbits is exhaustive.
 `lexicographically_least` needs the canonical order and uses no orbits.
+
+Every returned family is re-verified before it is reported, by a route that
+reads neither the adjacency nor the search.  The witness and the families
+the branch found are checked pair by pair through `families.meet`.  A family
+the closure added is checked by transport (`_check_transport`): once per
+run, each kept candidate's atom map is checked to be injective on the union
+U of the members' atoms and to send member j to member image[j] for its
+member permutation.  An injective map f on U keeps popcount(f(a) & f(b)) ==
+popcount(a & b) for all a, b inside U, so it keeps every meet rank among the
+members.  So an image family whose members are checked to be the
+permutation of its parent's meets pairwise in rank >= s when its parent
+does; parents come before their images, so induction covers every family.
 """
 
 from __future__ import annotations
@@ -72,10 +84,12 @@ def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
     """(adjacency, seed mask) of the search, bit j for member j, after the s
     range and then `VERTEX_CAP` are checked.  Member j's mask, its own bit
     set, is the OR of the rank-s stars holding j (`ekr.star_neighbourhoods`),
-    tabulated from the centers below each member, so no fiber is built; the
-    seed is the first largest star in canonical center order.  When that table
-    would list more than `families.FIBER_CAP` center entries, the graph is
-    built pair by pair (`ekr.intersection_masks`) and member 0 is the seed."""
+    and the seed is the first largest star in canonical center order.  At the
+    certificate's strength the stars are its coverage pass's (`cert.stars`);
+    below it they are tabulated from the centers below each member
+    (`families.below`), so no fiber is built.  When that table would list more
+    than `families.FIBER_CAP` center entries, the graph is built pair by pair
+    (`ekr.intersection_masks`) and member 0 is the seed."""
     if not 1 <= s <= cert.spec.top_rank:
         raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
@@ -83,26 +97,34 @@ def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
     check_vertices(n)
     if n * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
         return tuple(ekr.intersection_masks(members, s)), 1
-    stars: dict[tuple, int] = {}  # center payload -> mask of the members above it
-    for j, x in enumerate(members):
-        bit = 1 << j
-        for z in families.below(x, s):
-            stars[z.payload] = stars.get(z.payload, 0) | bit
-    seed = stars[min(stars, key=lambda p: (-stars[p].bit_count(), p))]
-    return tuple(ekr.star_neighbourhoods(stars.values(), n)), seed
+    if s == cert.strength and cert.stars is not None:
+        stars = cert.stars
+    else:
+        table: dict[tuple, int] = {}  # center payload -> mask of the members above it
+        for j, x in enumerate(members):
+            bit = 1 << j
+            for z in families.below(x, s):
+                table[z.payload] = table.get(z.payload, 0) | bit
+        stars = [table[p] for p in sorted(table)]
+    return tuple(ekr.star_neighbourhoods(stars, n)), max(stars, key=int.bit_count)
 
 
-def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
+def _kept(cert: DesignCertificate) -> list[tuple[families.Symmetry, list[int]]]:
     """The candidate symmetries (`families.symmetries`) that map the set of member
-    atom masks onto itself, each as the list of member indices of its images."""
+    atom masks onto itself, each with the list of member indices of its images."""
     members = cert.elements
     index = {x.atoms: j for j, x in enumerate(members)}
     kept = []
     for g in families.symmetries(cert.spec):
         image = list(takewhile(lambda j: j is not None, (index.get(g(x)) for x in members)))
         if len(image) == len(members):
-            kept.append(image)
+            kept.append((g, image))
     return kept
+
+
+def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
+    """The member permutations of `_kept`, as lists of member indices of the images."""
+    return [image for _, image in _kept(cert)]
 
 
 def _orbits(n, generators):
@@ -138,13 +160,14 @@ def _stabilizer(adj, generators, r):
     """Generators of a subgroup H of the stabilizer of r in the group G that
     `generators` generate, and the orbits of H (`_orbits`).
 
-    A breadth-first walk over the G-orbit of r stores, per point x, only the
-    index of the generator on its tree edge (a Schreier vector, O(n) memory), so
-    the transversal element u_x, with u_x(r) = x, is read back as a word.  By
-    Schreier's lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress,
-    *Permutation Group Algorithms*, CUP 2003); they are tried in walk order
-    and kept when they merge orbits.  An automorphism of `adj` that fixes r
-    keeps the level of every x: whether x is r, whether it is adjacent to r, and
+    A breadth-first walk over the G-orbit of r stores, per point x it reaches,
+    the transversal element u_x, with u_x(r) = x, and its inverse: u_r is the
+    identity and a tree edge g from x gives u_{g(x)} = g u_x.  By Schreier's
+    lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress, *Permutation
+    Group Algorithms*, CUP 2003); each costs two list maps.  They are tried in
+    walk order, each once the walk has reached both of its ends, and kept when
+    they merge orbits.  An automorphism of `adj` that fixes r keeps the level
+    of every x: whether x is r, whether it is adjacent to r, and
     |N(r) & N(x)|.  So the stabilizer's orbits refine the levels, and once H has
     as few orbits as there are levels they are exactly the stabilizer's orbits
     and the walk stops; it stops too after `_SCHREIER_TRIES` tries.
@@ -152,39 +175,25 @@ def _stabilizer(adj, generators, r):
     n = len(adj)
     levels = len({(x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()) for x in range(n)})
     inverses = [sorted(range(n), key=g.__getitem__) for g in generators]
-    edge = [None] * n  # the index of the generator into x, -1 at r
-    edge[r] = -1
+    identity = list(range(n))
+    u, u_inv = {r: identity}, {r: identity}  # the transversal met so far, and its inverses
     walk = [r]
-    for x in walk:
-        for i, g in enumerate(generators):
-            if edge[g[x]] is None:
-                edge[g[x]] = i
-                walk.append(g[x])
-
-    def word(x):  # the generator indices of u_x, in the order they act
-        out = []
-        while x != r:
-            out.append(edge[x])
-            x = inverses[edge[x]][x]
-        return out[::-1]
-
     kept, orbits = [], [[x] for x in range(n)]
     tries, least = 0, list(range(n))  # least[p]: the least point of the orbit of p
-    for x in walk:
-        u = list(range(n))
-        for i in word(x):
-            u = [generators[i][p] for p in u]
-        for i, g in enumerate(generators):
+    for x in walk:  # grows while it is walked
+        u_x = u[x]
+        for g, g_inv in zip(generators, inverses):
             if len(orbits) == levels or tries == _SCHREIER_TRIES:
                 return kept, orbits
             y = g[x]
-            if edge[y] == i:  # a tree edge: u_y = g u_x, so the generator is the identity
+            if y not in u:  # a tree edge: u_y = g u_x, so the generator is the identity
+                u[y] = list(map(g.__getitem__, u_x))
+                u_inv[y] = list(map(u_inv[x].__getitem__, g_inv))
+                walk.append(y)
                 continue
             tries += 1
-            h = [g[p] for p in u]
-            for j in reversed(word(y)):
-                h = [inverses[j][p] for p in h]
-            if any(least[h[p]] != least[p] for p in range(n)):
+            h = list(map(u_inv[y].__getitem__, map(g.__getitem__, u_x)))
+            if list(map(least.__getitem__, h)) != least:
                 kept.append(h)
                 orbits = _orbits(n, kept)
                 for orbit in orbits:
@@ -211,8 +220,10 @@ class _Overflow(Exception):
     pass
 
 
-def _color_sort(candidates: int, adj):
-    """Greedy coloring of the candidate set; colors ascend along the order."""
+def _color_sort(candidates: int, non_adj, low: int):
+    """Greedy coloring of the candidate set, with `non_adj[v]` the mask of the
+    vertices neither v nor adjacent to v; colors ascend along the order.  A
+    vertex colored below `low` is colored but not listed."""
     order, colors = [], []
     color = 0
     work = candidates
@@ -220,13 +231,15 @@ def _color_sort(candidates: int, adj):
         color += 1
         taken = 0
         queue = work
+        listed = color >= low
         while queue:
-            low = queue & -queue
-            v = low.bit_length() - 1
-            order.append(v)
-            colors.append(color)
-            taken |= low
-            queue &= ~low & ~adj[v]
+            low_bit = queue & -queue
+            v = low_bit.bit_length() - 1
+            if listed:
+                order.append(v)
+                colors.append(color)
+            taken |= low_bit
+            queue &= non_adj[v]
         work &= ~taken
     return order, colors
 
@@ -266,6 +279,7 @@ class _Solver:
         if self.order != list(range(self.n)):
             adj = _relabel(adj, self.order)
         self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
+        self.non_adj = [~(a | 1 << i) for i, a in enumerate(self.adj)]
         self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
         self.orbits = _orbits(self.n, self.generators)
         self.orbit = _orbit_masks(self.n, self.orbits) if self.generators else None
@@ -288,7 +302,8 @@ class _Solver:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _OutOfBudget
-        order, colors = _color_sort(candidates, self.adj)
+        # `_color_sort` leaves out the vertices colored below need - size: the loop returns before them
+        order, colors = _color_sort(candidates, self.non_adj, self.need - size)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] < self.need:
                 return False
@@ -341,24 +356,28 @@ class _Solver:
         and False; None and True when there are more than `ALL_MAX_CAP`.
         The search branches as `maximize` does, so it finds at least one clique
         of every orbit of the kept group; a breadth-first walk then closes what
-        it found under the generators, charging the cap as it grows."""
+        it found under the generators, charging the cap as it grows.
+        `parents` then holds, per clique, None when the branch found it, else
+        (k, i) when generator i maps clique k onto it, k before it."""
         if target == 0:
+            self.parents = [None]
             return [0], False
-        out, seen = [], set()
+        out, seen, self.parents = [], set(), []
 
-        def collect(size, mask):
+        def collect(size, mask, parent=None):
             if mask not in seen:
                 seen.add(mask)
                 out.append(mask)
+                self.parents.append(parent)
                 if len(out) > ALL_MAX_CAP:
                     raise _Overflow
 
         self.need = target
         try:
             self._branch(0, 0, (1 << self.n) - 1, collect, self.orbit)
-            for mask in out:  # grows while it is walked: the closure under the generators
-                for g in self.generators:
-                    collect(target, _map_bits(mask, g))
+            for k, mask in enumerate(out):  # grows while it is walked: the closure under the generators
+                for i, g in enumerate(self.generators):
+                    collect(target, _map_bits(mask, g), (k, i))
         except _Overflow:
             return None, True
         return [_map_bits(mask, self.order) for mask in out], False
@@ -402,6 +421,24 @@ def _relabel(adjacency, order):
     return [_map_bits(adjacency[orig], position) for orig in order]
 
 
+def _check_transport(cert: DesignCertificate, kept, masks, parents) -> None:
+    """Re-verify by transport (module docstring) each closure image among `masks`,
+    bit j for member j, with `parents` as `_Solver.enumerate_exact` leaves them
+    and `kept` as `_kept` returns it; raise AssertionError on a failure."""
+    members = cert.elements
+    union = 0
+    for x in members:
+        union |= x.atoms
+    for g, image in kept:
+        if not g.injective_on(union):
+            raise AssertionError("a kept symmetry's atom map is not injective on the design's atoms")
+        if any(g(x) != members[j].atoms for x, j in zip(members, image)):
+            raise AssertionError("a kept symmetry's atom map disagrees with its member permutation")
+    for mask, parent in zip(masks, parents):
+        if parent is not None and mask != _map_bits(masks[parent[0]], kept[parent[1]][1]):
+            raise AssertionError("a maximum family is not the image of its parent under a kept symmetry")
+
+
 def max_intersecting(
     cert: DesignCertificate,
     s: int,
@@ -420,12 +457,15 @@ def max_intersecting(
     `nodes` counts the nodes of every search run, reconstruction included.
     With `enumerate_all`, more than `ALL_MAX_CAP` maximum families set
     `all_max_overflow` and leave `all_max` None.
-    The witness and every family in `all_max` are re-verified through
-    `families.meet` before they are returned; a failure raises AssertionError.
+    Every returned family is checked to hold `optimum` distinct members of the
+    design.  The witness and the families of `all_max` that the branch found
+    are re-verified through `families.meet`, and the closure's images by
+    transport (`_check_transport`); a failure raises AssertionError.
     """
     adjacency, seed = _graph(cert, s)
     members = cert.elements
-    solver = _Solver(adjacency, kept_symmetries(cert))
+    kept = _kept(cert)
+    solver = _Solver(adjacency, [image for _, image in kept])
     optimum, best_mask, proved = solver.maximize(seed, node_budget)
     status = "proved-optimal" if proved else "budget-exhausted"
 
@@ -433,24 +473,23 @@ def max_intersecting(
         return tuple(x for j, x in enumerate(members) if mask >> j & 1)
 
     witness = read(best_mask)
-    all_max = None
-    overflow = False
+    all_max, found, overflow = None, [], False
     if proved and enumerate_all:
         masks, overflow = solver.enumerate_exact(optimum)
         if not overflow:
+            _check_transport(cert, kept, masks, solver.parents)
+            found = [read(mask) for mask, parent in zip(masks, solver.parents) if parent is None]
             all_max = tuple(sorted(map(read, masks)))
     if proved and deterministic:
         witness = all_max[0] if all_max else read(solver.lexicographically_least(optimum))
 
     design = set(members)
     for family in (witness, *(all_max or ())):
-        if (
-            len(set(family)) != optimum
-            or len(family) != optimum
-            or not design.issuperset(family)
-            or (family and ekr.min_meet_rank(cert.spec, family) < s)
-        ):
+        if len(set(family)) != optimum or len(family) != optimum or not design.issuperset(family):
             raise AssertionError(f"search returned an invalid family of {len(family)} for optimum {optimum}")
+    for family in (witness, *found):  # the closure's images are checked by transport
+        if family and ekr.min_meet_rank(cert.spec, family) < s:
+            raise AssertionError(f"search returned a family of {len(family)} that is not {s}-intersecting")
     return SearchResult(
         optimum=optimum,
         witness=witness,

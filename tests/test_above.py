@@ -1,5 +1,5 @@
-"""The atom-keyed fiber index (`families.above`: two lowest atoms for set and
-map kinds at rank >= 2, else the lowest atom), the elements below one element
+"""The atom-keyed fiber index (`families.above`: the whole atom mask for set
+and map kinds, the lowest atom for subspace kinds), the elements below one element
 (`families.below`), popcount meet ranks (`families.meet_rank`, and d_r's
 `families.atom_count`) and the search graph built from stars, checked
 against brute-force scans.
@@ -229,6 +229,11 @@ def test_search_builds_one_star_table_and_no_pairwise_meets(text, monkeypatch):
     monkeypatch.setattr(families, "meet_rank", lambda x, y: pytest.fail("compared a pair"))
     assert search.max_intersecting(cert, 1, deterministic=True) == expected
     assert calls == list(cert.elements)
+    # at the certificate's strength the coverage pass's stars are the table
+    verified = designs.make_certificate(cert.spec, cert.elements, 1)
+    calls.clear()
+    assert search.max_intersecting(verified, 1, deterministic=True) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", GRID_SPECS)

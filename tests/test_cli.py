@@ -238,11 +238,11 @@ def test_check_design_makes_one_coverage_pass(in_samples_tmp, capsys, monkeypatc
     code, out, _ = run_cli(["check-design", "--design", "fano.design", "--strength", "3"], capsys)
     assert code == 1
     assert "NOT a 3-design" in out
-    # one `families.above` pass: a line {p < q < r} is tested against the
-    # 3-subsets whose two least points are two of its own, {p, q, w} for w > q
-    # and {p, r, w} or {q, r, w} for w > r; a whole-fiber scan would make 35 * 7 calls
-    lines = [tuple(map(int, row.split())) for row in (in_samples_tmp / "fano.design").read_text().splitlines()[2:]]
-    assert calls == sum((7 - q) + 2 * (7 - r) for _, q, r in lines) == 35 < 35 * 7
+    # one `families.above` pass: the fiber is keyed by whole atom masks, so a
+    # line is tested once, against itself, its one 3-subset; a whole-fiber scan
+    # would make 35 * 7 calls
+    lines = (in_samples_tmp / "fano.design").read_text().splitlines()[2:]
+    assert calls == len(lines) == 7 < 35 * 7
 
 
 def test_search_max_seeds_without_building_a_fiber_above_the_cap(tmp_path, monkeypatch, capsys):

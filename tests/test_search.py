@@ -528,3 +528,129 @@ def test_invalid_s(fano_cert):
         search.max_intersecting(fano_cert, 0)
     with pytest.raises(ValueError):
         search.max_intersecting(fano_cert, 4)
+
+
+def word_stabilizer(adj, generators, r):
+    """`search._stabilizer` as it was before it kept the transversal: a Schreier
+    vector stores only the generator on each tree edge, and every u_x is
+    recomposed from its word.  The reference the kept transversal must match."""
+    n = len(adj)
+    levels = len({level(adj, r, x) for x in range(n)})
+    inverses = [sorted(range(n), key=g.__getitem__) for g in generators]
+    edge = [None] * n
+    edge[r] = -1
+    walk = [r]
+    for x in walk:
+        for i, g in enumerate(generators):
+            if edge[g[x]] is None:
+                edge[g[x]] = i
+                walk.append(g[x])
+
+    def word(x):
+        out = []
+        while x != r:
+            out.append(edge[x])
+            x = inverses[edge[x]][x]
+        return out[::-1]
+
+    kept, orbits = [], [[x] for x in range(n)]
+    tries, least = 0, list(range(n))
+    for x in walk:
+        u = list(range(n))
+        for i in word(x):
+            u = [generators[i][p] for p in u]
+        for i, g in enumerate(generators):
+            if len(orbits) == levels or tries == search._SCHREIER_TRIES:
+                return kept, orbits
+            y = g[x]
+            if edge[y] == i:
+                continue
+            tries += 1
+            h = [g[p] for p in u]
+            for j in reversed(word(y)):
+                h = [inverses[j][p] for p in h]
+            if any(least[h[p]] != least[p] for p in range(n)):
+                kept.append(h)
+                orbits = search._orbits(n, kept)
+                for orbit in orbits:
+                    for p in orbit:
+                        least[p] = orbit[0]
+    return kept, orbits
+
+
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_the_kept_transversal_gives_the_word_stabilizer(text):
+    cert = full_fiber(families.parse_family_spec(text))
+    generators = search.kept_symmetries(cert)
+    for s in range(1, cert.spec.top_rank + 1):
+        adj = graph_of(cert, s)
+        for r in sorted({*range(0, cert.size, max(1, cert.size // 7)), cert.size - 1}):
+            assert search._stabilizer(adj, generators, r) == word_stabilizer(adj, generators, r), (s, r)
+
+
+def transport_cases():
+    """(cert, s): every tier-1 grid full fiber at every s, then the benchmark's
+    `--all` designs j8, g5, b3 and oa17 at their s."""
+    for text in GRID_SPECS:
+        cert = full_fiber(families.parse_family_spec(text))
+        yield from ((cert, s) for s in range(1, cert.spec.top_rank + 1))
+    yield full_fiber(families.parse_family_spec("johnson:v=8,m=4"), 2), 2
+    yield full_fiber(families.parse_family_spec("grassmann:v=5,m=2,q=2"), 1), 1
+    yield full_fiber(families.parse_family_spec("bilinear:m=2,n=2,q=3"), 1), 1
+    yield generate_linear_oa(17, 3), 1
+
+
+@pytest.mark.parametrize("cert, s", transport_cases(), ids=lambda value: str(getattr(value, "spec", value)))
+def test_all_max_is_the_pairwise_reverified_list(cert, s):
+    result = search.max_intersecting(cert, s, enumerate_all=True)
+    assert not result.all_max_overflow
+    pairwise = [family for family in result.all_max if ekr.min_meet_rank(cert.spec, family) >= s]
+    assert pairwise == list(result.all_max)
+    assert all(len(family) == result.optimum for family in result.all_max)
+
+
+def test_all_reverifies_pair_by_pair_only_the_witness_and_the_branchs_families(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"), 2)
+    checked, min_meet_rank = [], ekr.min_meet_rank
+    monkeypatch.setattr(ekr, "min_meet_rank", lambda spec, family: checked.append(family) or min_meet_rank(spec, family))
+    result = search.max_intersecting(cert, 2, enumerate_all=True)
+    assert len(result.all_max) == 70
+    assert len(checked) == 6 and set(checked[1:]) < set(result.all_max)  # the witness, then five found cliques
+
+
+class CollapsingSymmetry(families.Symmetry):
+    """A real candidate's images, under an atom map that sends every atom to atom 0."""
+
+    def __init__(self, real):
+        super().__init__(lambda b: 0)
+        self.real = real
+
+    def __call__(self, x):
+        return self.real(x)
+
+
+def test_a_kept_symmetry_with_a_non_injective_atom_map_raises(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"), 2)
+    real = families.symmetries(cert.spec)
+    monkeypatch.setattr(families, "symmetries", lambda spec: [CollapsingSymmetry(g) for g in real])
+    assert len(search.kept_symmetries(cert)) == 2
+    assert search.max_intersecting(cert, 2).optimum == 17  # the images alone steer the search
+    with pytest.raises(AssertionError, match="not injective"):
+        search.max_intersecting(cert, 2, enumerate_all=True)
+
+
+def test_an_image_family_off_its_parents_image_by_one_member_raises(monkeypatch):
+    cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"), 2)
+    enumerate_exact = search._Solver.enumerate_exact
+
+    def swap_one_member(self, target):
+        masks, overflow = enumerate_exact(self, target)
+        k = next(k for k, parent in enumerate(self.parents) if parent is not None)
+        low = masks[k] & -masks[k]
+        outside = ~masks[k] & -~masks[k]  # the least member not in the family
+        masks[k] ^= low | outside
+        return masks, overflow
+
+    monkeypatch.setattr(search._Solver, "enumerate_exact", swap_one_member)
+    with pytest.raises(AssertionError, match="not the image of its parent"):
+        search.max_intersecting(cert, 2, enumerate_all=True)
