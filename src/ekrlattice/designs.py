@@ -101,11 +101,6 @@ def _index(spec: FamilySpec, t: int, stars):
     return first, None
 
 
-def _coverage(spec: FamilySpec, elements, t: int):
-    """`_index` of one coverage pass over the rank-t fiber."""
-    return _index(spec, t, _stars(spec, elements, t))
-
-
 def derive_index(spec: FamilySpec, lam_t: int, t: int, t_prime: int) -> int:
     """lambda_{t'} = lambda_t * theta(t') / theta(t), asserted exact."""
     if not 0 <= t_prime <= t <= spec.top_rank:

@@ -714,6 +714,21 @@ def _parse_matrix(text: str, width: int, hi: int, what: str) -> tuple:
     return tuple(rows)
 
 
+def _is_rref(rows: tuple) -> bool:
+    """Whether every row leads with a 1, the leads move strictly right and each
+    lead is the only nonzero entry in its column: reduced row echelon form
+    with no zero row."""
+    last = -1
+    for row in rows:
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or lead <= last or row[lead] != 1:
+            return False
+        if sum(1 for other in rows if other[lead]) != 1:
+            return False
+        last = lead
+    return True
+
+
 def _parse_pairs(spec: FamilySpec, text: str) -> tuple:
     kind = spec.kind
     pairs = []
@@ -768,19 +783,17 @@ def parse_element(spec: FamilySpec, text: str) -> Element:
     elif kind in _MAP_KINDS:
         payload = _parse_pairs(spec, raw)
     elif kind == "grassmann":
-        fld = gflib.field(spec.q)
         rows = _parse_matrix(raw, spec.v, spec.q, "grassmann matrix")
-        if gflib.rref(rows, fld)[0] != rows:
+        if not _is_rref(rows):
             raise ParseError("matrix is not in reduced row echelon form")
         payload = rows
     else:
-        fld = gflib.field(spec.q)
         if not raw.startswith("E=") or ";f=" not in raw:
             raise ParseError("bilinear element must look like E=<matrix>;f=<matrix>")
         dom_text, _, img_text = raw[2:].partition(";f=")
         dom = _parse_matrix(dom_text, spec.m, spec.q, "domain matrix")
         images = _parse_matrix(img_text, spec.n, spec.q, "image matrix")
-        if gflib.rref(dom, fld)[0] != dom:
+        if not _is_rref(dom):
             raise ParseError("domain matrix is not in reduced row echelon form")
         if len(images) != len(dom):
             raise ParseError("domain and image matrices must have the same number of rows")

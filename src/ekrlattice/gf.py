@@ -1,4 +1,4 @@
-"""Exact arithmetic over GF(q) and dense linear algebra on tuple matrices.
+"""Exact arithmetic over GF(q), and RREF matrix enumeration.
 
 Field elements are ints in ``range(q)``.  Prime fields use modular
 arithmetic directly.  Prime-power fields GF(p^k) with q <= 64 encode
@@ -13,7 +13,6 @@ routine is a pure function of its inputs.
 from __future__ import annotations
 
 import functools
-import operator
 from itertools import combinations, product
 
 from .errors import ParseError
@@ -105,20 +104,11 @@ class GF:
             [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
         )
         self._add_tab = [[add_digit(a, b) for b in range(q)] for a in range(q)]
-        self._neg_tab = [self._undigits([(-x) % self.p for x in self._digits(a)]) for a in range(q)]
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.q
         return self._add_tab[a][b]
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.q
-        return self._neg_tab[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -126,19 +116,6 @@ class GF:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def dot(self, a, b) -> int:
-        """The sum of a_i * b_i over two equal-length vectors."""
-        if self.k == 1:
-            return sum(map(operator.mul, a, b)) % self.q
-        return functools.reduce(self.add, map(self.mul, a, b), 0)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, -1, self.q)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def primitive(self) -> int:
         """The least generator of the multiplicative group."""
@@ -171,38 +148,6 @@ def field(q: int) -> GF:
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-def rref(rows, fld: GF):
-    """Reduced row echelon form with unit pivots.
-
-    Returns (rows, pivots) with zero rows dropped; the result is the unique
-    canonical basis of the row space.
-    """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        if lead != 1:
-            inv = fld.inv(lead)
-            mat[rank] = [fld.mul(inv, x) for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
 
 
 def enumerate_rref_matrices(width: int, r: int, fld: GF):

@@ -262,6 +262,10 @@ def test_parse_examples():
         ("grassmann:v=4,m=2,q=2", "1.0.0"),  # wrong width
         ("bilinear:m=2,n=2,q=2", "E=1.0;f=1.1;0.0"),  # row count mismatch
         ("bilinear:m=2,n=2,q=2", "1.0;f=1.1"),  # missing E=
+        ("grassmann:v=4,m=2,q=3", "2.0.0.0"),  # leading entry not 1
+        ("grassmann:v=4,m=2,q=2", "1.0.0.0;0.0.0.0"),  # zero row
+        ("grassmann:v=4,m=2,q=2", "1.0.0.0;1.0.0.0"),  # repeated row
+        ("bilinear:m=2,n=2,q=2", "E=1.1;0.1;f=1.0;0.1"),  # domain not RREF
         ("johnson:v=6,m=3", "1  2"),  # non-canonical spacing
         ("hamming:m=2,n=3", "1:+2"),  # non-canonical integer
     ],
@@ -270,6 +274,23 @@ def test_parse_rejects_bad_input(spec_text, bad):
     spec = families.parse_family_spec(spec_text)
     with pytest.raises(ParseError):
         families.parse_element(spec, bad)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_parse_accepts_exactly_the_rref_matrices(q):
+    # oracle: the enumerated RREF matrices, one per subspace
+    spec = families.parse_family_spec(f"grassmann:v=4,m=2,q={q}")
+    fld = gf.field(q)
+    for r in (1, 2):
+        rref = set(gf.enumerate_rref_matrices(4, r, fld))
+        for flat in product(range(q), repeat=4 * r):
+            rows = tuple(flat[4 * i : 4 * i + 4] for i in range(r))
+            text = ";".join(".".join(map(str, row)) for row in rows)
+            if rows in rref:
+                assert families.parse_element(spec, text).payload == rows
+            else:
+                with pytest.raises(ParseError):
+                    families.parse_element(spec, text)
 
 
 def test_codec_round_trip_everywhere():
@@ -385,11 +406,14 @@ def vector_set(x, fld):
 def test_meet_matches_brute_span_intersection(q):
     spec = families.parse_family_spec(f"grassmann:v=6,m=3,q={q}")
     fld = gf.field(q)
+    codec = families._atoms(spec)
+    rref = {r: set(gf.enumerate_rref_matrices(6, r, fld)) for r in range(spec.top_rank + 1)}
     for a_rows, b_rows in sample_cases(q, 6):
-        a = families.Element(spec, gf.rref(a_rows, fld)[0])
-        b = families.Element(spec, gf.rref(b_rows, fld)[0])
+        a, b = (codec.element(codec.encode(rows)) for rows in (a_rows, b_rows))
+        assert vector_set(a, fld) == brute_span(a_rows, fld)
+        assert vector_set(b, fld) == brute_span(b_rows, fld)
         met = families.meet(a, b)
-        assert met.payload == gf.rref(met.payload, fld)[0]
+        assert met.payload in rref[met.rank]
         assert vector_set(met, fld) == vector_set(a, fld) & vector_set(b, fld)
 
 

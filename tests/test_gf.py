@@ -1,4 +1,4 @@
-"""Field arithmetic and linear algebra, checked against brute-force spans."""
+"""Field arithmetic and RREF enumeration, checked against brute-force spans."""
 
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ def test_field_axioms_exhaustive(q):
     for a in elements:
         assert fld.add(a, 0) == a
         assert fld.mul(a, 1) == a
-        assert fld.add(a, fld.neg(a)) == 0
+        assert sum(fld.add(a, b) == 0 for b in elements) == 1
         if a:
-            assert fld.mul(a, fld.inv(a)) == 1
+            assert sum(fld.mul(a, b) == 1 for b in elements) == 1
     for a in elements:
         for b in elements:
             assert fld.add(a, b) == fld.add(b, a)
@@ -62,28 +62,6 @@ def test_prime_power_detection():
 def test_unsupported_prime_power():
     with pytest.raises(ValueError):
         gf.field(121)  # 11^2 is beyond the Conway table
-
-
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        gf.field(5).inv(0)
-
-
-@pytest.mark.parametrize("q,width", [(2, 4), (3, 3), (4, 3)])
-def test_rref_is_canonical_and_preserves_span(q, width):
-    fld = gf.field(q)
-    samples = [
-        ((1,) + (0,) * (width - 1),),
-        tuple(tuple((i + j) % q for j in range(width)) for i in range(2)),
-        tuple(tuple((i * j + 1) % q for j in range(width)) for i in range(3)),
-    ]
-    for rows in samples:
-        red, pivots = gf.rref(rows, fld)
-        assert gf.rref(red, fld)[0] == red
-        assert brute_span(red, fld) == brute_span(rows, fld)
-        for row, p in zip(red, pivots):
-            assert row[p] == 1
-            assert all(other[p] == 0 for other in red if other is not row)
 
 
 def sample_cases(q, width):
