@@ -17,23 +17,33 @@ table.  Then it checks by brute force:
 
 Each check is a generator.  It yields an int, the number of cases that held
 since its last yield, or (element indices, note) for a counterexample,
-after the count of the cases that held before it.  Apart from the greatest
-lower bound check's one count (below), an int covers at most one row of the
-pair table (n cases).  One driver runs the checks in
-`CHECK_IDS` order, counts and times the cases and stops a check at its
-first counterexample.  A case costs n comparisons (one bitmask over the n
-elements), so the driver charges n per case against the budget, a count at
-a time, after the setup has charged the closed-form fiber sizes and the n^2
-meet table.  So a refusal names the check that a charge per case would
-name, at most one row later.
+after the count of the cases that held before it.  One loop runs the
+checks in `CHECK_IDS` order, counts and times the cases and stops a check
+at its first counterexample.
 
 The greatest lower bound check needs no pair loop.  Once no two masks are
 equal and every pairwise `&` is some element's mask (the two cases it
 checks first), below(i) is {z : atoms(z) within atoms(i)}.  So below(i) &
 below(j) is below(k), which holds k, for k the element whose atoms are
 atoms(i) & atoms(j): all n(n+1)/2 pairs i <= j hold, and they are counted
-in one yield.  They cost n per pair whatever the lattice, so a budget too
-small for them is refused before any fiber is built.
+in one yield.
+
+The budget is charged once, before any fiber is built.  A case counts as n
+comparisons (one bitmask over the n elements), so a passing audit costs n
+for the fibers, n^2 for the meet table and n per case, and the closed
+forms give its cases exactly.  With top the top rank and f_s the rank-s
+fiber size:
+
+* n(n+1) for the greatest lower bounds and the joins (pairs i <= j), and n
+  for theta;
+* f_s (top + 2 + sum of nu(r, s) over r < s) for each rank s: nu and alpha
+  take top + 2 cases per element, the rank function one per element
+  strictly below it;
+* f_top (sum of nu(r, top) (top - r + 1) over r <= top) for mu.
+
+Each nu(r, s) is evaluated once, and the nu check reads the same values.
+An audit whose total is above the budget is refused with that total as its
+need and every fiber size in its context.
 
 For set and map kinds `families.join_bounded` reads nothing but the union
 of its arguments' atoms, so the join check calls it once per distinct
@@ -82,25 +92,17 @@ class AuditReport(NamedTuple):
 
 def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     top = spec.top_rank
-    fiber_sizes = []
-    used = 0
-
-    def charge(amount: int, check_id: str):
-        nonlocal used
-        used += amount
-        if used > budget:
-            raise BudgetExceededError(
-                f"audit check {check_id!r}", used, "cases", budget, check=check_id, fiber_sizes=fiber_sizes
-            )
-
-    for i in range(top + 1):
-        fiber_sizes.append(families.fiber_size(spec, i))
-        charge(fiber_sizes[-1], "setup")
+    fiber_sizes = [families.fiber_size(spec, i) for i in range(top + 1)]
+    nus = {(r, s): parameters.nu(spec, r, s) for s in range(top + 1) for r in range(s + 1)}  # read by the nu check too
     n = sum(fiber_sizes)
-    charge(n * n, "setup")
-    glb_cost = n * n * (n + 1) // 2
-    if used + glb_cost > budget:
-        charge(glb_cost, "semilattice-glb")  # refuses before anything is built
+    # the cases of a passing audit, by closed form (module docstring)
+    cases = n * (n + 1) + n  # greatest lower bounds and joins, then theta
+    for s, f in enumerate(fiber_sizes):  # nu and alpha, then the rank function
+        cases += f * (top + 2 + sum(nus[r, s] for r in range(s)))
+    cases += fiber_sizes[top] * sum(nus[r, top] * (top - r + 1) for r in range(top + 1))  # mu
+    need = n + n * n + n * cases  # the fibers, the meet table, n comparisons per case
+    if need > budget:
+        raise BudgetExceededError("the audit", need, "comparisons", budget, fiber_sizes=fiber_sizes)
 
     els = list(families.enumerate_all(spec))
     n = len(els)  # the alpha check compares it with the closed forms
@@ -161,11 +163,11 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
             if ranks[j] > 0 and covers == 0:
                 yield (j,), "element covers nothing"
 
-    def constant(name, cases):
+    def constant(name, cases, forms):
         """Each (witnesses, args, counted) case against `parameters.<name>(spec, *args)`,
-        evaluated once per distinct args."""
+        evaluated once per distinct args unless `forms` (args -> the closed form's
+        value, or its NonIntegralError) has them already."""
         closed_form = getattr(parameters, name)
-        forms = {}  # args -> the closed form's value, or its NonIntegralError
         held = 0
         for witnesses, args, counted in cases:
             want = forms.get(args)
@@ -185,9 +187,6 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
                 yield held
                 yield witnesses, note
             held += 1
-            if held == n:  # a row's worth
-                yield held
-                held = 0
         yield held
 
     def check_join():
@@ -228,16 +227,16 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         constant("mu", (
             ((z, y), (ranks[z], s), (above[z] & below[y] & fiber_masks[s]).bit_count())
             for y in _bits(fiber_masks[top]) for z in _bits(below[y]) for s in range(ranks[z], top + 1)
-        )),
+        ), {}),
         constant("nu", (
             ((u,), (r, ranks[u]), (below[u] & fiber_masks[r]).bit_count())
             for u in range(n) for r in range(ranks[u] + 1)
-        )),
-        constant("theta", (((a,), (ranks[a],), (above[a] & fiber_masks[top]).bit_count()) for a in range(n))),
+        ), nus),
+        constant("theta", (((a,), (ranks[a],), (above[a] & fiber_masks[top]).bit_count()) for a in range(n)), {}),
         constant("alpha", (
             ((u,), (ranks[u], s), (above[u] & fiber_masks[s]).bit_count())
             for u in range(n) for s in range(ranks[u], top + 1)
-        )),
+        ), {}),
         check_join(),
     )
     checks = []
@@ -248,10 +247,8 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         for outcome in outcomes:
             if type(outcome) is int:  # cases that held
                 cases += outcome
-                charge(n * outcome, check_id)
                 continue
             cases += 1
-            charge(n, check_id)
             witnesses, note = outcome
             counterexample = {"elements": [families.format_element(els[i]) for i in witnesses], "note": note}
             break

@@ -406,6 +406,8 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # from 3.10.7 on, str(int) stops at 4,300 digits
+        sys.set_int_max_str_digits(0)  # every integer is printed in full
     code = 0
     try:
         code = run(argv)

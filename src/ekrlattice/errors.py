@@ -24,8 +24,19 @@ class BudgetExceededError(RuntimeError):
     """
 
     def __init__(self, what: str, need: int, unit: str, cap: int, **sizes):
-        super().__init__(f"{what} needs {need} {unit}, above the cap of {cap}")
+        super().__init__(f"{what} needs {_decimal(need)} {unit}, above the cap of {_decimal(cap)}")
         self.context = {**sizes, "need": need, "cap": cap}
+
+
+def _decimal(n: int) -> str:
+    """`str(n)`, also for an integer longer than the interpreter's int-to-str limit."""
+    low = ""
+    while True:
+        try:
+            return f"{n}{low}"
+        except ValueError:  # sys.set_int_max_str_digits allows no limit below 640 digits
+            n, chunk = divmod(n, 10**600)
+            low = f"{chunk:0600d}{low}"
 
 
 class VerificationError(Exception):

@@ -58,42 +58,39 @@ def test_cases_per_check(text, cases):
     assert [c.cases for c in report.checks] == cases
 
 
-# the cases charged when the budget is crossed: n = 42 for the fibers, +42^2
-# for the meet table, +42 * 43 * 42 / 2 for semilattice-glb, then rows of checks
-NEED_AT_BUDGET = {10: 22, 10**2: 1806, 10**3: 1806, 10**4: 39732, 10**5: 100464}
-
-
-@pytest.mark.parametrize(
-    "budget, check",
-    [(10, "setup"), (10**2, "setup"), (10**3, "setup"), (10**4, "semilattice-glb"), (10**5, "join-rank"), (10**6, None)],
-)
-def test_budget_exceeded_names_the_check(budget, check):
+@pytest.mark.parametrize("budget", [10, 10**2, 10**3, 10**4, 10**5, 10**6])
+def test_a_refusal_reports_the_whole_audit(budget):
+    # n = 42 for the fibers, +42^2 for the meet table, +42 per case of the passing audit
     spec = families.parse_family_spec("johnson:v=6,m=3")
-    if check is None:
+    if budget >= 113_064:
         assert audit(spec, budget=budget).passed
         return
-    need = NEED_AT_BUDGET[budget]
     with pytest.raises(BudgetExceededError) as err:
         audit(spec, budget=budget)
-    assert str(err.value) == f"audit check {check!r} needs {need} cases, above the cap of {budget}"
-    assert err.value.context["check"] == check
-    assert err.value.context["fiber_sizes"]
-    assert (err.value.context["need"], err.value.context["cap"]) == (need, budget)
+    assert str(err.value) == f"the audit needs 113064 comparisons, above the cap of {budget}"
+    assert err.value.context == {"fiber_sizes": [1, 6, 15, 20], "need": 113_064, "cap": budget}
 
 
-def test_glb_budget_is_refused_before_the_meet_table(monkeypatch):
-    def no_meets(x, y):
-        raise AssertionError("meet table built for an audit the budget cannot finish")
+AUDIT_REFUSALS = {  # refused at the default budget, with every fiber size
+    "signed:m=5,k=3": ([1, 20, 160, 640], 573_378_190),
+    "injection:m=4,n=5": ([1, 20, 120, 240, 120], 132_830_631),
+    "johnson:v=12,m=4": ([1, 12, 66, 220, 495], 532_391_292),
+    "hamming:m=5,n=3": ([1, 15, 90, 270, 405, 243], 1_128_259_584),
+    "johnson:v=11,m=5": ([1, 11, 55, 165, 330, 462], 1_158_311_936),
+    "grassmann:v=6,m=3,q=2": ([1, 63, 651, 1395], 9_597_067_030),
+}
 
-    monkeypatch.setattr(families, "meet", no_meets)
+
+@pytest.mark.parametrize("text", list(AUDIT_REFUSALS))
+def test_oversized_audits_are_refused_before_any_fiber_is_built(monkeypatch, text):
+    def no_fibers(spec, i):
+        raise AssertionError(f"built the rank-{i} fiber of {spec} for an audit the budget cannot finish")
+
+    monkeypatch.setattr(families, "_fiber", no_fibers)
+    fiber_sizes, need = AUDIT_REFUSALS[text]
     with pytest.raises(BudgetExceededError) as err:
-        audit(families.parse_family_spec("signed:m=5,k=3"))
-    assert err.value.context == {
-        "check": "semilattice-glb",
-        "fiber_sizes": [1, 20, 160, 640],
-        "need": 277_705_713,
-        "cap": families.DEFAULT_BUDGET,
-    }
+        audit(families.parse_family_spec(text))
+    assert err.value.context == {"fiber_sizes": fiber_sizes, "need": need, "cap": families.DEFAULT_BUDGET}
 
 
 @pytest.mark.parametrize(
@@ -268,14 +265,25 @@ def test_join_bounded_calls_per_audit(monkeypatch, text, calls):
 
 
 @pytest.mark.parametrize(
-    "text, needed", [("johnson:v=6,m=3", 113_064), ("grassmann:v=4,m=2,q=2", 176_664), ("hamming:m=3,n=3", 347_392)]
+    "text, needed",
+    [
+        ("johnson:v=6,m=3", 113_064),
+        ("johnson:v=7,m=3", 359_936),
+        ("grassmann:v=4,m=2,q=2", 176_664),
+        ("hamming:m=3,n=3", 347_392),
+        ("bilinear:m=2,n=2,q=2", 37_149),
+        ("injection:m=3,n=5", 2_910_400),
+        ("nbjohnson:m=4,n=3,k=2", 372_855),
+        ("signed:m=4,k=2", 372_855),
+        ("grassmann:v=4,m=2,q=3", 5_589_819),
+    ],
 )
 def test_budget_is_exact(text, needed):
-    # n for the fibers, n^2 for the meet table, n per case
+    # n for the fibers, n^2 for the meet table, n per case; runs at its need, refused with that need below it
     spec = families.parse_family_spec(text)
     report = audit(spec, budget=needed)
     n = sum(families.fiber_size(spec, i) for i in range(spec.top_rank + 1))
     assert report.passed and needed == n + n * n + n * sum(c.cases for c in report.checks)
     with pytest.raises(BudgetExceededError) as err:
         audit(spec, budget=needed - 1)
-    assert err.value.context["check"] == "join-rank"
+    assert err.value.context["need"] == needed

@@ -15,7 +15,7 @@ import ekrlattice
 from ekrlattice import cli, families, search
 from ekrlattice.audit import audit
 from ekrlattice.cli import main
-from ekrlattice.errors import FamilyMismatchError
+from ekrlattice.errors import BudgetExceededError, FamilyMismatchError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SAMPLES_DIR = Path(ekrlattice.__file__).parent / "samples"
@@ -90,7 +90,7 @@ def test_audit_pass_and_quiet(capsys):
 def test_audit_budget_exit_3(capsys):
     code, _, err = run_cli(["audit", "--family", "johnson:v=6,m=3", "--budget", "10"], capsys)
     assert code == 3
-    assert err == "error: audit check 'setup' needs 22 cases, above the cap of 10\n"
+    assert err == "error: the audit needs 113064 comparisons, above the cap of 10\n"
 
 
 def test_parse_error_exit_2(capsys):
@@ -113,7 +113,7 @@ def test_negative_audit_budget_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and "--budget" in err
     code, _, err = run_cli(["audit", "--family", "johnson:v=5,m=2", "--budget", "0"], capsys)
-    assert code == 3 and err == "error: audit check 'setup' needs 1 cases, above the cap of 0\n"
+    assert code == 3 and err == "error: the audit needs 7744 comparisons, above the cap of 0\n"
 
 
 def test_negative_node_budget_is_a_usage_error(in_samples_tmp, capsys):
@@ -149,18 +149,16 @@ REFUSALS = {
     "audit-hamming-7-5": (
         ["audit", "--family", "hamming:m=7,n=5"],
         {
-            "check": "setup",
             "fiber_sizes": [1, 35, 525, 4375, 21875, 65625, 109375, 78125],
-            "need": 78364444032,
+            "need": 21955864927163904,
             "cap": 10**8,
         },
     ),
     "audit-hamming-8-6": (
         ["audit", "--family", "hamming:m=8,n=6"],
         {
-            "check": "setup",
             "fiber_sizes": [1, 48, 1008, 12096, 90720, 435456, 1306368, 2239488, 1679616],
-            "need": 33232936334402,
+            "need": "191598726495570578415",  # above the signed 64-bit range, so a string
             "cap": 10**8,
         },
     ),
@@ -192,7 +190,7 @@ def test_oversized_work_is_refused_before_any_fiber_is_built(name, tmp_path, mon
     assert code == 3 and err.startswith("error:")
     error = json.loads(out)["error"]
     assert error["context"] == context
-    assert context["need"] > context["cap"]
+    assert int(context["need"]) > context["cap"]
     assert f"needs {context['need']} " in error["message"] and error["message"].endswith(f" cap of {context['cap']}")
     assert not Path("x.design").exists()
 
@@ -438,6 +436,44 @@ def test_json_big_integers_become_strings(capsys):
     assert int(theta0) > 2**63
 
 
+# grassmann:v=300,m=150,q=2 has integers of more than 4,300 digits, the
+# interpreter's default int-to-str limit, which the CLI lifts
+G300 = "grassmann:v=300,m=150,q=2"
+
+
+def run_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "ekrlattice.cli", *argv], capture_output=True, env=env, timeout=60)
+
+
+def test_integers_past_the_str_digit_limit_are_printed_in_full():
+    proc = run_process(["enumerate", "--family", G300, "--rank", "150", "--json"])
+    body = json.loads(proc.stdout)
+    assert proc.returncode == 3 and body["numeric_as_string"] is True
+    assert len(body["error"]["context"]["need"]) > 4300
+    assert run_process(["params", "--family", G300, "--r", "0", "--s", "0"]).returncode == 0
+    proc = run_process(["params", "--family", G300, "--r", "0", "--s", "0", "--json"])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["numeric_as_string"] is True
+    # fiber sizes of fewer than 4,300 digits, a whole need of more
+    proc = run_process(["audit", "--family", "grassmann:v=200,m=100,q=2", "--json"])
+    assert proc.returncode == 3 and len(json.loads(proc.stdout)["error"]["context"]["fiber_sizes"]) == 101
+
+
+def test_a_refusal_of_any_size_is_constructible():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    need = 3**10_000 + 7
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = str(need)
+        sys.set_int_max_str_digits(640)  # the least limit allowed: the CLI lifts it, a library caller may not
+        message = str(BudgetExceededError("the work", need, "steps", 10))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert message == f"the work needs {digits} steps, above the cap of 10"
+
+
 def test_json_error_envelope_carries_budget_context(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["audit", "--family", "johnson:v=6,m=3", "--budget", "10", "--json"], capsys)
     assert code == 3
@@ -447,7 +483,7 @@ def test_json_error_envelope_carries_budget_context(tmp_path, monkeypatch, capsy
     assert body["inputs"] == {"family": "johnson:v=6,m=3", "budget": 10}
     error = body["error"]
     assert error["type"] == "BudgetExceededError"
-    assert error["context"] == {"check": "setup", "fiber_sizes": [1, 6, 15], "need": 22, "cap": 10}
+    assert error["context"] == {"fiber_sizes": [1, 6, 15, 20], "need": 113064, "cap": 10}
 
     monkeypatch.chdir(tmp_path)
     Path("big.design").write_text(f"family grassmann:v=17,m=1,q=2\nstrength 0\n{G17_ROW}\n")
