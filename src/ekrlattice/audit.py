@@ -1,11 +1,17 @@
 """Exhaustive regularity audit for one family instance.
 
-Builds the whole truncated lattice and reads the pairwise meet table off
-the elements' atom masks: entry (i, j) is the element whose atoms are
-`atoms(i) & atoms(j)`.  `families.meet` depends only on those common atoms,
-so it is called once per distinct meet, on the first pair that has it, and
-must decode to that element.  The below/above bitmasks fall out of the
-table.  Then it checks by brute force:
+Builds the whole truncated lattice and reads its order and meets off the
+elements' atom masks; nothing is held per pair.  One holder mask per atom
+(bit i: element i holds it) gives above(i), the AND of the holder masks of
+i's atoms, and below is its transpose: z <= i when z's atoms lie within
+i's, the relation `families.leq` tests.  The meet of a pair is the element
+whose atoms are the pair's common atoms; where two elements share a mask or
+a pair has no meet, which the first check reports, the order reads the meet
+as the first element with the mask, or element 0 (`_order`).  The pairs are
+scanned row by row for the first pair i < j of each distinct common-atom
+mask; `families.meet` depends only on those common atoms, so it is called
+once per distinct meet, on that first pair, and must decode to that
+element.  Then it checks by brute force:
 
 * every pair has a unique greatest lower bound (the meet), and no two
   elements share an atom mask;
@@ -21,16 +27,16 @@ after the count of the cases that held before it.  One loop runs the
 checks in `CHECK_IDS` order, counts and times the cases and stops a check
 at its first counterexample.
 
-The greatest lower bound check needs no pair loop.  Once no two masks are
-equal and every pairwise `&` is some element's mask (the two cases it
-checks first), below(i) is {z : atoms(z) within atoms(i)}.  So below(i) &
+The greatest lower bound check needs no pair loop.  below(i) is {z :
+atoms(z) within atoms(i)}.  Once no two masks are equal and every pairwise
+`&` is some element's mask (the two cases it checks first), below(i) &
 below(j) is below(k), which holds k, for k the element whose atoms are
 atoms(i) & atoms(j): all n(n+1)/2 pairs i <= j hold, and they are counted
 in one yield.
 
 The budget is charged once, before any fiber is built.  A case counts as n
 comparisons (one bitmask over the n elements), so a passing audit costs n
-for the fibers, n^2 for the meet table and n per case, and the closed
+for the fibers, n^2 for the pairwise scan and n per case, and the closed
 forms give its cases exactly.  With top the top rank and f_s the rank-s
 fiber size:
 
@@ -47,15 +53,17 @@ need and every fiber size in its context.
 
 For set and map kinds `families.join_bounded` reads nothing but the union
 of its arguments' atoms, so the join check calls it once per distinct
-union, on the first pair (row order) that has it.  The subspace kinds,
-whose pairs nearly all have a union of their own, call it once per pair;
-their join is the sumset of the two atom sets, decoded once per distinct
-join.
+union, on the first pair (row order) that has it.  A pair's upper bounds
+are the elements above its union too, so once every meet is canonical the
+check judges each union once.  The subspace kinds, whose pairs nearly all
+have a union of their own, call it once per pair; their join is the sumset
+of the two atom sets, decoded once per distinct join.
 """
 
 from __future__ import annotations
 
 import time
+from functools import reduce
 from typing import NamedTuple
 
 from . import families, parameters
@@ -90,6 +98,31 @@ class AuditReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
+def _order(masks: list[int], at: dict[int, int]) -> tuple[list[int], list[int]]:
+    """(below, above) of the elements with these atom masks: bit z of below[i],
+    and bit i of above[z], when z is the meet of z and i.  That meet is the
+    element `at` their common atoms (`at` maps each mask to the first element
+    that has it), or element 0 when no element has them.  So z <= i when z's
+    atoms lie within i's and z is the first element with its mask: above[z] is
+    the AND of the holder masks of z's atoms (bit i when element i holds the
+    atom), and an element without atoms lies below all."""
+    holders: dict[int, int] = {}  # atom -> the elements that hold it
+    for i, mask in enumerate(masks):
+        for a in _bits(mask):
+            holders[a] = holders.get(a, 0) | 1 << i
+    everything = (1 << len(masks)) - 1
+    above = [
+        reduce(int.__and__, map(holders.__getitem__, _bits(mask)), everything) if at[mask] == z else 0
+        for z, mask in enumerate(masks)
+    ]
+    above[0] |= sum(1 << i for i, mask in enumerate(masks) if masks[0] & mask not in at)  # no meet with element 0
+    below = [0] * len(masks)
+    for z, above_z in enumerate(above):
+        for i in _bits(above_z):
+            below[i] |= 1 << z
+    return below, above
+
+
 def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     top = spec.top_rank
     fiber_sizes = [families.fiber_size(spec, i) for i in range(top + 1)]
@@ -100,7 +133,7 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     for s, f in enumerate(fiber_sizes):  # nu and alpha, then the rank function
         cases += f * (top + 2 + sum(nus[r, s] for r in range(s)))
     cases += fiber_sizes[top] * sum(nus[r, top] * (top - r + 1) for r in range(top + 1))  # mu
-    need = n + n * n + n * cases  # the fibers, the meet table, n comparisons per case
+    need = n + n * n + n * cases  # the fibers, the pairwise scan, n comparisons per case
     if need > budget:
         raise BudgetExceededError("the audit", need, "comparisons", budget, fiber_sizes=fiber_sizes)
 
@@ -112,30 +145,29 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     for i, e in enumerate(els):
         fiber_masks[e.rank] |= 1 << i
 
-    # pairwise meet table read off the atom masks; below/above masks fall out of it
     masks = [e.atoms for e in els]
-    at: dict[int, int] = {}
+    at: dict[int, int] = {}  # atom mask -> the first element that has it
     shared = None  # the first two elements with one atom mask
     for i, mask in enumerate(masks):
         if at.setdefault(mask, i) != i and shared is None:
             shared = (at[mask], i)
-    meets = [[at.get(a & b) for b in masks] for a in masks]
-    first = {}  # meet index (None: no element has those atoms) -> its first pair i < j
-    for i, row in enumerate(meets):
-        for k in set(row[i + 1 :]).difference(first):
-            first[k] = (i, row.index(k, i + 1))
+    first = {}  # common-atom mask -> its first pair i < j, in row order
+    for i, mask in enumerate(masks):
+        row = list(map(mask.__and__, masks[i + 1 :]))
+        for common in set(row).difference(first):
+            first[common] = (i, i + 1 + row.index(common))
     # a meet depends only on the common atoms, so one decode checks each distinct meet
     not_canonical = min(
-        (pair for k, pair in first.items() if k is None or families.meet(els[pair[0]], els[pair[1]]) != els[k]),
+        (
+            pair
+            for common, pair in first.items()
+            if common not in at or families.meet(els[pair[0]], els[pair[1]]) != els[at[common]]
+        ),
         default=None,
     )
-    if None in first:  # the join check reads the meet's rank, so a missing meet reads as element 0
-        meets = [[0 if k is None else k for k in row] for row in meets]
-    below = [sum(1 << z for z, k in enumerate(row) if k == z) for row in meets]  # bit z: els[z] <= els[i]
-    above = [0] * n
-    for i in range(n):
-        for z in _bits(below[i]):
-            above[z] |= 1 << i
+    below, above = _order(masks, at)
+    rank_of = {mask: ranks[k] for mask, k in at.items()}  # a meet's rank; a missing meet reads as element 0's
+    rank_0 = ranks[0]
 
     def check_glb():
         if shared is not None:
@@ -190,33 +222,50 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         yield held
 
     def check_join():
+        """A pair's verdict is True when it holds, the note of its counterexample,
+        or (li, the rank of li, or None when li is not the least upper bound),
+        against which the pair checks its own rank(i) + rank(j) - rank(meet).
+        For set and map kinds `join_bounded` reads only the atom union, so it
+        is called once per union.  Once every meet is canonical the upper
+        bounds are the elements above the union too (`_order`), and then one
+        verdict serves every pair with that union."""
         by_union = spec.q is None  # set and map kinds: join_bounded reads only the atom union
-        joins = {}  # atom union -> (join_bounded returned None, index of its answer)
+        verdicts_by_union = by_union and shared is None and not_canonical is None
+        joins, verdicts = {}, {}  # atom union -> (join_bounded returned None, index of its answer), its verdict
         for i in range(n):
-            mask_i, above_i, rank_i, meets_i = masks[i], above[i], ranks[i], meets[i]
+            mask_i, above_i, rank_i = masks[i], above[i], ranks[i]
             for j in range(i, n):
                 union = mask_i | masks[j]
-                answer = joins.get(union) if by_union else None
-                if answer is None:
-                    jb = families.join_bounded(els[i], els[j])
-                    answer = jb is None, index.get(jb)
-                    if by_union:
-                        joins[union] = answer
-                none, li = answer
-                ub = above_i & above[j]
-                if ub and li is not None:
-                    expected_rank = rank_i + ranks[j] - ranks[meets_i[j]]
-                    if (ub >> li) & 1 and not ub & ~above[li] and ranks[li] == expected_rank:
+                verdict = verdicts.get(union)
+                if verdict is None:
+                    answer = joins.get(union) if by_union else None
+                    if answer is None:
+                        jb = families.join_bounded(els[i], els[j])
+                        answer = jb is None, index.get(jb)
+                        if by_union:
+                            joins[union] = answer
+                    none, li = answer
+                    ub = above_i & above[j]
+                    if ub and li is not None:
+                        verdict = li, ranks[li] if (ub >> li) & 1 and not ub & ~above[li] else None
+                    elif not ub:
+                        verdict = none or "join_bounded returned an element but no upper bound exists"
+                    elif none:
+                        verdict = "upper bounds exist but join_bounded returned none"
+                    else:
+                        verdict = "join_bounded returned an element outside the lattice"
+                    if verdicts_by_union:
+                        verdicts[union] = verdict
+                if verdict is True:
+                    continue
+                if type(verdict) is tuple:
+                    li, holds = verdict
+                    expected_rank = rank_i + ranks[j] - rank_of.get(mask_i & masks[j], rank_0)
+                    if holds == expected_rank:
                         continue
                     outcome = (i, j, li), f"least upper bound must have rank {expected_rank}"
-                elif not ub:
-                    if none:
-                        continue
-                    outcome = (i, j), "join_bounded returned an element but no upper bound exists"
-                elif none:
-                    outcome = (i, j), "upper bounds exist but join_bounded returned none"
                 else:
-                    outcome = (i, j), "join_bounded returned an element outside the lattice"
+                    outcome = (i, j), verdict
                 yield j - i
                 yield outcome
             yield n - i

@@ -11,7 +11,8 @@ Each family carries four constants:
 
 `oracle_count` computes the same quantities by literal enumeration for one
 concrete witness tuple, and the tests compare it with the closed forms; the
-audit counts every witness tuple from its own meet table instead.
+audit counts every witness tuple from the order it reads off the atom masks
+instead.
 
 All arithmetic is exact unbounded-integer arithmetic.
 """

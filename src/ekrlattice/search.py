@@ -153,6 +153,20 @@ def _orbit_masks(n, orbits):
     return masks
 
 
+def _merge_orbits(orbits, least, h):
+    """Join, in place, the orbits that the permutation h merges.  `orbits` maps
+    the least point of each orbit to its points and `least[p]` is the least
+    point of the orbit of p; the points of the orbit with the greater least
+    point move into the other's."""
+    for p, image in enumerate(h):
+        a, b = least[p], least[image]
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            for q in orbits[b]:
+                least[q] = a
+            orbits[a] += orbits.pop(b)
+
+
 _SCHREIER_TRIES = 64  # Schreier generators tried per fixed vertex; only speed depends on it
 
 
@@ -166,11 +180,12 @@ def _stabilizer(adj, generators, r):
     lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress, *Permutation
     Group Algorithms*, CUP 2003); each costs two list maps.  They are tried in
     walk order, each once the walk has reached both of its ends, and kept when
-    they merge orbits.  An automorphism of `adj` that fixes r keeps the level
-    of every x: whether x is r, whether it is adjacent to r, and
-    |N(r) & N(x)|.  So the stabilizer's orbits refine the levels, and once H has
-    as few orbits as there are levels they are exactly the stabilizer's orbits
-    and the walk stops; it stops too after `_SCHREIER_TRIES` tries.
+    they merge orbits, which `_merge_orbits` then joins; `_orbits` lists the
+    orbits once, when the walk stops.  An automorphism of `adj` that fixes r
+    keeps the level of every x: whether x is r, whether it is adjacent to r,
+    and |N(r) & N(x)|.  So the stabilizer's orbits refine the levels, and once
+    H has as few orbits as there are levels they are exactly the stabilizer's
+    orbits and the walk stops; it stops too after `_SCHREIER_TRIES` tries.
     """
     n = len(adj)
     levels = len({(x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()) for x in range(n)})
@@ -178,13 +193,13 @@ def _stabilizer(adj, generators, r):
     identity = list(range(n))
     u, u_inv = {r: identity}, {r: identity}  # the transversal met so far, and its inverses
     walk = [r]
-    kept, orbits = [], [[x] for x in range(n)]
+    kept, orbits = [], {x: [x] for x in range(n)}  # least point -> its orbit
     tries, least = 0, list(range(n))  # least[p]: the least point of the orbit of p
     for x in walk:  # grows while it is walked
         u_x = u[x]
         for g, g_inv in zip(generators, inverses):
             if len(orbits) == levels or tries == _SCHREIER_TRIES:
-                return kept, orbits
+                return kept, _orbits(n, kept)
             y = g[x]
             if y not in u:  # a tree edge: u_y = g u_x, so the generator is the identity
                 u[y] = list(map(g.__getitem__, u_x))
@@ -195,11 +210,8 @@ def _stabilizer(adj, generators, r):
             h = list(map(u_inv[y].__getitem__, map(g.__getitem__, u_x)))
             if list(map(least.__getitem__, h)) != least:
                 kept.append(h)
-                orbits = _orbits(n, kept)
-                for orbit in orbits:
-                    for p in orbit:
-                        least[p] = orbit[0]
-    return kept, orbits
+                _merge_orbits(orbits, least, h)
+    return kept, _orbits(n, kept)
 
 
 class SearchResult(NamedTuple):

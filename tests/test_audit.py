@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from conftest import grid
 from ekrlattice import families, parameters
-from ekrlattice.audit import CHECK_IDS, audit
+from ekrlattice.audit import CHECK_IDS, _order, audit
 from ekrlattice.errors import BudgetExceededError, NonIntegralError
 
 
@@ -190,6 +191,41 @@ def test_missing_meet_fails_every_check(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "payload, mask, report",
+    [
+        ((2,), 0b1, [  # "2" has the atoms of "1", so it is the meet of no pair and lies below nothing
+            ("semilattice-glb", 1, {"elements": ["1", "2"], "note": "elements share one atom mask"}),
+            ("rank-function", 3, {"elements": ["1", "2"], "note": "covering step changes rank by 0"}),
+            ("mu-constant", 2, {"elements": ["-", "1 2"], "note": "mu(0,1) counted 1, closed form 2"}),
+            ("nu-constant", 13, {"elements": ["1 2"], "note": "nu(1,2) counted 1, closed form 2"}),
+            ("theta-constant", 3, {"elements": ["2"], "note": "theta(1) counted 0, closed form 4"}),
+            ("alpha-lemma", 4, {"elements": ["1"], "note": "alpha(1,1) counted 2, closed form 1"}),
+            ("join-rank", 3, {"elements": ["-", "2"], "note": "join_bounded returned an element but no upper bound exists"}),
+        ]),
+        ((), 1 << 5, [  # the bottom shares no atom with any element, so no pair with it has a meet
+            ("semilattice-glb", 1, {"elements": ["-", "1"], "note": "meet is not canonical"}),
+            ("rank-function", 35, None),
+            ("mu-constant", 80, None),
+            ("nu-constant", 41, None),
+            ("theta-constant", 16, None),
+            ("alpha-lemma", 23, None),
+            ("join-rank", 1, {"elements": ["-", "-"], "note": "join_bounded returned an element outside the lattice"}),
+        ]),
+    ],
+)
+def test_order_reads_a_missing_or_shared_meet_as_the_meet_table_did(monkeypatch, payload, mask, report):
+    # z <= i when z is the meet of z and i: the first element with their common atoms, else element 0
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    encode = families._Atoms.encode
+    monkeypatch.setattr(
+        families._Atoms, "encode", lambda self, p: mask if self.spec == spec and p == payload else encode(self, p)
+    )
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
+    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
+    assert [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks] == report
+
+
+@pytest.mark.parametrize(
     "fault, answer, witnesses, note, cases",
     [
         ("1 2", None, ["-", "1 2"], "upper bounds exist but join_bounded returned none", 7),
@@ -262,6 +298,43 @@ def test_join_bounded_calls_per_audit(monkeypatch, text, calls):
     monkeypatch.setattr(families, "join_bounded", lambda x, y: made.append(1) or real(x, y))
     assert audit(families.parse_family_spec(text)).passed
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [("johnson:v=5,m=2", 6), ("johnson:v=6,m=3", 22), ("grassmann:v=4,m=2,q=2", 16), ("hamming:m=3,n=3", 37)],
+)
+def test_meet_decoded_once_per_distinct_meet(monkeypatch, text, calls):
+    # a meet depends only on the common atoms: one decode per distinct common-atom mask
+    real = families.meet
+    made = []
+    monkeypatch.setattr(families, "meet", lambda x, y: made.append(x.atoms & y.atoms) or real(x, y))
+    assert audit(families.parse_family_spec(text)).passed
+    assert len(made) == len(set(made)) == calls
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_holder_mask_order_is_leq(spec):
+    els = list(families.enumerate_all(spec))
+    masks = [e.atoms for e in els]
+    below, above = _order(masks, {mask: i for i, mask in enumerate(masks)})
+    for i, x in enumerate(els):
+        for z, y in enumerate(els):
+            assert (below[i] >> z & 1, above[z] >> i & 1) == (families.leq(y, x),) * 2, (y, x)
+
+
+def test_audit_holds_nothing_per_pair():
+    # n = 1,024: a list of n lists of n entries alone would be about 8 MiB
+    spec = families.parse_family_spec("johnson:v=11,m=5")
+    for e in families.enumerate_all(spec):
+        e.atoms  # the fibers and their atoms are built before tracing starts
+    tracemalloc.start()
+    try:
+        assert audit(spec, budget=10**10).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,24 @@ def test_stabilizer_generators_fix_the_root_and_its_orbits_keep_the_levels(text)
                 assert sorted(map(sorted, orbits)) == sorted(by_rank.values()), (s, r)
 
 
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_merged_orbits_are_the_rebuilt_ones_at_every_root_stabilizer(text):
+    # after each kept generator the merged orbits, their count and least points are what _orbits rebuilds
+    cert = full_fiber(families.parse_family_spec(text))
+    for s in range(1, cert.spec.top_rank + 1):
+        solver = search._Solver(graph_of(cert, s), search.kept_symmetries(cert))
+        for r in (orbit[0] for orbit in solver.orbits):  # the roots maximize branches on
+            kept, returned = search._stabilizer(solver.adj, solver.generators, r)
+            assert kept, (s, r)
+            assert [sorted(o) for o in returned] == [sorted(o) for o in search._orbits(solver.n, kept)], (s, r)
+            orbits, least = {x: [x] for x in range(solver.n)}, list(range(solver.n))
+            for k, h in enumerate(kept, 1):
+                search._merge_orbits(orbits, least, h)
+                rebuilt = search._orbits(solver.n, kept[:k])
+                assert {a: sorted(o) for a, o in orbits.items()} == {o[0]: sorted(o) for o in rebuilt}, (s, r, k)
+                assert all(least[p] == o[0] for o in rebuilt for p in o), (s, r, k)
+
+
 @st.composite
 def cyclic_graphs(draw):
     """A graph on Z_a x [b], vertex (x, i) = x * b + i, whose edge rule reads only
