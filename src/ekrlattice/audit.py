@@ -1,10 +1,10 @@
 """Exhaustive regularity audit for one family instance.
 
 Builds the whole truncated lattice and reads its order and meets off the
-elements' atom masks; nothing is held per pair.  One holder mask per atom
-(bit i: element i holds it) gives above(i), the AND of the holder masks of
-i's atoms, and below is its transpose: z <= i when z's atoms lie within
-i's, the relation `families.leq` tests.  The meet of a pair is the element
+elements' atom masks; nothing is held per pair.  above(i) is i's row of
+`families.supersets` over the masks (bit j: element j holds every atom of
+i), and below is its transpose: z <= i when z's atoms lie within i's, the
+relation `families.leq` tests.  The meet of a pair is the element
 whose atoms are the pair's common atoms; where two elements share a mask or
 a pair has no meet, which the first check reports, the order reads the meet
 as the first element with the mask, or element 0 (`_order`).  The pairs are
@@ -63,7 +63,6 @@ of the two atom sets, decoded once per distinct join.
 from __future__ import annotations
 
 import time
-from functools import reduce
 from typing import NamedTuple
 
 from . import families, parameters
@@ -104,17 +103,10 @@ def _order(masks: list[int], at: dict[int, int]) -> tuple[list[int], list[int]]:
     element `at` their common atoms (`at` maps each mask to the first element
     that has it), or element 0 when no element has them.  So z <= i when z's
     atoms lie within i's and z is the first element with its mask: above[z] is
-    the AND of the holder masks of z's atoms (bit i when element i holds the
-    atom), and an element without atoms lies below all."""
-    holders: dict[int, int] = {}  # atom -> the elements that hold it
-    for i, mask in enumerate(masks):
-        for a in _bits(mask):
-            holders[a] = holders.get(a, 0) | 1 << i
-    everything = (1 << len(masks)) - 1
-    above = [
-        reduce(int.__and__, map(holders.__getitem__, _bits(mask)), everything) if at[mask] == z else 0
-        for z, mask in enumerate(masks)
-    ]
+    z's row of `families.supersets` over the masks, and an element without
+    atoms lies below all."""
+    held = families.supersets(masks, masks)
+    above = [held[z] if at[mask] == z else 0 for z, mask in enumerate(masks)]
     above[0] |= sum(1 << i for i, mask in enumerate(masks) if masks[0] & mask not in at)  # no meet with element 0
     below = [0] * len(masks)
     for z, above_z in enumerate(above):

@@ -524,46 +524,35 @@ def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     return _fiber(spec, i)
 
 
+def supersets(keys, masks) -> list[int]:
+    """For each key mask, the bitmask of the indices of `masks` that hold every
+    atom of the key: the AND of one holder mask per atom of the key (bit j when
+    masks[j] holds the atom).  A key without atoms gets every index, and a key
+    with an atom that no mask holds gets 0."""
+    holders: dict[int, int] = {}  # atom -> the indices of the masks that hold it
+    for j, mask in enumerate(masks):
+        for a in _bits(mask):
+            holders[a] = holders.get(a, 0) | 1 << j
+    everything = (1 << len(masks)) - 1
+    return [reduce(int.__and__, (holders.get(a, 0) for a in _bits(key)), everything) for key in keys]
+
+
 def above(spec: FamilySpec, i: int, elements) -> list[int]:
     """For each rank-i element, in canonical order, the bitmask of the indices of
-    `elements` above it.
+    the sequence `elements` above it.
 
-    z <= x puts z's atoms inside x's, so the fiber is filed by a key made of
-    atoms of z, and each x is tested by `leq` only against the keys made of
-    its own atoms.  Set and map kinds key z by its whole atom mask, which names
-    z alone, and x tries each of its C(rank, i) i-atom sub-masks: one `leq`
-    call for each element below x.  Subspace kinds key z by its lowest atom,
-    and the least element, with no atoms, sits in bucket 0, which every x tries.
+    z <= x puts z's atoms inside x's, so the star of z is read off the atom
+    masks by `supersets`.  Each star member is then confirmed by one `leq`
+    call; a refusal raises AssertionError.
     """
     _atoms(spec)  # a family above ATOM_CAP is refused before its fiber is built
     fiber = enumerate_fiber(spec, i)
-    masks = [0] * len(fiber)
-    if spec.q is None:
-        index = {z.atoms: k for k, z in enumerate(fiber)}
-        for j, x in enumerate(elements):
-            bit = 1 << j
-            for sub in combinations([1 << b for b in _bits(x.atoms)], i):
-                k = index.get(sum(sub))
-                if k is not None and leq(fiber[k], x):
-                    masks[k] |= bit
-        return masks
-    # one int per element, no list per key: head[key] is the highest index
-    # with that key, chain[k] the next lower one, -1 ends a chain
-    head: dict[int, int] = {}
-    chain = [-1] * len(fiber)
-    for k, z in enumerate(fiber):
-        key = z.atoms & -z.atoms
-        chain[k] = head.get(key, -1)
-        head[key] = k
-    for j, x in enumerate(elements):
-        bit = 1 << j
-        for key in (0, *(1 << b for b in _bits(x.atoms))):
-            k = head.get(key, -1)
-            while k >= 0:
-                if leq(fiber[k], x):
-                    masks[k] |= bit
-                k = chain[k]
-    return masks
+    stars = supersets([z.atoms for z in fiber], [x.atoms for x in elements])
+    for z, star in zip(fiber, stars):
+        for j in _bits(star):
+            if not leq(z, elements[j]):
+                raise AssertionError(f"leq refuses {format_element(z)} <= {format_element(elements[j])}")
+    return stars
 
 
 @lru_cache(maxsize=None)

@@ -172,7 +172,7 @@ _SCHREIER_TRIES = 64  # Schreier generators tried per fixed vertex; only speed d
 
 def _stabilizer(adj, generators, r):
     """Generators of a subgroup H of the stabilizer of r in the group G that
-    `generators` generate, and the orbits of H (`_orbits`).
+    `generators` generate, and the orbits of H.
 
     A breadth-first walk over the G-orbit of r stores, per point x it reaches,
     the transversal element u_x, with u_x(r) = x, and its inverse: u_r is the
@@ -180,12 +180,13 @@ def _stabilizer(adj, generators, r):
     lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress, *Permutation
     Group Algorithms*, CUP 2003); each costs two list maps.  They are tried in
     walk order, each once the walk has reached both of its ends, and kept when
-    they merge orbits, which `_merge_orbits` then joins; `_orbits` lists the
-    orbits once, when the walk stops.  An automorphism of `adj` that fixes r
-    keeps the level of every x: whether x is r, whether it is adjacent to r,
-    and |N(r) & N(x)|.  So the stabilizer's orbits refine the levels, and once
-    H has as few orbits as there are levels they are exactly the stabilizer's
-    orbits and the walk stops; it stops too after `_SCHREIER_TRIES` tries.
+    they merge orbits, which `_merge_orbits` then joins; its lists are
+    returned, in least-point order, each opened at its least point.  An
+    automorphism of `adj` that fixes r keeps the level of every x: whether x
+    is r, whether it is adjacent to r, and |N(r) & N(x)|.  So the
+    stabilizer's orbits refine the levels, and once H has as few orbits as
+    there are levels they are exactly the stabilizer's orbits and the walk
+    stops; it stops too after `_SCHREIER_TRIES` tries.
     """
     n = len(adj)
     levels = len({(x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()) for x in range(n)})
@@ -199,7 +200,7 @@ def _stabilizer(adj, generators, r):
         u_x = u[x]
         for g, g_inv in zip(generators, inverses):
             if len(orbits) == levels or tries == _SCHREIER_TRIES:
-                return kept, _orbits(n, kept)
+                return kept, list(orbits.values())
             y = g[x]
             if y not in u:  # a tree edge: u_y = g u_x, so the generator is the identity
                 u[y] = list(map(g.__getitem__, u_x))
@@ -211,7 +212,7 @@ def _stabilizer(adj, generators, r):
             if list(map(least.__getitem__, h)) != least:
                 kept.append(h)
                 _merge_orbits(orbits, least, h)
-    return kept, _orbits(n, kept)
+    return kept, list(orbits.values())
 
 
 class SearchResult(NamedTuple):

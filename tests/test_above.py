@@ -1,5 +1,5 @@
-"""The atom-keyed fiber index (`families.above`: the whole atom mask for set
-and map kinds, the lowest atom for subspace kinds), the elements below one element
+"""Stars read off atom masks (`families.supersets`, and `families.above`, which
+confirms each star member by one `leq`), the elements below one element
 (`families.below`), popcount meet ranks (`families.meet_rank`, and d_r's
 `families.atom_count`) and the search graph built from stars, checked
 against brute-force scans.
@@ -20,7 +20,7 @@ from ekrlattice import designs, ekr, families, parameters, search
 from ekrlattice.designs import DesignCertificate, full_fiber
 from ekrlattice.errors import FamilyMismatchError, VerificationError
 
-from conftest import GRID_SPECS, ODD_FIELD_SPECS, grid, sampled_universe, seed_family, star_members
+from conftest import GRID_SPECS, ODD_FIELD_SPECS, sampled_universe, seed_family, star_members
 
 MEET_RANK_SPECS = (
     "johnson:v=6,m=3",
@@ -91,20 +91,72 @@ def subfamilies(spec, seed):
     return [top, top[len(top) // 2 :][:1], *map(tuple, picks)]
 
 
-@pytest.mark.parametrize("spec", grid(), ids=str)
-def test_above_matches_a_leq_scan_at_every_rank(spec):
+SPEC_CASES = (*((text, None) for text in GRID_SPECS), *ODD_FIELD_SPECS)
+
+
+@pytest.mark.parametrize("text, per_rank", SPEC_CASES, ids=[text for text, _ in SPEC_CASES])
+def test_above_matches_a_leq_scan_at_every_rank(text, per_rank):
+    spec = families.parse_family_spec(text)
     rng = random.Random(str(spec))
-    everything = tuple(families.enumerate_all(spec))
-    cases = [*subfamilies(spec, str(spec)), (families.least(spec),), tuple(rng.sample(everything, 20))]
+    everything = tuple(sampled_universe(spec, per_rank))
+    if per_rank is None:
+        tops = subfamilies(spec, str(spec))
+    else:  # the sampled top fiber: a full odd-field top fiber makes the scan slow
+        tops = [tuple(x for x in everything if x.rank == spec.top_rank)]
+    cases = [*tops, (families.least(spec),), tuple(rng.sample(everything, 20))]
     for elements in cases:
         for i in range(spec.top_rank + 1):
             assert families.above(spec, i, elements) == brute_above(spec, i, elements), (i, len(elements))
 
 
-BELOW_CASES = (*((text, None) for text in GRID_SPECS), *ODD_FIELD_SPECS)
+FULL_FIBER_CASES = (*GRID_SPECS, *(text for text, _ in ODD_FIELD_SPECS))
 
 
-@pytest.mark.parametrize("text, per_rank", BELOW_CASES, ids=[text for text, _ in BELOW_CASES])
+@pytest.mark.parametrize("text", FULL_FIBER_CASES)
+def test_above_calls_leq_once_per_star_member(text, monkeypatch):
+    # |Y| nu(i, M) incidences at rank i, each confirmed by one `leq` that holds
+    spec = families.parse_family_spec(text)
+    top = families.enumerate_fiber(spec, spec.top_rank)
+    results = []
+    leq = families.leq
+
+    def recording_leq(z, x):
+        results.append(leq(z, x))
+        return results[-1]
+
+    monkeypatch.setattr(families, "leq", recording_leq)
+    for i in range(spec.top_rank + 1):
+        results.clear()
+        families.above(spec, i, top)
+        assert len(results) == len(top) * parameters.nu(spec, i, spec.top_rank), i
+        assert all(results), i
+
+
+def test_supersets_matches_a_containment_scan():
+    rng = random.Random("supersets")
+    for width, count in ((1, 1), (6, 10), (12, 40), (40, 70)):
+        masks = [rng.getrandbits(width) for _ in range(count)]
+        keys = [0, *(rng.getrandbits(width) & rng.getrandbits(width) for _ in range(30)), *masks[:5]]
+        keys += [1 << width, masks[0] | 1 << width]  # an atom that no mask holds
+        expected = [sum(1 << j for j, mask in enumerate(masks) if not key & ~mask) for key in keys]
+        found = families.supersets(keys, masks)
+        assert found == expected, (width, count)
+        assert found[0] == (1 << count) - 1 and found[-2:] == [0, 0]
+    assert families.supersets([0, 1], []) == [0, 0]
+
+
+def test_make_certificate_raises_when_leq_refuses_a_star_member(monkeypatch):
+    spec = families.parse_family_spec("grassmann:v=4,m=2,q=2")
+    cert = full_fiber(spec, 1)
+    leq = families.leq
+    z = families.enumerate_fiber(spec, 1)[3]
+    x = [y for y in cert.elements if leq(z, y)][-1]
+    monkeypatch.setattr(families, "leq", lambda a, b: (a, b) != (z, x) and leq(a, b))
+    with pytest.raises(AssertionError, match="leq refuses"):
+        designs.make_certificate(spec, cert.elements, 1)
+
+
+@pytest.mark.parametrize("text, per_rank", SPEC_CASES, ids=[text for text, _ in SPEC_CASES])
 def test_below_matches_a_leq_scan_at_every_rank(text, per_rank):
     spec = families.parse_family_spec(text)
     for x in sampled_universe(spec, per_rank):

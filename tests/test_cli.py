@@ -236,9 +236,9 @@ def test_check_design_makes_one_coverage_pass(in_samples_tmp, capsys, monkeypatc
     code, out, _ = run_cli(["check-design", "--design", "fano.design", "--strength", "3"], capsys)
     assert code == 1
     assert "NOT a 3-design" in out
-    # one `families.above` pass: the fiber is keyed by whole atom masks, so a
-    # line is tested once, against itself, its one 3-subset; a whole-fiber scan
-    # would make 35 * 7 calls
+    # one `families.above` pass: the stars are read off the atom masks and each
+    # member is confirmed once, against itself, its one 3-subset; a whole-fiber
+    # scan would make 35 * 7 calls
     lines = (in_samples_tmp / "fano.design").read_text().splitlines()[2:]
     assert calls == len(lines) == 7 < 35 * 7
 
