@@ -217,26 +217,20 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         """A pair's verdict is True when it holds, the note of its counterexample,
         or (li, the rank of li, or None when li is not the least upper bound),
         against which the pair checks its own rank(i) + rank(j) - rank(meet).
-        For set and map kinds `join_bounded` reads only the atom union, so it
-        is called once per union.  Once every meet is canonical the upper
-        bounds are the elements above the union too (`_order`), and then one
-        verdict serves every pair with that union."""
-        by_union = spec.q is None  # set and map kinds: join_bounded reads only the atom union
-        verdicts_by_union = by_union and shared is None and not_canonical is None
-        joins, verdicts = {}, {}  # atom union -> (join_bounded returned None, index of its answer), its verdict
+        For set and map kinds `join_bounded` reads only the atom union.  Once
+        every meet is canonical the upper bounds are the elements above the
+        union too (`_order`), and then one verdict, from one `join_bounded`
+        call, serves every pair with that union."""
+        verdicts_by_union = spec.q is None and shared is None and not_canonical is None
+        verdicts = {}  # atom union -> its verdict
         for i in range(n):
             mask_i, above_i, rank_i = masks[i], above[i], ranks[i]
             for j in range(i, n):
                 union = mask_i | masks[j]
                 verdict = verdicts.get(union)
                 if verdict is None:
-                    answer = joins.get(union) if by_union else None
-                    if answer is None:
-                        jb = families.join_bounded(els[i], els[j])
-                        answer = jb is None, index.get(jb)
-                        if by_union:
-                            joins[union] = answer
-                    none, li = answer
+                    jb = families.join_bounded(els[i], els[j])
+                    none, li = jb is None, index.get(jb)
                     ub = above_i & above[j]
                     if ub and li is not None:
                         verdict = li, ranks[li] if (ub >> li) & 1 and not ub & ~above[li] else None

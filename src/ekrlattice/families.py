@@ -197,9 +197,9 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 # `a | b`; the payload stays the codec and the canonical sort key.  A rank-r
 # element has r atoms (set and map kinds) or q^r - 1 (subspace kinds), so the
 # meet's rank is read off the popcount.  Subspace kinds add and scale vectors
-# on their codes (`plus`, `scale`), so spans, the join (the sumset of two atom
-# sets) and `below` row-reduce nothing; a decode reads the RREF rows off the
-# mask, once per distinct mask.
+# on their codes with `gf.GF.add` and `gf.GF.scale`, so spans, the join (the
+# sumset of two atom sets) and `below` row-reduce nothing; a decode reads the
+# RREF rows off the mask, once per distinct mask.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
 _DECODED_CAP = 1 << 12  # decoded meet and join results kept per family
@@ -226,7 +226,7 @@ class _Atoms:
             self.top_size = spec.q**spec.top_rank  # vectors of a top-rank element
             self.vectors: dict[int, tuple] = {}  # code -> vector, filled by `_vector`
             # GF(2^k) elements are bit polynomials, so vectors add by the xor of their codes
-            self.plus = operator.xor if self.fld.p == 2 else self._digit_plus
+            self.plus = operator.xor if self.fld.p == 2 else self.fld.add
             # bilinear: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
             self.flat = (1 << spec.q**spec.n) - 2 if kind == "bilinear" else 0
         elif kind == "johnson":
@@ -302,7 +302,7 @@ class _Atoms:
                 rows.append(self._vector(lo + (lead & -lead).bit_length() - 1))
         return _from_rows(self.spec, tuple(rows))
 
-    # vector arithmetic of the subspace kinds, on codes
+    # vectors of the subspace kinds, as codes
 
     def code(self, vec) -> int:
         """The code of a vector, the inverse of `_vector`."""
@@ -322,32 +322,6 @@ class _Atoms:
             vec = self.vectors[code] = tuple(reversed(digits))
         return vec
 
-    def _digit_plus(self, u: int, v: int) -> int:
-        """`plus` for odd p.  A code is also a base-p numeral, since GF(p^k) elements
-        are polynomials over GF(p) in base p, and vectors add digit by digit mod p:
-        u + v, less p^(j+1) for each base-p digit j whose two digits reach p."""
-        p = self.fld.p
-        out, place = u + v, p
-        while u and v:
-            u, a = divmod(u, p)
-            v, b = divmod(v, p)
-            if a + b >= p:
-                out -= place
-            place *= p
-        return out
-
-    def scale(self, c: int, u: int) -> int:
-        """The code of c times the vector whose code is u."""
-        if c == 1:
-            return u
-        q, mul = self.fld.q, self.fld.mul
-        out, place = 0, 1
-        while u:
-            u, a = divmod(u, q)
-            out += mul(c, a) * place
-            place *= q
-        return out
-
     def sumset(self, a: int, b: int) -> int:
         """The atoms of x + y for subspaces x and y with atoms a and b: their join."""
         return self._span(b, a)
@@ -355,12 +329,12 @@ class _Atoms:
     def _span(self, mask: int, under: int = 0) -> int:
         """The atoms of the span of `under`, the atoms of a subspace, and the
         vectors of mask."""
-        plus, q = self.plus, self.fld.q
+        plus, scale, q = self.plus, self.fld.scale, self.fld.q
         vecs, span = [0, *_bits(under)], under | 1  # bit 0: the zero vector
         rest = mask & ~span
         while rest:
             code = (rest & -rest).bit_length() - 1
-            new = [plus(s, m) for m in [self.scale(c, code) for c in range(1, q)] for s in vecs]
+            new = [plus(s, m) for m in [scale(c, code) for c in range(1, q)] for s in vecs]
             vecs += new
             for v in new:
                 span |= 1 << v
@@ -572,10 +546,10 @@ def below(x: Element, i: int) -> list[Element]:
     if spec.q is None:
         return [Element(spec, sub) for sub in combinations(x.payload, i)]
     atoms = _atoms(spec)
-    plus = atoms.plus
+    plus, scale = atoms.plus, atoms.fld.scale
     # multiples[j][c]: the code of c times row j
     multiples = [
-        [0, *(atoms.scale(c, code) for c in range(1, spec.q))]
+        [0, *(scale(c, code) for c in range(1, spec.q))]
         for code in map(atoms.code, _rows(spec.kind, x.payload))
     ]
     payloads = []

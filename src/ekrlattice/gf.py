@@ -1,10 +1,19 @@
 """Exact arithmetic over GF(q), and RREF matrix enumeration.
 
-Field elements are ints in ``range(q)``.  Prime fields use modular
-arithmetic directly.  Prime-power fields GF(p^k) with q <= 64 encode
-polynomials over GF(p) in base p and multiply through log/antilog tables
-built from a fixed table of Conway polynomials; the generator x is
-primitive, so the tables cover every nonzero element.
+Field elements are ints in ``range(q)``, and a vector c of GF(q)^w is its
+code sum_j c_j * q^(w-1-j).  Both are base-p numerals: an element of GF(p^k)
+is a polynomial over GF(p) whose coefficients are its base-p digits, and a
+code's base-q digits are elements.  So `GF.add` adds elements and codes alike,
+digit by digit mod p, and `GF.scale` multiplies each base-q digit of a code by
+one element.  Prime fields multiply modulo q.  Prime-power fields GF(p^k) with
+q <= 64 multiply through log/antilog tables built from a fixed table of
+Conway polynomials; the generator x is primitive, so the tables cover every
+nonzero element.
+
+`prime_power` decides primality by a deterministic Miller-Rabin test on the
+13 prime bases 2..41, exact below 3.317e24 (Sorenson and Webster, Strong
+pseudoprimes to twelve prime bases, Math. Comp. 86, 2017); larger q are
+refused.  A power p^k, k >= 2, is found from integer k-th roots.
 
 Vectors are int tuples and matrices are tuples of row tuples; every
 routine is a pure function of its inputs.
@@ -32,20 +41,39 @@ _CONWAY = {
 }
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2..41: exact for 2 <= n < 3.317e24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if n % a == 0:
+            return n == a
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n == p**k, or None when n is not a prime power."""
+    """Return (p, k) with n == p**k, or None when n is not a prime power.
+
+    Raises ParseError for n >= 3.317e24, where the primality test is not exact.
+    """
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k, m = 0, n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (n, 1)
+    if n >= 3317044064679887385961981:
+        raise ParseError(f"GF({n}) is not supported (field sizes below 3.317e24 only)")
+    for k in range(2, n.bit_length()):
+        r = round(n ** (1 / k))
+        for p in (r - 1, r, r + 1):
+            if p**k == n and _is_prime(p):
+                return p, k
+    return (n, 1) if _is_prime(n) else None
 
 
 class GF:
@@ -62,32 +90,10 @@ class GF:
                 raise ParseError(f"GF({q}) is not supported (prime powers up to 64 only)")
             self._build_tables()
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, ds) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
-
-    def _mul_x(self, a: int, conway) -> int:
-        # multiply by the generator x, reducing modulo the Conway polynomial
-        ds = self._digits(a)
-        carry = ds[-1]
-        ds = [0] + ds[:-1]
-        if carry:
-            for i in range(self.k):
-                ds[i] = (ds[i] - carry * conway[i]) % self.p
-        return self._undigits(ds)
-
     def _build_tables(self):
-        q = self.q
-        conway = _CONWAY[(self.p, self.k)]
+        p, q = self.p, self.q
+        # x^k = -(c_0 + c_1 x + ... + c_{k-1} x^{k-1}), as a base-p numeral
+        wrap = sum((-c) % p * p**i for i, c in enumerate(_CONWAY[(p, self.k)][:-1]))
         exp = [0] * (q - 1)
         log = [0] * q
         cur = 1
@@ -96,19 +102,38 @@ class GF:
                 raise AssertionError("generator is not primitive")
             exp[i] = cur
             log[cur] = i
-            cur = self._mul_x(cur, conway)
+            top, cur = divmod(cur * p, q)  # times x: the digits move up and x^k carries out
+            for _ in range(top):
+                cur = self.add(cur, wrap)
         if cur != 1:
             raise AssertionError("generator is not primitive")
         self._exp, self._log = exp, log
-        add_digit = lambda a, b: self._undigits(
-            [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
-        )
-        self._add_tab = [[add_digit(a, b) for b in range(q)] for a in range(q)]
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.q
-        return self._add_tab[a][b]
+    def add(self, u: int, v: int) -> int:
+        """The sum of two elements, or of two vectors given by their codes: base-p
+        numerals added digit by digit mod p, that is u + v less p^(j+1) for each
+        digit j whose two digits reach p."""
+        p = self.p
+        out, place = u + v, p
+        while u and v:
+            u, a = divmod(u, p)
+            v, b = divmod(v, p)
+            if a + b >= p:
+                out -= place
+            place *= p
+        return out
+
+    def scale(self, c: int, u: int) -> int:
+        """The code of c times the vector whose code is u."""
+        if c == 1:
+            return u
+        q, mul = self.q, self.mul
+        out, place = 0, 1
+        while u:
+            u, a = divmod(u, q)
+            out += mul(c, a) * place
+            place *= q
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
