@@ -34,40 +34,45 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _normalize(obj, flag: dict):
+def _normalize(obj, flag: dict, texts: dict):
     """The JSON form of a report value; the one place that encodes elements,
     family specs and records.  All three are named tuples, so they are
     checked before tuples: elements and specs become their text encodings,
-    any other record the dict of its fields."""
+    each formatted once per report through `texts`, and any other record
+    the dict of its fields."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (families.Element, families.FamilySpec)):
-        return str(obj)
+        text = texts.get(obj)
+        if text is None:
+            text = texts[obj] = str(obj)
+        return text
     if hasattr(obj, "_asdict"):
-        return _normalize(obj._asdict(), flag)
+        return _normalize(obj._asdict(), flag, texts)
     if isinstance(obj, int):
         if obj > _INT64_MAX or obj < _INT64_MIN:
             flag["hit"] = True
             return str(obj)
         return obj
     if isinstance(obj, (list, tuple)):
-        return [_normalize(x, flag) for x in obj]
+        return [_normalize(x, flag, texts) for x in obj]
     if isinstance(obj, dict):
-        return {k: _normalize(v, flag) for k, v in obj.items()}
+        return {k: _normalize(v, flag, texts) for k, v in obj.items()}
     return obj
 
 
 def _envelope(command: str, inputs: dict, result: dict | None, exit_code: int, error: dict | None = None) -> dict:
     flag = {"hit": False}
+    texts = {}
     body = {
         "command": command,
         "version": __version__,
-        "inputs": _normalize(inputs, flag),
-        "result": _normalize(result, flag),
+        "inputs": _normalize(inputs, flag, texts),
+        "result": _normalize(result, flag, texts),
         "exit_code": exit_code,
     }
     if error is not None:
-        body["error"] = _normalize(error, flag)
+        body["error"] = _normalize(error, flag, texts)
     if flag["hit"]:
         body["numeric_as_string"] = True
     return body
@@ -393,31 +398,59 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         result, lines = None, []
         error = {"type": type(exc).__name__, "message": str(exc), "context": getattr(exc, "context", {})}
-    try:
-        if args.json:
-            print(json.dumps(_envelope(args.command, inputs, result, code, error), indent=2, sort_keys=True))
-        elif not args.quiet:
-            for line in lines:
-                print(line)
-    except BrokenPipeError as exc:
-        exc.exit_code = code  # the report was complete; main() still returns it
-        raise
+    if args.json:
+        print(json.dumps(_envelope(args.command, inputs, result, code, error), indent=2, sort_keys=True))
+    elif not args.quiet:
+        for line in lines:
+            print(line)
     return code
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; argparse's `--help`,
+    `--version` and usage errors raise `SystemExit`."""
     if hasattr(sys, "set_int_max_str_digits"):  # from 3.10.7 on, str(int) stops at 4,300 digits
         sys.set_int_max_str_digits(0)  # every integer is printed in full
-    code = 0
+    return run(argv)
+
+
+class _Stdout:
+    """The process's stdout: once its reader has gone away (`... | head`),
+    the rest of the report is dropped quietly and the exit code is still
+    the subcommand's own."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            return len(text)
+
+
+def entry() -> None:
+    """The process entry of `python -m ekrlattice.cli` and the `ekrlattice`
+    script.  It runs `main`, flushes stdout and stderr and ends the process
+    with `os._exit`, skipping the interpreter's teardown, which costs more
+    than most searches.  argparse's `SystemExit` gives the code: 0 for
+    `--help` and `--version`, 2 for a usage error.  A bug's exception
+    propagates, so Python prints its traceback and exits 1."""
+    sys.stdout = _Stdout(sys.stdout)
     try:
-        code = run(argv)
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader went away (`... | head`): drop the rest of the report quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = getattr(exc, "exit_code", code)
-    return code
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

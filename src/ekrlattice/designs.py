@@ -215,7 +215,7 @@ def _read_file(path, *, want_strength: bool):
     for lineno, text in lines:
         try:
             element = families.parse_element(spec, text)
-        except ValueError as exc:  # a ParseError, or int() on a digit it cannot read
+        except ValueError as exc:  # a ParseError, or int() on a numeral above the digit limit
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if element.rank != spec.top_rank:
             raise ParseError(f"{path}:{lineno}: element is not in the top fiber")

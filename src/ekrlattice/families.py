@@ -659,6 +659,12 @@ def format_element(x: Element) -> str:
     return f"E={dom_text};f={img_text}"
 
 
+def _numeral(text: str) -> bool:
+    """Whether text is a natural number as `str` writes it: ASCII digits,
+    no sign, no leading zero."""
+    return text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1)
+
+
 def _parse_matrix(text: str, width: int, hi: int, what: str) -> tuple:
     rows = []
     for row_text in text.split(";"):
@@ -667,7 +673,7 @@ def _parse_matrix(text: str, width: int, hi: int, what: str) -> tuple:
             raise ParseError(f"{what}: expected {width} entries per row, got {row_text!r}")
         row = []
         for cell in cells:
-            if not cell.isdigit():
+            if not _numeral(cell):
                 raise ParseError(f"{what}: bad field element {cell!r}")
             value = int(cell)
             if value >= hi:
@@ -698,7 +704,7 @@ def _parse_pairs(spec: FamilySpec, text: str) -> tuple:
     last_pos = 0
     for item in text.split(","):
         pos_text, sep, val_text = item.partition(":")
-        if not sep or not pos_text.isdigit() or not (val_text.isdigit()):
+        if not sep or not _numeral(pos_text) or not _numeral(val_text):
             raise ParseError(f"bad position:value pair {item!r}")
         pos, val = int(pos_text), int(val_text)
         if not 1 <= pos <= spec.m:
@@ -724,7 +730,9 @@ def _parse_pairs(spec: FamilySpec, text: str) -> tuple:
 
 
 def parse_element(spec: FamilySpec, text: str) -> Element:
-    """Parse a canonical element encoding; non-canonical input is rejected."""
+    """Parse a canonical element encoding, the text `format_element` writes
+    (surrounding whitespace aside); any other text is rejected as it is
+    read: one separator between items, and numerals as `str` writes them."""
     raw = text.strip()
     if raw == "-":
         return least(spec)
@@ -732,10 +740,9 @@ def parse_element(spec: FamilySpec, text: str) -> Element:
         raise ParseError("empty element encoding")
     kind = spec.kind
     if kind == "johnson":
-        parts = raw.split()
         values = []
-        for part in parts:
-            if not part.isdigit():
+        for part in raw.split(" "):
+            if not _numeral(part):
                 raise ParseError(f"bad ground-set member {part!r}")
             values.append(int(part))
         if any(not 1 <= x <= spec.v for x in values):
@@ -764,6 +771,4 @@ def parse_element(spec: FamilySpec, text: str) -> Element:
     element = Element(spec, payload)
     if element.rank > spec.top_rank:
         raise ParseError(f"rank {element.rank} exceeds top rank {spec.top_rank}")
-    if format_element(element) != raw:
-        raise ParseError(f"non-canonical element encoding {text!r}")
     return element

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -323,6 +324,76 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def cli_process(args, cwd=None):
+    """One `python -m ekrlattice.cli` process (or `python <args>` when args
+    starts with `-c`), its stdout and stderr read whole."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlattice.__file__).parents[1]), COLUMNS="80")
+    argv = args if args[0] == "-c" else ["-m", "ekrlattice.cli", *args]
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, timeout=60)
+
+
+def test_a_report_larger_than_the_pipe_is_read_whole(capsys):
+    argv = ["enumerate", "--family", "johnson:v=16,m=6", "--rank", "6", "--json"]
+    proc = cli_process(argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(proc.stdout) > 150_000
+    assert run_cli(argv, capsys)[1].encode() == proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["params", "--family", "johnson:v=4,m=2", "--json"], 0),
+        (["check-design", "--design", "broken.design"], 1),
+        (["params", "--family", "johnson:v=3,m=2", "--json"], 2),
+        (["params", "--family", "johnson:v=4,m=2", "--threads", "2"], 2),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["audit", "--family", "johnson:v=5,m=2", "--budget", "0", "--json"], 3),
+    ),
+    ids=("report", "failed-check", "parse-error", "usage-error", "version", "help", "refusal"),
+)
+def test_a_process_ends_with_its_code_and_messages(argv, code, tmp_path, monkeypatch, capsys):
+    # the process prints what main prints in process, and exits with main's code or argparse's
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    Path("broken.design").write_text("family johnson:v=7,m=3\nstrength 2\n1 2 3\n1 4 5\n")
+    proc = cli_process(argv, cwd=tmp_path)
+    try:
+        expected = main(argv)
+    except SystemExit as exc:
+        expected = exc.code
+    out, err = capsys.readouterr()
+    assert proc.returncode == expected == code
+    assert (proc.stdout.decode(), proc.stderr.decode()) == (out, err)
+    assert (err != "") == (code in (2, 3))
+    if "--json" in argv:
+        assert json.loads(out)["exit_code"] == code
+
+
+def test_a_bug_in_the_process_entry_shows_its_traceback():
+    code = (
+        "import sys; from ekrlattice import cli\n"
+        "def boom(args): raise RuntimeError('internal')\n"
+        "cli._cmd_params = boom\n"
+        "sys.argv[1:] = ['params', '--family', 'johnson:v=4,m=2']\n"
+        "cli.entry()\n"
+    )
+    proc = cli_process(["-c", code])
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: internal")
+
+
+def test_the_console_script_is_the_process_entry():
+    # no tomllib before 3.11: read the one `[project.scripts]` line by regex
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nekrlattice = "([\w.]+):(\w+)"$', text, re.M)
+    assert target.groups() == ("ekrlattice.cli", "entry")
+    source = Path(cli.__file__).read_text()
+    assert re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', source, re.M).group(1) == "entry"
 
 
 def test_oversized_atom_table_exit_3(tmp_path, monkeypatch, capsys):

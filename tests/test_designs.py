@@ -227,9 +227,9 @@ MALFORMED = {
     "family johnson:v=3,m=2\nstrength 1\n1 2\n": ":1: johnson: requires v >= 2m >= 2",
     "# c\n\nfamily johnson:v=7,m=3\n\nstrength 2\n1 2 3\n# c\n1 2 3\n": ":8: duplicate element '1 2 3'",
     "family johnson:v=7,m=3\nstrength 2\n1 2 x\n": ":3: bad ground-set member 'x'",
-    # str.isdigit() accepts digits that int() cannot read
+    # str.isdigit() accepts digits that int() cannot read; the element parser takes ASCII numerals only
     "family johnson:v=7,m=3\nstrength \u00b2\n1 2 3\n": ":2: bad strength '\u00b2'",
-    "family johnson:v=7,m=3\nstrength 2\n1 2 \u00b3\n": ":3: invalid literal for int() with base 10: '\u00b3'",
+    "family johnson:v=7,m=3\nstrength 2\n1 2 \u00b3\n": ":3: bad ground-set member '\u00b3'",
 }
 
 

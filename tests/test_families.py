@@ -309,6 +309,42 @@ def test_codec_handles_multi_digit_field_elements():
         assert families.parse_element(spec, families.format_element(element)) == element
 
 
+def _near_misses(text: str) -> set:
+    """Mutations of one encoding: a leading zero, `+`, a Unicode digit (`٣`,
+    a fullwidth digit, `²`) for each digit; each separator doubled or with a
+    space before or after it; a separator in front or at the end; each
+    character deleted."""
+    out = set()
+    for i, ch in enumerate(text):
+        if ch.isdigit():
+            for new in ("0" + ch, "+" + ch, chr(0x660 + int(ch)), chr(0xFF10 + int(ch)), "²"):
+                out.add(text[:i] + new + text[i + 1 :])
+        if ch in " :,.;=":
+            for new in (ch + ch, " " + ch, ch + " "):
+                out.add(text[:i] + new + text[i + 1 :])
+        out.add(text[:i] + text[i + 1 :])
+    for sep in " :,.;":
+        out.update((sep + text, text + sep))
+    return out
+
+
+@pytest.mark.parametrize("spec_text", SMALL_SPECS + ("hamming:m=2,n=11", "grassmann:v=2,m=1,q=11"))
+def test_parse_accepts_exactly_the_canonical_encodings(spec_text):
+    # reference: the text (surrounding whitespace aside) is `format_element`
+    # of some element of the family, so format_element(parse(t)) == t
+    spec = families.parse_family_spec(spec_text)
+    canonical = {families.format_element(x): x for x in families.enumerate_all(spec)}
+    corpus = set(canonical).union(*map(_near_misses, canonical))
+    for text in sorted(corpus):
+        try:
+            parsed = families.parse_element(spec, text)
+        except ParseError:
+            parsed = None
+        assert parsed == canonical.get(text.strip()), text
+        if parsed is not None:
+            assert families.format_element(parsed) == text.strip()
+
+
 def test_least_element_formats_as_dash():
     for spec, _ in small_universes():
         z = families.least(spec)
