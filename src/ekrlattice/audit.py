@@ -63,7 +63,7 @@ of the two atom sets, decoded once per distinct join.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
@@ -80,17 +80,17 @@ CHECK_IDS = (
 )
 
 
-class AuditCheck(NamedTuple):
-    check_id: str
-    passed: bool
-    cases: int
-    counterexample: dict | None
-    elapsed: float
+class AuditCheck(namedtuple("AuditCheck", "check_id passed cases counterexample elapsed")):
+    """One check's verdict: its id, whether it passed, the cases it judged,
+    the first counterexample's dict or None, and its seconds."""
+
+    __slots__ = ()
 
 
-class AuditReport(NamedTuple):
-    spec: FamilySpec
-    checks: list[AuditCheck]
+class AuditReport(namedtuple("AuditReport", "spec checks")):
+    """The family spec and the list of its `AuditCheck`s."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -299,75 +299,91 @@ def _budget(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
+# each subcommand: its help line and its options, each option its flags and
+# then its keywords to `add_argument`; every subcommand also takes --json and
+# --quiet, and runs `_cmd_<name>` with its dashes as underscores
+_COMMANDS = {
+    "params": (
+        "print the mu/nu/theta/alpha table",
+        ("--family", {"required": True, "help": "family spec, e.g. johnson:v=7,m=3"}),
+        ("--r", {"type": int, "default": None}),
+        ("--s", {"type": int, "default": None}),
+    ),
+    "audit": (
+        "exhaustively verify the regularity axioms",
+        ("--family", {"required": True}),
+        ("--budget", {"type": _budget, "default": families.DEFAULT_BUDGET}),
+    ),
+    "enumerate": (
+        "list one fiber in canonical order",
+        ("--family", {"required": True}),
+        ("--rank", {"type": int, "required": True}),
+    ),
+    "gen": (
+        "generate a design file",
+        ("--kind", {"choices": ("full-fiber", "linear-oa"), "required": True}),
+        ("--family", {"help": "family spec (full-fiber)"}),
+        ("--strength", {"type": int, "default": None, "help": "declared strength (full-fiber; default top rank)"}),
+        ("--q", {"type": int, "default": None, "help": "prime alphabet size (linear-oa)"}),
+        ("--m", {"type": int, "default": None, "help": "word length (linear-oa)"}),
+        ("-o", "--output", {"required": True}),
+    ),
+    "check-design": (
+        "re-verify a design file",
+        ("--design", {"required": True}),
+        ("--strength", {"type": int, "default": None, "help": "verify at this strength instead of the declared one"}),
+    ),
+    "ekr-check": (
+        "evaluate the bound's hypotheses",
+        ("--design", {"required": True}),
+        ("--s", {"type": int, "required": True}),
+        ("--t", {"type": int, "default": None, "help": "use this strength (default: certificate strength)"}),
+    ),
+    "dr": (
+        "exact d_r statistic with its bound",
+        ("--design", {"required": True}),
+        ("--s", {"type": int, "required": True}),
+        ("--r", {"type": int, "required": True}),
+        ("--t", {"type": int, "default": None}),
+    ),
+    "search-max": (
+        "exact maximum s-intersecting family",
+        ("--design", {"required": True}),
+        ("--s", {"type": int, "required": True}),
+        ("--all", {"action": "store_true", "help": "enumerate every maximum family"}),
+        ("--deterministic", {"action": "store_true", "help": "lexicographically least witness"}),
+        ("--node-budget", {"type": _budget, "default": None}),
+    ),
+    "verify-extremal": (
+        "classify a family against the bound",
+        ("--design", {"required": True}),
+        ("--family-file", {"required": True}),
+        ("--s", {"type": int, "required": True}),
+    ),
+}
 
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser, or with all nine when
+    `command` is None.  Either gives the same output, exit code and
+    namespace on any argv whose first word is `command`: argparse reports an
+    unknown trailing argument through the top-level usage, so with one
+    subparser the choices are spelled out as the metavar."""
     parser = argparse.ArgumentParser(
         prog="ekrlattice",
         description="Exact designs, regularity audits, and intersection bounds in ranked meet-semilattices.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", parents=[common], help="print the mu/nu/theta/alpha table")
-    p.add_argument("--family", required=True, help="family spec, e.g. johnson:v=7,m=3")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.set_defaults(handler=_cmd_params)
-
-    p = sub.add_parser("audit", parents=[common], help="exhaustively verify the regularity axioms")
-    p.add_argument("--family", required=True)
-    p.add_argument("--budget", type=_budget, default=families.DEFAULT_BUDGET)
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("enumerate", parents=[common], help="list one fiber in canonical order")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a design file")
-    p.add_argument("--kind", choices=("full-fiber", "linear-oa"), required=True)
-    p.add_argument("--family", help="family spec (full-fiber)")
-    p.add_argument("--strength", type=int, default=None, help="declared strength (full-fiber; default top rank)")
-    p.add_argument("--q", type=int, default=None, help="prime alphabet size (linear-oa)")
-    p.add_argument("--m", type=int, default=None, help="word length (linear-oa)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("check-design", parents=[common], help="re-verify a design file")
-    p.add_argument("--design", required=True)
-    p.add_argument("--strength", type=int, default=None, help="verify at this strength instead of the declared one")
-    p.set_defaults(handler=_cmd_check_design)
-
-    p = sub.add_parser("ekr-check", parents=[common], help="evaluate the bound's hypotheses")
-    p.add_argument("--design", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, default=None, help="use this strength (default: certificate strength)")
-    p.set_defaults(handler=_cmd_ekr_check)
-
-    p = sub.add_parser("dr", parents=[common], help="exact d_r statistic with its bound")
-    p.add_argument("--design", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.set_defaults(handler=_cmd_dr)
-
-    p = sub.add_parser("search-max", parents=[common], help="exact maximum s-intersecting family")
-    p.add_argument("--design", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--all", action="store_true", help="enumerate every maximum family")
-    p.add_argument("--deterministic", action="store_true", help="lexicographically least witness")
-    p.add_argument("--node-budget", type=_budget, default=None)
-    p.set_defaults(handler=_cmd_search_max)
-
-    p = sub.add_parser("verify-extremal", parents=[common], help="classify a family against the bound")
-    p.add_argument("--design", required=True)
-    p.add_argument("--family-file", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(handler=_cmd_verify_extremal)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        text, *options = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
+        p.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
+        for *flags, keywords in options:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -385,9 +401,12 @@ _EXIT_CODES = {
 
 
 def run(argv=None) -> int:
-    """Parse argv, run one subcommand, print its report, return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, run one subcommand, print its report, return the exit code.
+    The parser holds only the subcommand that argv's first word names; with
+    no such word (no arguments, `--help`, `--version`, an unknown command)
+    it holds all nine."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     # the inputs echo is every option the subcommand parsed
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "json", "quiet")}
     error = None

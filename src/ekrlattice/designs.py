@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
-from pathlib import Path
 
 from . import families, gf as gflib, parameters
 from .errors import BudgetExceededError, NonIntegralError, ParseError, VerificationError
@@ -177,13 +176,16 @@ def generate_linear_oa(q: int, m: int) -> DesignCertificate:
 def save_design(cert: DesignCertificate, path) -> None:
     lines = [f"family {cert.spec}", f"strength {cert.strength}"]
     lines.extend(families.format_element(x) for x in cert.elements)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as file:
+        file.write("\n".join(lines) + "\n")
 
 
 def _read_file(path, *, want_strength: bool):
     """(spec, declared strength or None, elements) of a design or family file."""
+    with open(path, encoding="utf-8") as file:
+        rows = file.read().splitlines()
     lines = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(rows, start=1):
         text = line.strip()
         if text and not text.startswith("#"):
             lines.append((lineno, text))
@@ -201,8 +203,8 @@ def _read_file(path, *, want_strength: bool):
         lineno, text = lines.pop(0)
         text = text[len("strength "):].strip()
         try:
-            strength = int(text) if text.isdigit() else -1
-        except ValueError:  # a digit int() cannot read, such as a superscript, or too many
+            strength = int(text) if families._numeral(text) else -1
+        except ValueError:  # above the interpreter's digit limit
             strength = -1
         if strength < 0:
             raise ParseError(f"{path}:{lineno}: bad strength {text!r}")

@@ -22,12 +22,12 @@ never silently reconciled with the raw rows:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
-from .families import Element, FamilySpec
+from .families import FamilySpec
 from .gf import qbinom
 
 
@@ -85,40 +85,33 @@ def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
     return min_meet_rank(spec, family) >= s
 
 
-class ConditionRow(NamedTuple):
-    """One r-row of the hypothesis, in design-index and theta form."""
+class ConditionRow(namedtuple("ConditionRow", "r conditions lhs rhs theta_lhs theta_rhs holds")):
+    """One r-row of the hypothesis, in design-index and theta form: the
+    tuple of condition names that apply, both sides of each form, and
+    whether lhs < rhs."""
 
-    r: int
-    conditions: tuple[str, ...]
-    lhs: int
-    rhs: int
-    theta_lhs: int
-    theta_rhs: int
-    holds: bool
+    __slots__ = ()
 
 
-class RemarkRow(NamedTuple):
-    r: int
-    conditions: tuple[str, ...]
-    lhs: int
-    rhs: int
-    holds: bool
+class RemarkRow(namedtuple("RemarkRow", "r conditions lhs rhs holds")):
+    """One r-row of the printed remark form."""
+
+    __slots__ = ()
 
 
-class ConditionReport(NamedTuple):
-    spec: FamilySpec
-    s: int
-    t: int
-    indices: tuple[int, ...]
-    bound: int  # lambda_s
-    rows: tuple[ConditionRow, ...]
-    cond1_vacuous: bool
-    theorem_form: bool
-    remark_rows: tuple[RemarkRow, ...]
-    remark_form: bool
-    remark_agrees: bool
-    table1_form: bool
-    table1_agrees: bool
+class ConditionReport(
+    namedtuple(
+        "ConditionReport",
+        "spec s t indices bound rows cond1_vacuous theorem_form remark_rows remark_form remark_agrees"
+        " table1_form table1_agrees",
+    )
+):
+    """The hypotheses at (s, t): `bound` is lambda_s, `rows` the
+    `ConditionRow`s and `remark_rows` the `RemarkRow`s; each `*_form` says
+    whether that form holds and each `*_agrees` whether it agrees with
+    `theorem_form`."""
+
+    __slots__ = ()
 
 
 def _row_ranges(s: int, t: int):
@@ -233,14 +226,11 @@ def ekr_bound(cert: DesignCertificate, s: int) -> int:
     return cert.indices[s]
 
 
-class DrReport(NamedTuple):
-    """Exact d_r with its witness pair and the applicable bound."""
+class DrReport(namedtuple("DrReport", "r s d_r bound witness")):
+    """Exact d_r with its witness pair (x, y) and the applicable bound;
+    `d_r` and `witness` are None when no pair has meet rank r."""
 
-    r: int
-    s: int
-    d_r: int | None
-    bound: int
-    witness: tuple[Element, Element] | None
+    __slots__ = ()
 
 
 def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
@@ -286,13 +276,12 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     return DrReport(r=r, s=s, d_r=best, bound=bound, witness=witness)
 
 
-class ExtremalVerdict(NamedTuple):
-    """How an intersecting family compares with the bound lambda_s."""
+class ExtremalVerdict(namedtuple("ExtremalVerdict", "size bound status center")):
+    """How an intersecting family compares with the bound lambda_s: `status`
+    is below-bound, extremal-star, extremal-but-not-star or exceeds-bound,
+    and `center` the star's rank-s center, or None."""
 
-    size: int
-    bound: int
-    status: str  # below-bound | extremal-star | extremal-but-not-star | exceeds-bound
-    center: Element | None
+    __slots__ = ()
 
 
 def verify_extremal(cert: DesignCertificate, family, s: int) -> ExtremalVerdict:

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
-from typing import Iterator
 
 from . import gf as gflib
 from .errors import BudgetExceededError, FamilyMismatchError, ParseError
@@ -107,27 +107,28 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse the `kind:key=value,...` grammar, e.g. `johnson:v=7,m=3`."""
+    """Parse the `kind:key=value,...` grammar, e.g. `johnson:v=7,m=3`: exactly
+    the text `str(FamilySpec)` writes, surrounding whitespace aside, so the
+    kind's parameters in `_REQUIRED` order, each a `_numeral`."""
     text = text.strip()
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ParseError(f"bad family spec {text!r}: expected kind:key=value,...")
     if kind not in _REQUIRED:
         raise ParseError(f"unknown family kind {kind!r}")
-    params: dict[str, int] = {}
-    for item in rest.split(","):
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ParseError(f"bad family spec item {item!r}")
-        name = name.strip()
-        if name in params:
-            raise ParseError(f"duplicate parameter {name!r}")
+    names = _REQUIRED[kind]
+    items = rest.split(",")
+    if [item.partition("=")[0] for item in items] != list(names):
+        raise ParseError(f"{kind}: expected parameters {', '.join(names)}, in this order")
+    params = {}
+    for name, item in zip(names, items):
+        value = item.partition("=")[2]
+        if not _numeral(value):
+            raise ParseError(f"bad numeral in family spec item {item!r}")
         try:
             params[name] = int(value)
-        except ValueError as exc:
-            raise ParseError(f"bad integer in family spec item {item!r}") from exc
-    if set(params) != set(_REQUIRED[kind]):
-        raise ParseError(f"{kind}: expected parameters {', '.join(_REQUIRED[kind])}")
+        except ValueError as exc:  # above the interpreter's digit limit
+            raise ParseError(f"bad numeral in family spec item {item!r}") from exc
     return FamilySpec(kind=kind, **params)
 
 

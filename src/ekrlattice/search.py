@@ -62,13 +62,12 @@ does; parents come before their images, so induction covers every family.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import takewhile
-from typing import NamedTuple
 
 from . import ekr, families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
-from .families import Element
 
 VERTEX_CAP = 5000  # design members a search graph may have
 ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
@@ -215,14 +214,13 @@ def _stabilizer(adj, generators, r):
     return kept, list(orbits.values())
 
 
-class SearchResult(NamedTuple):
-    optimum: int
-    witness: tuple[Element, ...]
-    all_max: tuple[tuple[Element, ...], ...] | None
-    all_max_overflow: bool
-    nodes: int
-    orbits: int  # member orbits under the kept symmetries; the design size when none is kept
-    status: str  # proved-optimal | budget-exhausted
+class SearchResult(namedtuple("SearchResult", "optimum witness all_max all_max_overflow nodes orbits status")):
+    """The optimum with a witness family (a tuple of elements); `all_max`,
+    every maximum family, or None when not asked for or past the cap;
+    `orbits`, the member orbits under the kept symmetries (the design size
+    when none is kept); `status`, proved-optimal or budget-exhausted."""
+
+    __slots__ = ()
 
 
 class _OutOfBudget(Exception):

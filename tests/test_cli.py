@@ -127,6 +127,78 @@ def test_negative_node_budget_is_a_usage_error(in_samples_tmp, capsys):
     assert code == 3 and "budget-exhausted" in out
 
 
+# every option of each subcommand set; the integer options get a malformed
+# and a negative value in turn
+EVERY_OPTION = {
+    "params": ["--family", "johnson:v=6,m=3", "--r", "1", "--s", "2"],
+    "audit": ["--family", "johnson:v=5,m=2", "--budget", "10"],
+    "enumerate": ["--family", "johnson:v=5,m=2", "--rank", "1"],
+    "gen": ["--kind", "full-fiber", "--family", "johnson:v=5,m=2", "--strength", "1", "--q", "3", "--m", "2", "-o", "x"],
+    "check-design": ["--design", "x", "--strength", "1"],
+    "ekr-check": ["--design", "x", "--s", "1", "--t", "2"],
+    "dr": ["--design", "x", "--s", "2", "--r", "1", "--t", "2"],
+    "search-max": ["--design", "x", "--s", "1", "--all", "--deterministic", "--node-budget", "9"],
+    "verify-extremal": ["--design", "x", "--family-file", "y", "--s", "1"],
+}
+
+
+def _parser_argvs(command):
+    options = EVERY_OPTION[command]
+    yield [command, *options, "--json", "--quiet"]
+    yield [command, "-h"]
+    yield [command, *options[2:]]  # its first option missing
+    yield [command, "--json"]
+    for i, word in enumerate(options):
+        if word.isdigit():
+            yield [command, *options[:i], "x" + word, *options[i + 1 :]]
+            yield [command, *options[:i], "-" + word, *options[i + 1 :]]
+    yield [command, *options, "--nope"]
+    yield [command, *options, "--version"]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return (outcome, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+def test_the_one_subcommand_parser_parses_as_the_full_one(command, monkeypatch, capsys):
+    # the same namespace, or the same exit code, stdout and stderr; argparse
+    # reports an unrecognized argument through the top-level usage line
+    assert set(EVERY_OPTION) == set(cli._COMMANDS)
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in _parser_argvs(command):
+        one = _parse(cli._build_parser(command), argv, capsys)
+        assert one == _parse(cli._build_parser(), argv, capsys), argv
+    assert "{params,audit,enumerate,gen,check-design,ekr-check,dr,search-max,verify-extremal}" in one[2]
+
+
+def test_a_run_builds_only_the_parser_its_first_word_names(monkeypatch, capsys):
+    built = []
+
+    def build(command=None):
+        parser = real(command)
+        built.append(sorted(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", build)
+    assert main(["params", "--family", "johnson:v=4,m=2", "--quiet"]) == 0
+    errors = []
+    for argv in ([], ["--help"], ["--version"], ["nope"], ["--json", "params"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        errors.append(capsys.readouterr().err)
+    assert built[0] == ["params"]
+    assert built[1:] == [sorted(cli._COMMANDS)] * 5
+    # the full parser names its positional `command`, not by the choices
+    assert errors[0].endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'nope'" in errors[3]
+
+
 def test_only_input_errors_are_usage_errors(monkeypatch, capsys):
     # a plain ValueError is a bug: it propagates instead of reading as exit 2
     def raises(exc):

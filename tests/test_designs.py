@@ -229,6 +229,10 @@ MALFORMED = {
     "family johnson:v=7,m=3\nstrength 2\n1 2 x\n": ":3: bad ground-set member 'x'",
     # str.isdigit() accepts digits that int() cannot read; the element parser takes ASCII numerals only
     "family johnson:v=7,m=3\nstrength \u00b2\n1 2 3\n": ":2: bad strength '\u00b2'",
+    # the strength is a numeral as `str` writes it: ASCII digits, no leading zero
+    "family johnson:v=7,m=3\nstrength 02\n1 2 3\n": ":2: bad strength '02'",
+    "family johnson:v=7,m=3\nstrength \u0662\n1 2 3\n": ":2: bad strength '\u0662'",
+    "family johnson:m=3,v=7\nstrength 2\n1 2 3\n": ":1: johnson: expected parameters v, m, in this order",
     "family johnson:v=7,m=3\nstrength 2\n1 2 \u00b3\n": ":3: bad ground-set member '\u00b3'",
 }
 

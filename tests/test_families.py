@@ -8,7 +8,7 @@ mixed element pool.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import ODD_FIELD_SPECS, grid, sampled_universe
@@ -343,6 +343,54 @@ def test_parse_accepts_exactly_the_canonical_encodings(spec_text):
         assert parsed == canonical.get(text.strip()), text
         if parsed is not None:
             assert families.format_element(parsed) == text.strip()
+
+
+def _lenient_spec(text: str):
+    """The spec that `text` names when read loosely (any order, `int()`
+    numerals, spaces around names), or None."""
+    kind, _, rest = text.strip().partition(":")
+    try:
+        params = dict((name.strip(), int(value)) for name, _, value in (item.partition("=") for item in rest.split(",")))
+        return families.FamilySpec(kind, **params)
+    except (ValueError, TypeError):
+        return None
+
+
+@pytest.mark.parametrize("spec_text", SMALL_SPECS + ("hamming:m=2,n=11", "johnson:v=17,m=3", "grassmann:v=2,m=1,q=11"))
+def test_parse_spec_accepts_exactly_the_canonical_encodings(spec_text):
+    # reference: the text (surrounding whitespace aside) is `str` of the spec
+    # it names, so str(parse(t)) == t.strip(); the corpus is the canonical
+    # text, its items in every order, and their near misses
+    kind, _, rest = spec_text.partition(":")
+    orders = {f"{kind}:{','.join(items)}" for items in permutations(rest.split(","))}
+    corpus = orders.union(*map(_near_misses, orders))
+    for text in sorted(corpus):
+        loose = _lenient_spec(text)
+        expected = loose if loose is not None and str(loose) == text.strip() else None
+        try:
+            parsed = families.parse_family_spec(text)
+        except ParseError:
+            parsed = None
+        assert parsed == expected, text
+    assert families.parse_family_spec(f" {spec_text}\n") == _lenient_spec(spec_text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("johnson:v=\u0667,m=3", "bad numeral in family spec item 'v=\u0667'"),
+        ("johnson: v = +07 ,m=3", "johnson: expected parameters v, m, in this order"),
+        ("johnson:v=07,m=3", "bad numeral in family spec item 'v=07'"),
+        ("johnson:m=3,v=7", "johnson: expected parameters v, m, in this order"),
+        ("johnson:v=7,v=3", "johnson: expected parameters v, m, in this order"),
+        ("johnson:v=7", "johnson: expected parameters v, m, in this order"),
+        ("johnson:v=7,m=", "bad numeral in family spec item 'm='"),
+    ),
+)
+def test_parse_spec_names_what_is_not_canonical(text, message):
+    with pytest.raises(ParseError) as exc:
+        families.parse_family_spec(text)
+    assert str(exc.value) == message
 
 
 def test_least_element_formats_as_dash():
