@@ -393,7 +393,6 @@ _EXIT_CODES = {
     ParseError: 2,
     FamilyMismatchError: 2,
     OSError: 2,
-    UnicodeDecodeError: 2,  # a design file that is not UTF-8
     VerificationError: 1,
     NonIntegralError: 1,
     BudgetExceededError: 3,

@@ -181,9 +181,16 @@ def save_design(cert: DesignCertificate, path) -> None:
 
 
 def _read_file(path, *, want_strength: bool):
-    """(spec, declared strength or None, elements) of a design or family file."""
-    with open(path, encoding="utf-8") as file:
-        rows = file.read().splitlines()
+    """(spec, declared strength or None, elements) of a design or family file.
+    The headers read as `save_design` writes them: one space after `family`
+    and after `strength`."""
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        rows = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     lines = []
     for lineno, line in enumerate(rows, start=1):
         text = line.strip()
@@ -194,14 +201,17 @@ def _read_file(path, *, want_strength: bool):
     lineno, text = lines.pop(0)
     if not text.startswith("family "):
         raise ParseError(f"{path}:{lineno}: expected `family <spec>`")
+    text = text[len("family "):]
+    if text[0].isspace():
+        raise ParseError(f"{path}:{lineno}: expected one space after `family`")
     try:
-        spec = families.parse_family_spec(text[len("family "):])
+        spec = families.parse_family_spec(text)
     except ParseError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
     strength = None
     if lines and lines[0][1].startswith("strength "):
         lineno, text = lines.pop(0)
-        text = text[len("strength "):].strip()
+        text = text[len("strength "):]
         try:
             strength = int(text) if families._numeral(text) else -1
         except ValueError:  # above the interpreter's digit limit
@@ -213,7 +223,7 @@ def _read_file(path, *, want_strength: bool):
     elif want_strength:
         raise ParseError(f"{path}: missing `strength <t>` line")
     elements = []
-    seen = set()
+    seen = set()  # rows read: the parser takes only canonical text, so equal elements have equal rows
     for lineno, text in lines:
         try:
             element = families.parse_element(spec, text)
@@ -221,9 +231,9 @@ def _read_file(path, *, want_strength: bool):
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if element.rank != spec.top_rank:
             raise ParseError(f"{path}:{lineno}: element is not in the top fiber")
-        if element in seen:
+        if text in seen:
             raise ParseError(f"{path}:{lineno}: duplicate element {text!r}")
-        seen.add(element)
+        seen.add(text)
         elements.append(element)
     if not elements:
         raise ParseError(f"{path}: design file lists no elements")

@@ -2,8 +2,8 @@
 
 Every family is truncated at its top rank M, so each fiber is finite and
 enumerable.  Elements carry a canonical payload (equal payloads ==
-equal elements); meet and leq work on the atom bitmask each element
-computes from it once (see the atoms section):
+equal elements); meet and leq work on the atom bitmask that each element
+gets where it is built (see the atoms section):
 
 * johnson    -- subsets of {1..v} of size <= m, stored as sorted tuples;
 * grassmann  -- subspaces of GF(q)^v of dimension <= m, stored as RREF
@@ -134,7 +134,7 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 class Element(namedtuple("Element", "spec payload")):
     """One canonical semilattice point: equal and hashed as (spec, payload),
-    both in C.  No `__slots__`, so the cached `atoms` has a `__dict__`."""
+    both in C.  No `__slots__`, so `atoms` has a `__dict__` to live in."""
 
     @property
     def rank(self) -> int:
@@ -144,7 +144,9 @@ class Element(namedtuple("Element", "spec payload")):
 
     @cached_property
     def atoms(self) -> int:
-        """Bitmask of the atoms below this element, computed once."""
+        """Bitmask of the atoms below this element.  `parse_element`, the
+        decoder and the fiber build of a set or map kind set it as they build
+        the element; any other element computes it on first read."""
         return _atoms(self.spec).encode(self.payload)
 
     # Tuple order would compare (spec, payload); elements order by payload
@@ -201,6 +203,16 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 # on their codes with `gf.GF.add` and `gf.GF.scale`, so spans, the join (the
 # sumset of two atom sets) and `below` row-reduce nothing; a decode reads the
 # RREF rows off the mask, once per distinct mask.
+#
+# The mask is set where an element is built, through the one codec
+# `_Atoms.encode`: `parse_element` encodes each element it reads, `_fiber` each
+# element of a set or map kind, and a decode keeps the mask it read.  Set and
+# map kinds encode through `bit`, a table from atom to bit; subspace kinds span
+# their row codes.  Other elements (`least`, `below`, subspace fibers, elements
+# built by hand) encode on the first read of `atoms`.  The parser keeps, per
+# family, each item token it has validated (ground point, position:value pair,
+# matrix row), so a token is checked once; only valid tokens are kept, so the
+# table is bounded by the atom count.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
 _DECODED_CAP = 1 << 12  # decoded meet and join results kept per family
@@ -230,6 +242,7 @@ class _Atoms:
             self.plus = operator.xor if self.fld.p == 2 else self.fld.add
             # bilinear: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
             self.flat = (1 << spec.q**spec.n) - 2 if kind == "bilinear" else 0
+            self.image_tokens: dict[str, tuple] = {}  # bilinear's image rows, kept by `parse_element`
         elif kind == "johnson":
             count = spec.v
         else:
@@ -238,21 +251,24 @@ class _Atoms:
             count = spec.m * self.stride
         if count > ATOM_CAP:
             raise BudgetExceededError(str(spec), count, "atoms", ATOM_CAP)
-        if kind in _MAP_KINDS:
+        self.bit = None  # set and map kinds: atom -> its bit
+        if kind == "johnson":
+            self.bit = {i: 1 << i - 1 for i in range(1, count + 1)}.__getitem__
+        elif kind in _MAP_KINDS:
+            atoms = product(range(1, spec.m + 1), range(self.base, self.base + self.stride))
+            self.bit = {atom: 1 << b for b, atom in enumerate(atoms)}.__getitem__
             # per position, its top atom (high) and the atoms under it (low)
             ones = ((1 << count) - 1) // ((1 << self.stride) - 1)  # each position's first atom
             self.high = ones << self.stride - 1
             self.low = ones * ((1 << self.stride - 1) - 1)
         self.spec = spec
         self.decoded: dict[int, Element] = {}
+        self.tokens: dict[str, object] = {}  # item text -> the item, kept by `parse_element`
 
     def encode(self, payload: tuple) -> int:
-        kind = self.spec.kind
-        if kind == "johnson":
-            return sum(1 << (i - 1) for i in payload)
-        if kind in ("grassmann", "bilinear"):
-            return self._span(sum(1 << self.code(row) for row in _rows(kind, payload)))
-        return sum(1 << ((p - 1) * self.stride + v - self.base) for p, v in payload)
+        if self.bit is None:  # subspace kinds
+            return self._span(sum(1 << self.code(row) for row in _rows(self.spec.kind, payload)))
+        return sum(map(self.bit, payload))
 
     def element(self, mask: int) -> Element:
         """The element whose atom set is mask, e.g. the meet `a & b`.  A subspace
@@ -266,7 +282,7 @@ class _Atoms:
             if len(self.decoded) >= _DECODED_CAP:
                 self.decoded.clear()
             self.decoded[mask] = found
-            found.__dict__["atoms"] = mask
+            found.atoms = mask
         return found
 
     def clash(self, mask: int) -> bool:
@@ -346,6 +362,18 @@ class _Atoms:
 @lru_cache(maxsize=16)
 def _atoms(spec: FamilySpec) -> _Atoms:
     return _Atoms(spec)
+
+
+def _codec(spec: FamilySpec) -> _Atoms | None:
+    """The family's `_Atoms`, or None above ATOM_CAP: the elements then built
+    encode lazily, so the family is refused at its first meet, as before."""
+    try:
+        return _atoms(spec)
+    except BudgetExceededError:
+        return None
+
+
+_new = tuple.__new__  # builds an Element from (spec, payload), as namedtuple's `_make` does
 
 
 def _rows(kind: str, payload: tuple) -> tuple:
@@ -444,7 +472,7 @@ def _value_choices(spec: FamilySpec, pos: int) -> list[int]:
 def _fiber_payloads(spec: FamilySpec, i: int) -> list[tuple]:
     kind = spec.kind
     if kind == "johnson":
-        return [tuple(c) for c in combinations(range(1, spec.v + 1), i)]
+        return list(combinations(range(1, spec.v + 1), i))
     if kind == "injection":
         out = []
         for pos in combinations(range(1, spec.m + 1), i):
@@ -452,10 +480,11 @@ def _fiber_payloads(spec: FamilySpec, i: int) -> list[tuple]:
                 out.append(tuple(zip(pos, vals)))
         return out
     if kind in ("hamming", "nbjohnson", "signed"):
+        # i positions, then a pair at each; the payloads share their pairs
+        pairs = [[(p, v) for v in _value_choices(spec, p)] for p in range(1, spec.m + 1)]
         out = []
-        for pos in combinations(range(1, spec.m + 1), i):
-            for vals in product(*(_value_choices(spec, p) for p in pos)):
-                out.append(tuple(zip(pos, vals)))
+        for chosen in combinations(pairs, i):
+            out += product(*chosen)
         return out
     fld = gflib.field(spec.q)
     if kind == "grassmann":
@@ -487,7 +516,15 @@ def fiber_size(spec: FamilySpec, i: int) -> int:
 def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     payloads = _fiber_payloads(spec, i)
     payloads.sort()
-    return tuple(Element(spec, p) for p in payloads)
+    fiber = tuple([_new(Element, (spec, p)) for p in payloads])
+    atoms = _codec(spec)
+    # set and map kinds encode by table lookups; a subspace kind's span costs
+    # microseconds, so its fibers encode on first read, and writing a fiber out
+    # (`gen`) pays for no span
+    if atoms is not None and atoms.bit is not None:
+        for x, mask in zip(fiber, map(atoms.encode, payloads)):
+            x.atoms = mask
+    return fiber
 
 
 def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
@@ -504,12 +541,25 @@ def supersets(keys, masks) -> list[int]:
     atom of the key: the AND of one holder mask per atom of the key (bit j when
     masks[j] holds the atom).  A key without atoms gets every index, and a key
     with an atom that no mask holds gets 0."""
-    holders: dict[int, int] = {}  # atom -> the indices of the masks that hold it
+    holders: dict[int, int] = {}  # atom + 1 -> the indices of the masks that hold it
+    get = holders.get
     for j, mask in enumerate(masks):
-        for a in _bits(mask):
-            holders[a] = holders.get(a, 0) | 1 << j
+        index = 1 << j
+        while mask:
+            low = mask & -mask
+            atom = low.bit_length()
+            holders[atom] = get(atom, 0) | index
+            mask ^= low
     everything = (1 << len(masks)) - 1
-    return [reduce(int.__and__, (holders.get(a, 0) for a in _bits(key)), everything) for key in keys]
+    stars = []
+    for key in keys:
+        star = everything
+        while key and star:
+            low = key & -key
+            star &= get(low.bit_length(), 0)
+            key ^= low
+        stars.append(star)
+    return stars
 
 
 def above(spec: FamilySpec, i: int, elements) -> list[int]:
@@ -666,22 +716,31 @@ def _numeral(text: str) -> bool:
     return text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1)
 
 
-def _parse_matrix(text: str, width: int, hi: int, what: str) -> tuple:
+def _parse_matrix(text: str, width: int, hi: int, what: str, known: dict) -> tuple:
+    """The rows of a matrix, left to right; a row text not in `known` is
+    checked by `_matrix_row`."""
     rows = []
     for row_text in text.split(";"):
-        cells = row_text.split(".")
-        if len(cells) != width:
-            raise ParseError(f"{what}: expected {width} entries per row, got {row_text!r}")
-        row = []
-        for cell in cells:
-            if not _numeral(cell):
-                raise ParseError(f"{what}: bad field element {cell!r}")
-            value = int(cell)
-            if value >= hi:
-                raise ParseError(f"{what}: field element {value} out of range 0..{hi - 1}")
-            row.append(value)
-        rows.append(tuple(row))
+        row = known.get(row_text)
+        rows.append(_matrix_row(row_text, width, hi, what, known) if row is None else row)
     return tuple(rows)
+
+
+def _matrix_row(row_text: str, width: int, hi: int, what: str, known: dict) -> tuple:
+    """One checked matrix row, kept in `known`."""
+    cells = row_text.split(".")
+    if len(cells) != width:
+        raise ParseError(f"{what}: expected {width} entries per row, got {row_text!r}")
+    row = []
+    for cell in cells:
+        if not _numeral(cell):
+            raise ParseError(f"{what}: bad field element {cell!r}")
+        value = int(cell)
+        if value >= hi:
+            raise ParseError(f"{what}: field element {value} out of range 0..{hi - 1}")
+        row.append(value)
+    row = known[row_text] = tuple(row)
+    return row
 
 
 def _is_rref(rows: tuple) -> bool:
@@ -699,77 +758,115 @@ def _is_rref(rows: tuple) -> bool:
     return True
 
 
-def _parse_pairs(spec: FamilySpec, text: str) -> tuple:
-    kind = spec.kind
-    pairs = []
-    last_pos = 0
+def _parse_members(spec: FamilySpec, text: str, known: dict) -> tuple:
+    """A johnson set: first every member a numeral, then each in 1..v, then
+    strictly increasing.  A member not in `known` is checked, and kept there
+    when it is in range."""
+    members, last = [], 0
+    stray = unordered = False
+    for part in text.split(" "):
+        x = known.get(part)
+        if x is None:
+            if not _numeral(part):
+                raise ParseError(f"bad ground-set member {part!r}")
+            x = int(part)
+            if 1 <= x <= spec.v:
+                known[part] = x
+            else:
+                stray = True
+        if x <= last:
+            unordered = True
+        last = x
+        members.append(x)
+    if stray:
+        raise ParseError(f"ground-set member out of range 1..{spec.v}")
+    if unordered:
+        raise ParseError("members must be strictly increasing")
+    return tuple(members)
+
+
+def _parse_pairs(spec: FamilySpec, text: str, known: dict) -> tuple:
+    """A partial map's pairs, positions strictly increasing; a pair not in
+    `known` is checked by `_pair`."""
+    pairs, last_pos = [], 0
     for item in text.split(","):
-        pos_text, sep, val_text = item.partition(":")
-        if not sep or not _numeral(pos_text) or not _numeral(val_text):
-            raise ParseError(f"bad position:value pair {item!r}")
-        pos, val = int(pos_text), int(val_text)
-        if not 1 <= pos <= spec.m:
-            raise ParseError(f"position {pos} out of range 1..{spec.m}")
-        if pos <= last_pos:
+        pair = known.get(item)
+        if pair is None:
+            pair = _pair(spec, item, last_pos, known)
+        elif pair[0] <= last_pos:
             raise ParseError("positions must be strictly increasing")
-        last_pos = pos
-        if kind in ("hamming", "nbjohnson"):
-            if not 0 <= val <= spec.n - 1:
-                raise ParseError(f"value {val} out of range 0..{spec.n - 1}")
-        elif kind == "injection":
-            if not 1 <= val <= spec.n:
-                raise ParseError(f"value {val} out of range 1..{spec.n}")
-        else:
-            if not 1 <= val <= spec.m:
-                raise ParseError(f"value {val} out of range 1..{spec.m}")
-            if val == pos:
-                raise ParseError(f"fixed point {pos}:{val} is not allowed")
-        pairs.append((pos, val))
-    if kind == "injection" and len({v for _, v in pairs}) != len(pairs):
+        last_pos = pair[0]
+        pairs.append(pair)
+    if spec.kind == "injection" and len({v for _, v in pairs}) != len(pairs):
         raise ParseError("duplicate values in an injective map")
     return tuple(pairs)
+
+
+def _pair(spec: FamilySpec, item: str, last_pos: int, known: dict) -> tuple:
+    """One position:value pair after position `last_pos`, checked in the row's
+    order (numerals, position range, position order, value), then kept in
+    `known`."""
+    kind = spec.kind
+    pos_text, sep, val_text = item.partition(":")
+    if not sep or not _numeral(pos_text) or not _numeral(val_text):
+        raise ParseError(f"bad position:value pair {item!r}")
+    pos, val = int(pos_text), int(val_text)
+    if not 1 <= pos <= spec.m:
+        raise ParseError(f"position {pos} out of range 1..{spec.m}")
+    if pos <= last_pos:
+        raise ParseError("positions must be strictly increasing")
+    if kind in ("hamming", "nbjohnson"):
+        if not 0 <= val <= spec.n - 1:
+            raise ParseError(f"value {val} out of range 0..{spec.n - 1}")
+    elif kind == "injection":
+        if not 1 <= val <= spec.n:
+            raise ParseError(f"value {val} out of range 1..{spec.n}")
+    else:
+        if not 1 <= val <= spec.m:
+            raise ParseError(f"value {val} out of range 1..{spec.m}")
+        if val == pos:
+            raise ParseError(f"fixed point {pos}:{val} is not allowed")
+    pair = known[item] = (pos, val)
+    return pair
 
 
 def parse_element(spec: FamilySpec, text: str) -> Element:
     """Parse a canonical element encoding, the text `format_element` writes
     (surrounding whitespace aside); any other text is rejected as it is
-    read: one separator between items, and numerals as `str` writes them."""
+    read: one separator between items, and numerals as `str` writes them.
+    Each item token is checked once per family and kept (see the atoms
+    section); every row-level check runs on every row.  The element comes
+    with its atom mask."""
     raw = text.strip()
     if raw == "-":
         return least(spec)
     if not raw:
         raise ParseError("empty element encoding")
+    atoms = _codec(spec)
+    known = {} if atoms is None else atoms.tokens
     kind = spec.kind
     if kind == "johnson":
-        values = []
-        for part in raw.split(" "):
-            if not _numeral(part):
-                raise ParseError(f"bad ground-set member {part!r}")
-            values.append(int(part))
-        if any(not 1 <= x <= spec.v for x in values):
-            raise ParseError(f"ground-set member out of range 1..{spec.v}")
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ParseError("members must be strictly increasing")
-        payload = tuple(values)
+        payload = _parse_members(spec, raw, known)
     elif kind in _MAP_KINDS:
-        payload = _parse_pairs(spec, raw)
+        payload = _parse_pairs(spec, raw, known)
     elif kind == "grassmann":
-        rows = _parse_matrix(raw, spec.v, spec.q, "grassmann matrix")
-        if not _is_rref(rows):
+        payload = _parse_matrix(raw, spec.v, spec.q, "grassmann matrix", known)
+        if not _is_rref(payload):
             raise ParseError("matrix is not in reduced row echelon form")
-        payload = rows
     else:
         if not raw.startswith("E=") or ";f=" not in raw:
             raise ParseError("bilinear element must look like E=<matrix>;f=<matrix>")
         dom_text, _, img_text = raw[2:].partition(";f=")
-        dom = _parse_matrix(dom_text, spec.m, spec.q, "domain matrix")
-        images = _parse_matrix(img_text, spec.n, spec.q, "image matrix")
+        dom = _parse_matrix(dom_text, spec.m, spec.q, "domain matrix", known)
+        images = _parse_matrix(img_text, spec.n, spec.q, "image matrix", {} if atoms is None else atoms.image_tokens)
         if not _is_rref(dom):
             raise ParseError("domain matrix is not in reduced row echelon form")
         if len(images) != len(dom):
             raise ParseError("domain and image matrices must have the same number of rows")
         payload = (dom, images)
-    element = Element(spec, payload)
+    element = _new(Element, (spec, payload))
     if element.rank > spec.top_rank:
         raise ParseError(f"rank {element.rank} exceeds top rank {spec.top_rank}")
+    if atoms is not None:
+        element.atoms = atoms.encode(payload)
     return element

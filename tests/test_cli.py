@@ -288,6 +288,9 @@ def test_missing_file_exit_2(tmp_path, monkeypatch, capsys):
     Path("latin1.design").write_bytes(b"family johnson:v=5,m=2\nstrength 1\n1 \xff\n")
     code, _, err = run_cli(["check-design", "--design", "latin1.design"], capsys)
     assert code == 2 and "codec can't decode" in err
+    code, out, _ = run_cli(["check-design", "--design", "latin1.design", "--json"], capsys)
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ParseError" and error["message"].startswith("latin1.design:3: ")
 
 
 def test_check_design_wrong_strength_exit_1(in_samples_tmp, capsys):

@@ -234,6 +234,16 @@ MALFORMED = {
     "family johnson:v=7,m=3\nstrength \u0662\n1 2 3\n": ":2: bad strength '\u0662'",
     "family johnson:m=3,v=7\nstrength 2\n1 2 3\n": ":1: johnson: expected parameters v, m, in this order",
     "family johnson:v=7,m=3\nstrength 2\n1 2 \u00b3\n": ":3: bad ground-set member '\u00b3'",
+    # the headers read as `save_design` writes them: one space after each keyword
+    "family   johnson:v=7,m=3\nstrength 2\n1 2 3\n": ":1: expected one space after `family`",
+    "family johnson:v=7,m=3\nstrength    2\n1 2 3\n": ":2: bad strength '   2'",
+    # every token valid, the row not: the row-level checks run on every row
+    "family johnson:v=7,m=3\nstrength 2\n1 2 3\n3 2 1\n": ":4: members must be strictly increasing",
+    "family hamming:m=3,n=3\nstrength 1\n1:0,2:0,3:0\n2:0,1:0,3:0\n": ":4: positions must be strictly increasing",
+    "family injection:m=3,n=5\nstrength 1\n1:1,2:2,3:3\n1:1,2:1,3:3\n": ":4: duplicate values in an injective map",
+    "family grassmann:v=4,m=2,q=2\nstrength 1\n1.0.0.0;0.1.0.0\n0.1.0.0;1.0.0.0\n": (
+        ":4: matrix is not in reduced row echelon form"
+    ),
 }
 
 
@@ -244,6 +254,16 @@ def test_load_rejects_malformed_files(tmp_path, content):
     with pytest.raises(ParseError) as exc:
         designs.load_design(path)
     assert str(exc.value) == f"{path}{MALFORMED[content]}"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "latin1.design"
+    path.write_bytes(b"family johnson:v=5,m=2\nstrength 1\n1 \xff\n")
+    message = f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 36: invalid start byte"
+    for read in (designs.load_design, designs.read_family_file):
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == message
 
 
 def test_family_file_reader(tmp_path):

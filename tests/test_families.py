@@ -7,15 +7,17 @@ mixed element pool.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
-from conftest import ODD_FIELD_SPECS, grid, sampled_universe
+from conftest import GRID_SPECS, ODD_FIELD_SPECS, grid, sampled_universe
 from hypothesis import given, settings, strategies as st
+from test_designs import MALFORMED
 from test_gf import brute_span, sample_cases
 
-from ekrlattice import families, gf, parameters
+from ekrlattice import designs, families, gf, parameters
 from ekrlattice.errors import BudgetExceededError, FamilyMismatchError, ParseError
 
 SMALL_SPECS = (
@@ -328,7 +330,10 @@ def _near_misses(text: str) -> set:
     return out
 
 
-@pytest.mark.parametrize("spec_text", SMALL_SPECS + ("hamming:m=2,n=11", "grassmann:v=2,m=1,q=11"))
+CANONICAL_SPECS = SMALL_SPECS + ("hamming:m=2,n=11", "grassmann:v=2,m=1,q=11")
+
+
+@pytest.mark.parametrize("spec_text", CANONICAL_SPECS)
 def test_parse_accepts_exactly_the_canonical_encodings(spec_text):
     # reference: the text (surrounding whitespace aside) is `format_element`
     # of some element of the family, so format_element(parse(t)) == t
@@ -575,6 +580,115 @@ def test_oversized_atom_table_is_refused():
         families.leq(z, z)
     at_cap = families.parse_family_spec("grassmann:v=16,m=1,q=2")  # 2^16 atoms
     assert families.leq(families.least(at_cap), families.least(at_cap))
+
+
+# ---------------------------------------------------------------------------
+# one codec: an element's mask is `_Atoms.encode` of its payload, however it was built
+
+CODEC_CASES = (*((text, None) for text in GRID_SPECS), *ODD_FIELD_SPECS)
+
+
+@pytest.mark.parametrize("text, per_rank", CODEC_CASES, ids=[text for text, _ in CODEC_CASES])
+def test_every_route_to_an_element_gives_the_codec_mask(text, per_rank):
+    spec = families.parse_family_spec(text)
+    fresh = families._Atoms(spec).encode  # not the family's cached codec
+
+    def check(x):
+        assert x.atoms == fresh(x.payload), str(x)
+
+    universe = sampled_universe(spec, per_rank)  # through enumerate_fiber
+    check(families.least(spec))
+    for x in universe:
+        check(x)
+        parsed = families.parse_element(spec, str(x))
+        assert parsed == x
+        assert "atoms" in vars(parsed) or x.rank == 0  # set as parsed; `-` is `least`
+        check(parsed)
+        for i in range(x.rank + 1):
+            for z in families.below(x, i):
+                check(z)
+    for x in universe:
+        for y in universe:
+            check(families.meet(x, y))
+            joined = families.join_bounded(x, y)
+            if joined is not None:
+                check(joined)
+
+
+@pytest.mark.parametrize("text", (*GRID_SPECS, *(text for text, _ in ODD_FIELD_SPECS)))
+def test_parse_and_fiber_take_their_masks_from_the_codec(monkeypatch, text):
+    # the audit's fault injections patch `_Atoms.encode`, so the masks set
+    # where elements are built must come through it
+    spec = families.parse_family_spec(text)
+    encode = families._Atoms.encode
+    flag = 1 << families.ATOM_CAP  # above every atom
+    monkeypatch.setattr(families._Atoms, "encode", lambda self, payload: encode(self, payload) | flag)
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
+    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
+    codec = families._atoms(spec)
+    for i in range(spec.top_rank + 1):
+        for x in families.enumerate_fiber(spec, i)[:20]:
+            assert x.atoms == encode(codec, x.payload) | flag
+            assert families.parse_element(spec, str(x)).atoms == x.atoms
+
+
+# rows whose every token is valid but whose row is not
+ROW_LEVEL_MISSES = (
+    ("hamming:m=2,n=3", "2:0,1:0"),  # positions out of order
+    ("hamming:m=2,n=3", "1:0,1:1"),
+    ("injection:m=2,n=3", "1:2,2:2"),  # a repeated injection value
+    ("johnson:v=4,m=2", "2 1"),  # members out of order
+    ("johnson:v=4,m=2", "1 1"),
+    ("grassmann:v=4,m=2,q=2", "0.1.0.0;1.0.0.0"),  # rows not in RREF
+    ("grassmann:v=4,m=2,q=2", "1.1.0.0;0.1.0.0"),
+    ("grassmann:v=4,m=2,q=2", "1.0.0.0;1.0.0.0"),
+    ("bilinear:m=2,n=1,q=2", "E=0.1;1.0;f=0;1"),
+    ("bilinear:m=2,n=1,q=2", "E=1.0;f=0;1"),
+)
+
+
+def _verdict(spec_text: str, text: str):
+    try:
+        return families.parse_element(families.parse_family_spec(spec_text), text).payload
+    except ParseError as exc:
+        return str(exc)
+
+
+def _file_verdict(path):
+    try:
+        return designs.load_design(path).size
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_kept_tokens_change_no_verdict(monkeypatch, tmp_path):
+    # each parse first with no token kept, then twice in shuffled order: the
+    # first pass fills the token tables as it goes, the second reads them warm
+    corpus = list(ROW_LEVEL_MISSES)
+    for spec_text in CANONICAL_SPECS:
+        canonical = {families.format_element(x) for x in families.enumerate_all(families.parse_family_spec(spec_text))}
+        corpus += [(spec_text, text) for text in sorted(canonical.union(*map(_near_misses, canonical)))]
+    paths = []
+    for k, content in enumerate(MALFORMED):
+        paths.append(tmp_path / f"{k}.design")
+        paths[-1].write_text(content, encoding="utf-8")
+    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
+    cold = {}
+    for item in corpus:
+        families._atoms.cache_clear()
+        cold[item] = _verdict(*item)
+    cold_files = {}
+    for path in paths:
+        families._atoms.cache_clear()
+        cold_files[path] = _file_verdict(path)
+    assert all(isinstance(v, str) for v in cold_files.values())
+    rng = random.Random(0)
+    for _ in range(2):
+        rng.shuffle(corpus)
+        rng.shuffle(paths)
+        assert {item: _verdict(*item) for item in corpus} == cold
+        assert {path: _file_verdict(path) for path in paths} == cold_files
+    assert all(isinstance(cold[item], str) for item in ROW_LEVEL_MISSES)
 
 
 # ---------------------------------------------------------------------------
