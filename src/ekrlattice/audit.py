@@ -56,14 +56,20 @@ of its arguments' atoms, so the join check calls it once per distinct
 union, on the first pair (row order) that has it.  A pair's upper bounds
 are the elements above its union too, so once every meet is canonical the
 check judges each union once.  The subspace kinds, whose pairs nearly all
-have a union of their own, call it once per pair; their join is the sumset
-of the two atom sets, decoded once per distinct join.
+have a union of their own, call it once per pair, one row i at a time
+through `map`; their join is the sumset of the two atom sets, decoded once
+per distinct join.  Of a row, only the pairs that share an upper bound (the
+OR of below(z) over z above i) or get an answer are judged: every other
+pair has no upper bound and no join, so it holds.  A set or map kind whose
+meets are not all canonical goes by rows too.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from itertools import compress, count, repeat
+from operator import is_not
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
@@ -213,47 +219,71 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
             held += 1
         yield held
 
+    def verdict(i, j, jb):
+        """The verdict on `jb`, join_bounded's answer for the pair (i, j): True
+        when the pair holds, the note of its counterexample, or (li, the rank
+        of li, or None when li is not the least upper bound)."""
+        none, li = jb is None, index.get(jb)
+        ub = above[i] & above[j]
+        if ub and li is not None:
+            return li, ranks[li] if (ub >> li) & 1 and not ub & ~above[li] else None
+        if not ub:
+            return none or "join_bounded returned an element but no upper bound exists"
+        if none:
+            return "upper bounds exist but join_bounded returned none"
+        return "join_bounded returned an element outside the lattice"
+
+    def failure(i, j, result):
+        """The counterexample of the pair (i, j) under `result`, a verdict other
+        than True, or None when li has the pair's own rank(i) + rank(j) - rank(meet)."""
+        if type(result) is not tuple:
+            return (i, j), result
+        li, holds = result
+        expected_rank = ranks[i] + ranks[j] - rank_of.get(masks[i] & masks[j], rank_0)
+        if holds == expected_rank:
+            return None
+        return (i, j, li), f"least upper bound must have rank {expected_rank}"
+
     def check_join():
-        """A pair's verdict is True when it holds, the note of its counterexample,
-        or (li, the rank of li, or None when li is not the least upper bound),
-        against which the pair checks its own rank(i) + rank(j) - rank(meet).
-        For set and map kinds `join_bounded` reads only the atom union.  Once
-        every meet is canonical the upper bounds are the elements above the
-        union too (`_order`), and then one verdict, from one `join_bounded`
-        call, serves every pair with that union."""
-        verdicts_by_union = spec.q is None and shared is None and not_canonical is None
+        """Row i calls `join_bounded` on each pair (i, j), j >= i, in order.
+        For set and map kinds it reads only the atom union, and once every meet
+        is canonical the upper bounds are the elements above the union too
+        (`_order`): then one verdict, from one call, serves every pair with
+        that union.  Otherwise the row's answers come from one `map` over
+        els[i:], and only two kinds of pair are judged: those sharing an upper
+        bound with i, the bits of the OR of below[z] over z above i, and those
+        with an answer.  Every other pair has no upper bound and no answer, so
+        it holds."""
+        by_union = spec.q is None and shared is None and not_canonical is None
         verdicts = {}  # atom union -> its verdict
         for i in range(n):
-            mask_i, above_i, rank_i = masks[i], above[i], ranks[i]
-            for j in range(i, n):
-                union = mask_i | masks[j]
-                verdict = verdicts.get(union)
-                if verdict is None:
-                    jb = families.join_bounded(els[i], els[j])
-                    none, li = jb is None, index.get(jb)
-                    ub = above_i & above[j]
-                    if ub and li is not None:
-                        verdict = li, ranks[li] if (ub >> li) & 1 and not ub & ~above[li] else None
-                    elif not ub:
-                        verdict = none or "join_bounded returned an element but no upper bound exists"
-                    elif none:
-                        verdict = "upper bounds exist but join_bounded returned none"
-                    else:
-                        verdict = "join_bounded returned an element outside the lattice"
-                    if verdicts_by_union:
-                        verdicts[union] = verdict
-                if verdict is True:
-                    continue
-                if type(verdict) is tuple:
-                    li, holds = verdict
-                    expected_rank = rank_i + ranks[j] - rank_of.get(mask_i & masks[j], rank_0)
-                    if holds == expected_rank:
+            if by_union:
+                mask_i, rank_i = masks[i], ranks[i]
+                for j in range(i, n):
+                    union = mask_i | masks[j]
+                    pair = verdicts.get(union)
+                    if pair is None:
+                        pair = verdicts[union] = verdict(i, j, families.join_bounded(els[i], els[j]))
+                    if pair is True:
                         continue
-                    outcome = (i, j, li), f"least upper bound must have rank {expected_rank}"
-                else:
-                    outcome = (i, j), verdict
-                yield j - i
-                yield outcome
+                    if type(pair) is tuple and pair[1] == rank_i + ranks[j] - rank_of.get(mask_i & masks[j], rank_0):
+                        continue  # li has the pair's own rank, as `failure` checks
+                    yield j - i
+                    yield failure(i, j, pair)
+            else:
+                answers = list(map(families.join_bounded, repeat(els[i]), els[i:]))
+                judged = 0  # bit j - i: the pair (i, j) is judged
+                for z in _bits(above[i]):
+                    judged |= below[z]
+                judged >>= i
+                for k in compress(count(), map(is_not, answers, repeat(None))):
+                    judged |= 1 << k
+                for k in _bits(judged):
+                    j = i + k
+                    pair = verdict(i, j, answers[k])
+                    if pair is not True and (bad := failure(i, j, pair)) is not None:
+                        yield k
+                        yield bad
             yield n - i
 
     generators = (

@@ -34,7 +34,9 @@ class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength 
 
     `stars`, kept by `make_certificate` from its coverage pass, holds for each
     rank-`strength` element, in canonical order, the mask of the members above
-    it, bit j for elements[j]; it is None when no coverage pass ran.
+    it, bit j for elements[j]; it is None when no coverage pass ran.  The
+    builders below, whose elements are in canonical order already, skip the
+    sort through `_sorted_certificate`.
     """
 
     __slots__ = ()
@@ -50,6 +52,11 @@ class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+
+def _sorted_certificate(spec: FamilySpec, elements: tuple, strength: int, indices: tuple, stars=None):
+    """A DesignCertificate of elements already in canonical order, not sorted again."""
+    return tuple.__new__(DesignCertificate, (spec, elements, strength, indices, stars))
 
 
 def _validate_top_elements(spec: FamilySpec, elements):
@@ -123,14 +130,14 @@ def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
     if lam is None:
         raise VerificationError(t, witness)
     indices = tuple(derive_index(spec, lam, t, j) for j in range(t + 1))
-    return DesignCertificate(spec, elements, t, indices, stars)
+    return _sorted_certificate(spec, elements, t, indices, stars)
 
 
 def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:
     """View a t-design as a design of smaller strength (same elements)."""
     if not 0 <= t <= cert.strength:
         raise ParseError(f"strength {t} out of range 0..{cert.strength}")
-    return DesignCertificate(cert.spec, cert.elements, t, cert.indices[: t + 1])
+    return _sorted_certificate(cert.spec, cert.elements, t, cert.indices[: t + 1])
 
 
 def full_fiber(spec: FamilySpec, t: int | None = None) -> DesignCertificate:
@@ -142,7 +149,7 @@ def full_fiber(spec: FamilySpec, t: int | None = None) -> DesignCertificate:
         raise ParseError(f"strength {t} out of range 0..{top}")
     elements = families.enumerate_fiber(spec, top)
     indices = tuple(parameters.theta(spec, j) for j in range(t + 1))
-    return DesignCertificate(spec, elements, t, indices)
+    return _sorted_certificate(spec, elements, t, indices)
 
 
 def generate_linear_oa(q: int, m: int) -> DesignCertificate:

@@ -27,7 +27,7 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
 from . import gf as gflib
@@ -48,16 +48,32 @@ _REQUIRED = {
 _MAP_KINDS = ("hamming", "injection", "nbjohnson", "signed")
 
 
+class _filled:
+    """A value computed from its instance on first read and then stored in the
+    instance's `__dict__`, where it shadows this non-data descriptor: later
+    reads are plain attribute reads.  Unlike `functools.cached_property` it
+    takes no lock, and assigning the attribute first skips the computation."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5)):
     """Which family, plus its integer parameters.
 
     The top rank M is m for johnson/grassmann/hamming/bilinear/injection
     and k for nbjohnson/signed.  A named tuple, so it hashes and compares
     in C; the parameters are validated when it is built, also by `_make`
-    and `_replace`.
+    and `_replace`.  No `__slots__`, so `codec` has a `__dict__` to live in.
     """
-
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -101,6 +117,12 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
     def top_rank(self) -> int:
         return self.k if self.kind in ("nbjohnson", "signed") else self.m
 
+    @_filled
+    def codec(self) -> "_Atoms":
+        """The family's `_Atoms`, reached through `_atoms` on first read, so
+        equal specs share one; a family above ATOM_CAP raises each time."""
+        return _atoms(self)
+
     def __str__(self) -> str:
         params = ",".join(f"{name}={getattr(self, name)}" for name in _REQUIRED[self.kind])
         return f"{self.kind}:{params}"
@@ -142,12 +164,12 @@ class Element(namedtuple("Element", "spec payload")):
             return len(self.payload[0])
         return len(self.payload)
 
-    @cached_property
+    @_filled
     def atoms(self) -> int:
         """Bitmask of the atoms below this element.  `parse_element`, the
         decoder and the fiber build of a set or map kind set it as they build
         the element; any other element computes it on first read."""
-        return _atoms(self.spec).encode(self.payload)
+        return self.spec.codec.encode(self.payload)
 
     # Tuple order would compare (spec, payload); elements order by payload
     # within one family and refuse to compare across families.
@@ -178,10 +200,11 @@ def least(spec: FamilySpec) -> Element:
     return Element(spec, payload)
 
 
-def _same_family(x: Element, y: Element) -> FamilySpec:
-    if x.spec is not y.spec and x.spec != y.spec:
+def _same_family(x: Element, y: Element) -> None:
+    """Raise FamilyMismatchError unless x and y belong to one family.  The
+    lattice operations call it only when the two spec objects differ."""
+    if x.spec != y.spec:
         raise FamilyMismatchError(f"family mismatch: {x.spec} vs {y.spec}")
-    return x.spec
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +227,17 @@ def _same_family(x: Element, y: Element) -> FamilySpec:
 # sumset of two atom sets) and `below` row-reduce nothing; a decode reads the
 # RREF rows off the mask, once per distinct mask.
 #
-# The mask is set where an element is built, through the one codec
-# `_Atoms.encode`: `parse_element` encodes each element it reads, `_fiber` each
-# element of a set or map kind, and a decode keeps the mask it read.  Set and
-# map kinds encode through `bit`, a table from atom to bit; subspace kinds span
-# their row codes.  Other elements (`least`, `below`, subspace fibers, elements
-# built by hand) encode on the first read of `atoms`.  The parser keeps, per
+# The codec is one `_Atoms` per family.  Each spec object reaches it once, as
+# `FamilySpec.codec`, through the bounded `_atoms` cache, so equal specs share
+# it; the lattice operations read it off their first argument's spec and
+# compare two specs by identity before equality.  The mask is set where an
+# element is built, through the one codec `_Atoms.encode`: `parse_element`
+# encodes each element it reads, `_fiber` each element of a set or map kind,
+# and a decode keeps the mask it read.  Set and map kinds encode through `bit`,
+# a table from atom to bit; subspace kinds span their row codes.  Other
+# elements (`least`, `below`, subspace fibers, elements built by hand) encode
+# on the first read of `atoms`, which stores the mask in the element without
+# taking a lock (`_filled`).  The parser keeps, per
 # family, each item token it has validated (ground point, position:value pair,
 # matrix row), so a token is checked once; only valid tokens are kept, so the
 # table is bounded by the atom count.
@@ -262,6 +290,7 @@ class _Atoms:
             self.high = ones << self.stride - 1
             self.low = ones * ((1 << self.stride - 1) - 1)
         self.spec = spec
+        self.top_rank = spec.top_rank
         self.decoded: dict[int, Element] = {}
         self.tokens: dict[str, object] = {}  # item text -> the item, kept by `parse_element`
 
@@ -368,7 +397,7 @@ def _codec(spec: FamilySpec) -> _Atoms | None:
     """The family's `_Atoms`, or None above ATOM_CAP: the elements then built
     encode lazily, so the family is refused at its first meet, as before."""
     try:
-        return _atoms(spec)
+        return spec.codec
     except BudgetExceededError:
         return None
 
@@ -394,24 +423,30 @@ def _from_rows(spec: FamilySpec, rows: tuple) -> tuple:
 
 def meet(x: Element, y: Element) -> Element:
     """Greatest lower bound of x and y."""
-    return _atoms(_same_family(x, y)).element(x.atoms & y.atoms)
+    spec = x.spec
+    if spec is not y.spec:
+        _same_family(x, y)
+    return spec.codec.element(x.atoms & y.atoms)
 
 
 def meet_rank(x: Element, y: Element) -> int:
     """rank(meet(x, y)) from the popcount of the common atoms; nothing is decoded."""
-    spec = _same_family(x, y)
+    spec = x.spec
+    if spec is not y.spec:
+        _same_family(x, y)
     count = (x.atoms & y.atoms).bit_count()
-    return count if spec.q is None else _atoms(spec).ranks[count]  # q: the subspace kinds
+    return count if spec.q is None else spec.codec.ranks[count]  # q: the subspace kinds
 
 
 def atom_count(spec: FamilySpec, r: int) -> int:
     """Popcount of a rank-r element's atoms, the inverse of `meet_rank`'s map."""
-    return r if spec.q is None else _atoms(spec).counts[r]
+    return r if spec.q is None else spec.codec.counts[r]
 
 
 def leq(x: Element, y: Element) -> bool:
     """True iff x is below y (equivalently meet(x, y) == x)."""
-    _same_family(x, y)
+    if x.spec is not y.spec:
+        _same_family(x, y)
     return not x.atoms & ~y.atoms
 
 
@@ -426,12 +461,14 @@ def join_bounded(x: Element, y: Element) -> Element | None:
     (0, u).  The result is decoded through the family's cache, so each
     distinct join is decoded, and checked, once.
     """
-    spec = _same_family(x, y)
-    atoms = _atoms(spec)
+    spec = x.spec
+    if spec is not y.spec:
+        _same_family(x, y)
+    atoms = spec.codec
     a, b = x.atoms, y.atoms
     if spec.q is None:  # set and map kinds: the join's atoms are the union
         union = a | b
-        if union.bit_count() > spec.top_rank or spec.kind != "johnson" and atoms.clash(union):
+        if union.bit_count() > atoms.top_rank or spec.kind != "johnson" and atoms.clash(union):
             return None
         return atoms.element(union)
     common = a & b
@@ -570,7 +607,7 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
     masks by `supersets`.  Each star member is then confirmed by one `leq`
     call; a refusal raises AssertionError.
     """
-    _atoms(spec)  # a family above ATOM_CAP is refused before its fiber is built
+    spec.codec  # a family above ATOM_CAP is refused before its fiber is built
     fiber = enumerate_fiber(spec, i)
     stars = supersets([z.atoms for z in fiber], [x.atoms for x in elements])
     for z, star in zip(fiber, stars):
@@ -596,7 +633,7 @@ def below(x: Element, i: int) -> list[Element]:
     spec = x.spec
     if spec.q is None:
         return [Element(spec, sub) for sub in combinations(x.payload, i)]
-    atoms = _atoms(spec)
+    atoms = spec.codec
     plus, scale = atoms.plus, atoms.fld.scale
     # multiples[j][c]: the code of c times row j
     multiples = [
@@ -646,7 +683,12 @@ class Symmetry:
         self.move = move
 
     def __call__(self, x: Element) -> int:
-        return sum(1 << self.move(b) for b in _bits(x.atoms))
+        move, mask, image = self.move, x.atoms, 0
+        while mask:
+            low = mask & -mask
+            image += 1 << move(low.bit_length() - 1)
+            mask ^= low
+        return image
 
     def injective_on(self, mask: int) -> bool:
         """Whether `move` maps the atoms of mask to distinct atoms."""
@@ -664,7 +706,7 @@ def symmetries(spec: FamilySpec) -> list[Symmetry]:
     """
     kind = spec.kind
     if kind in ("grassmann", "bilinear"):
-        atoms = _atoms(spec)
+        atoms = spec.codec
         fld = atoms.fld
         maps = _linear_maps(fld, spec.v) if kind == "grassmann" else []
         if kind == "bilinear":
@@ -674,7 +716,7 @@ def symmetries(spec: FamilySpec) -> list[Symmetry]:
             maps.append(lambda c: c[:m] + (fld.add(c[m], c[0]),) + c[m + 1 :])
         moves = [lru_cache(maxsize=None)(lambda b, g=g: atoms.code(g(atoms._vector(b)))) for g in maps]
     else:
-        m, width = (spec.v, 1) if kind == "johnson" else (spec.m, _atoms(spec).stride)
+        m, width = (spec.v, 1) if kind == "johnson" else (spec.m, spec.codec.stride)
         pairs = [lambda p, a: (_swap(p), a), lambda p, a: ((p + 1) % m, a)]
         if kind == "signed":  # conjugations, moving positions and values together
             pairs = [lambda p, a: (_swap(p), _swap(a)), lambda p, a: ((p + 1) % m, (a + 1) % m)]
@@ -747,12 +789,14 @@ def _is_rref(rows: tuple) -> bool:
     """Whether every row leads with a 1, the leads move strictly right and each
     lead is the only nonzero entry in its column: reduced row echelon form
     with no zero row."""
-    last = -1
+    last, others = -1, len(rows) - 1
     for row in rows:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None or lead <= last or row[lead] != 1:
+        if 1 not in row:
             return False
-        if sum(1 for other in rows if other[lead]) != 1:
+        lead = row.index(1)
+        if lead <= last or any(row[:lead]):
+            return False
+        if [other[lead] for other in rows].count(0) != others:
             return False
         last = lead
     return True

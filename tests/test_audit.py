@@ -151,6 +151,7 @@ def test_non_canonical_meet_names_the_first_pair(monkeypatch):
         families._Atoms, "_decode", lambda self, mask: wrong[mask] if self.spec == spec and mask in wrong else decode(self, mask)
     )
     monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))  # no meet decoded before the patch
+    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))  # nor a warm codec
     checks = {c.check_id: c for c in audit(spec).checks}
     assert checks["semilattice-glb"].counterexample == {"elements": ["1", "1 2"], "note": "meet is not canonical"}
     for check_id in ("mu-constant", "nu-constant", "theta-constant", "alpha-lemma"):
@@ -275,6 +276,60 @@ def test_wrong_subspace_join_is_caught_with_counterexample(monkeypatch, text, wi
     assert [c.check_id for c in report.checks if not c.passed] == ["join-rank"]
     assert report.checks[-1].counterexample == {"elements": witnesses, "note": "least upper bound must have rank 2"}
     assert report.checks[-1].cases == cases
+
+
+def _element_without_upper_bound(real, x, y):
+    joined = real(x, y)
+    return x if joined is None else joined
+
+
+def _none_for_two_points(real, x, y):
+    return None if x.rank == y.rank == 1 and x != y else real(x, y)
+
+
+def _outside_the_lattice(real, x, y):
+    joined = real(x, y)
+    return families.Element(x.spec, ("outside",)) if joined not in (None, x, y) else joined
+
+
+NO_BOUND = "join_bounded returned an element but no upper bound exists"
+NO_ANSWER = "upper bounds exist but join_bounded returned none"
+OUTSIDE = "join_bounded returned an element outside the lattice"
+
+
+@pytest.mark.parametrize(
+    "text, fault, witnesses, note, cases",
+    [
+        ("grassmann:v=4,m=2,q=2", _element_without_upper_bound, ["0.0.0.1", "0.1.0.0;0.0.1.0"], NO_BOUND, 69),
+        ("grassmann:v=4,m=2,q=2", _none_for_two_points, ["0.0.0.1", "0.0.1.0"], NO_ANSWER, 53),
+        ("grassmann:v=4,m=2,q=2", _outside_the_lattice, ["0.0.0.1", "0.0.1.0"], OUTSIDE, 53),
+        ("bilinear:m=2,n=1,q=3", _element_without_upper_bound, ["E=0.1;f=0", "E=0.1;f=1"], NO_BOUND, 24),
+        ("bilinear:m=2,n=1,q=3", _none_for_two_points, ["E=0.1;f=0", "E=1.0;f=0"], NO_ANSWER, 26),
+        ("bilinear:m=2,n=1,q=3", _outside_the_lattice, ["E=0.1;f=0", "E=1.0;f=0"], OUTSIDE, 26),
+    ],
+)
+def test_row_wise_join_check_catches_subspace_faults(monkeypatch, text, fault, witnesses, note, cases):
+    # the pairs a row skips have no upper bound and no answer; each fault gives one of them an answer,
+    # or takes the answer from a pair with upper bounds
+    spec = families.parse_family_spec(text)
+    passing = [c.cases for c in audit(spec).checks]
+    real = families.join_bounded
+    monkeypatch.setattr(families, "join_bounded", lambda x, y: fault(real, x, y))
+    report = audit(spec)
+    assert [c.check_id for c in report.checks if not c.passed] == ["join-rank"]
+    assert report.checks[-1].counterexample == {"elements": witnesses, "note": note}
+    assert [c.cases for c in report.checks] == passing[:-1] + [cases]
+
+
+@pytest.mark.parametrize("text", ["grassmann:v=4,m=2,q=2", "bilinear:m=2,n=1,q=3"])
+def test_subspace_join_check_calls_every_pair_in_row_order(monkeypatch, text):
+    spec = families.parse_family_spec(text)
+    els = list(families.enumerate_all(spec))
+    real = families.join_bounded
+    made = []
+    monkeypatch.setattr(families, "join_bounded", lambda x, y: made.append((x, y)) or real(x, y))
+    assert audit(spec).passed
+    assert made == [(x, y) for i, x in enumerate(els) for y in els[i:]]
 
 
 @pytest.mark.parametrize("spec", [s for s in grid() if s.q is None], ids=str)

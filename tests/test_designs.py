@@ -38,6 +38,17 @@ def test_replace_keeps_the_certificate_in_payload_order(fano_cert):
     assert designs.DesignCertificate._make((fano_cert.spec, rows[::-1], 2, fano_cert.indices)).elements == rows
 
 
+def test_every_certificate_builder_gives_payload_order(fano_spec, fano_elements):
+    # make_certificate sorts once; restrict_strength and full_fiber start from sorted members
+    rows = tuple(sorted(fano_elements, key=lambda x: x.payload))
+    cert = designs.make_certificate(fano_spec, fano_elements[::-1], 2)
+    assert cert.elements == rows and fano_elements[::-1] != rows
+    assert designs.restrict_strength(cert, 1).elements == rows
+    assert designs.restrict_strength(cert, 1)._replace(elements=rows[::-1]).elements == rows
+    full = designs.full_fiber(fano_spec, 1)
+    assert full.elements == tuple(sorted(full.elements, key=lambda x: x.payload))
+
+
 def test_full_fiber_certificates():
     js = families.parse_family_spec("johnson:v=5,m=2")
     cert = designs.full_fiber(js)

@@ -632,6 +632,61 @@ def test_parse_and_fiber_take_their_masks_from_the_codec(monkeypatch, text):
             assert families.parse_element(spec, str(x)).atoms == x.atoms
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (("johnson:v=4,m=2", "1 2"), ("johnson:v=6,m=2", "1 2")),
+        (("grassmann:v=4,m=2,q=2", "0.0.0.1"), ("grassmann:v=4,m=2,q=3", "0.0.0.1")),
+        (("bilinear:m=2,n=1,q=3", "E=1.0;f=2"), ("hamming:m=2,n=3", "1:2")),
+    ],
+)
+def test_every_lattice_operation_refuses_two_families(x, y):
+    x, y = (families.parse_element(families.parse_family_spec(spec), text) for spec, text in (x, y))
+    for operation in (families.meet, families.meet_rank, families.leq, families.join_bounded):
+        with pytest.raises(FamilyMismatchError) as info:
+            operation(x, y)
+        assert str(info.value) == f"family mismatch: {x.spec} vs {y.spec}"
+
+
+@pytest.mark.parametrize("text", ["johnson:v=4,m=2", "grassmann:v=4,m=2,q=2", "bilinear:m=2,n=1,q=3", "signed:m=3,k=2"])
+def test_equal_specs_share_one_codec(text):
+    # each spec object reaches the family's `_Atoms` once, through the `_atoms` cache
+    one, two = families.parse_family_spec(text), families.parse_family_spec(text)
+    assert one is not two and one.codec is two.codec is families._atoms(one)
+    universe = list(families.enumerate_all(one))
+    twins = [families.Element(two, x.payload) for x in universe]  # encoded on first read
+    for x, x2 in zip(universe, twins):
+        for y, y2 in zip(universe, twins):
+            assert families.meet(x, y2) == families.meet(x2, y) == families.meet(x, y)
+            assert families.meet_rank(x2, y) == families.meet_rank(x, y)
+            assert families.join_bounded(x2, y) == families.join_bounded(x, y2) == families.join_bounded(x, y)
+            assert families.leq(x, y2) == families.leq(x2, y) == families.leq(x, y)
+            assert (x2 < y, x <= y2, x2 > y, x >= y2) == (x < y, x <= y, x > y, x >= y)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_is_rref_matches_the_first_nonzero_definition(shape):
+    def definition(matrix):
+        last = -1
+        for row in matrix:
+            lead = next((c for c, value in enumerate(row) if value), None)
+            if lead is None or lead <= last or row[lead] != 1:
+                return False
+            if sum(1 for other in matrix if other[lead]) != 1:
+                return False
+            last = lead
+        return True
+
+    rows, cols = shape
+    accepted = 0
+    for flat in product(range(3), repeat=rows * cols):
+        matrix = tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+        verdict = families._is_rref(matrix)
+        assert verdict == definition(matrix), matrix
+        accepted += verdict
+    assert accepted == len(list(gf.enumerate_rref_matrices(cols, rows, gf.field(3))))
+
+
 # rows whose every token is valid but whose row is not
 ROW_LEVEL_MISSES = (
     ("hamming:m=2,n=3", "2:0,1:0"),  # positions out of order
