@@ -27,7 +27,7 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 
 from . import gf as gflib
@@ -46,24 +46,6 @@ _REQUIRED = {
 }
 
 _MAP_KINDS = ("hamming", "injection", "nbjohnson", "signed")
-
-
-class _filled:
-    """A value computed from its instance on first read and then stored in the
-    instance's `__dict__`, where it shadows this non-data descriptor: later
-    reads are plain attribute reads.  Unlike `functools.cached_property` it
-    takes no lock, and assigning the attribute first skips the computation."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
 
 
 class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5)):
@@ -117,11 +99,16 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
     def top_rank(self) -> int:
         return self.k if self.kind in ("nbjohnson", "signed") else self.m
 
-    @_filled
+    @cached_property
     def codec(self) -> "_Atoms":
-        """The family's `_Atoms`, reached through `_atoms` on first read, so
-        equal specs share one; a family above ATOM_CAP raises each time."""
-        return _atoms(self)
+        """The family's `_Atoms`, built on first read; a family above ATOM_CAP
+        raises BudgetExceededError on every read, since nothing is stored."""
+        return _Atoms(self)
+
+    @cached_property
+    def fibers(self) -> dict:
+        """Rank -> the fiber `enumerate_fiber` built."""
+        return {}
 
     def __str__(self) -> str:
         params = ",".join(f"{name}={getattr(self, name)}" for name in _REQUIRED[self.kind])
@@ -164,11 +151,11 @@ class Element(namedtuple("Element", "spec payload")):
             return len(self.payload[0])
         return len(self.payload)
 
-    @_filled
+    @cached_property
     def atoms(self) -> int:
         """Bitmask of the atoms below this element.  `parse_element`, the
-        decoder and the fiber build of a set or map kind set it as they build
-        the element; any other element computes it on first read."""
+        decoder and the fiber build of a set or map kind assign it as they
+        build the element; any other element computes it on first read."""
         return self.spec.codec.encode(self.payload)
 
     # Tuple order would compare (spec, payload); elements order by payload
@@ -227,20 +214,19 @@ def _same_family(x: Element, y: Element) -> None:
 # sumset of two atom sets) and `below` row-reduce nothing; a decode reads the
 # RREF rows off the mask, once per distinct mask.
 #
-# The codec is one `_Atoms` per family.  Each spec object reaches it once, as
-# `FamilySpec.codec`, through the bounded `_atoms` cache, so equal specs share
-# it; the lattice operations read it off their first argument's spec and
-# compare two specs by identity before equality.  The mask is set where an
-# element is built, through the one codec `_Atoms.encode`: `parse_element`
-# encodes each element it reads, `_fiber` each element of a set or map kind,
-# and a decode keeps the mask it read.  Set and map kinds encode through `bit`,
-# a table from atom to bit; subspace kinds span their row codes.  Other
-# elements (`least`, `below`, subspace fibers, elements built by hand) encode
-# on the first read of `atoms`, which stores the mask in the element without
-# taking a lock (`_filled`).  The parser keeps, per
-# family, each item token it has validated (ground point, position:value pair,
-# matrix row), so a token is checked once; only valid tokens are kept, so the
-# table is bounded by the atom count.
+# The codec is one `_Atoms` per spec object, `FamilySpec.codec`, built on first
+# read and dropped with the spec; equal specs parsed separately build one each.
+# The lattice operations read it off their first argument's spec and compare
+# two specs by identity before equality, so elements of equal specs mix.  The
+# mask is set where an element is built, through the one codec `_Atoms.encode`:
+# `parse_element` encodes each element it reads, `_fiber` each element of a set
+# or map kind, and a decode keeps the mask it read.  Set and map kinds encode
+# through `bit`, a table from atom to bit; subspace kinds span their row codes.
+# Other elements (`least`, `below`, subspace fibers, elements built by hand)
+# encode on the first read of `atoms`, a `functools.cached_property`.  The
+# parser keeps, per codec, each item token it has validated (ground point,
+# position:value pair, matrix row), so a token is checked once; only valid
+# tokens are kept, so the table is bounded by the atom count.
 
 ATOM_CAP = 1 << 16  # atoms per family; larger families are refused
 _DECODED_CAP = 1 << 12  # decoded meet and join results kept per family
@@ -388,14 +374,10 @@ class _Atoms:
         return span & ~1
 
 
-@lru_cache(maxsize=16)
-def _atoms(spec: FamilySpec) -> _Atoms:
-    return _Atoms(spec)
-
-
 def _codec(spec: FamilySpec) -> _Atoms | None:
-    """The family's `_Atoms`, or None above ATOM_CAP: the elements then built
-    encode lazily, so the family is refused at its first meet, as before."""
+    """`spec.codec`, or None above ATOM_CAP: the elements then built encode
+    lazily, so the family is refused at its first meet, and at every meet
+    after, since a failed build stores nothing."""
     try:
         return spec.codec
     except BudgetExceededError:
@@ -549,7 +531,6 @@ def fiber_size(spec: FamilySpec, i: int) -> int:
     return math.comb(m, i) * values  # i positions, then a value at each
 
 
-@lru_cache(maxsize=128)
 def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     payloads = _fiber_payloads(spec, i)
     payloads.sort()
@@ -566,11 +547,15 @@ def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
 
 def enumerate_fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
     """Every rank-i element once, in canonical (payload) order; the one way to a fiber.
-    A fiber above FIBER_CAP elements is refused, by fiber_size, before it is built."""
+    A fiber above FIBER_CAP elements is refused, by fiber_size, before it is built;
+    a built fiber is kept in `spec.fibers`."""
     size = fiber_size(spec, i)
     if size > FIBER_CAP:
         raise BudgetExceededError(f"the rank-{i} fiber of {spec}", size, "elements", FIBER_CAP)
-    return _fiber(spec, i)
+    fiber = spec.fibers.get(i)
+    if fiber is None:
+        fiber = spec.fibers[i] = _fiber(spec, i)
+    return fiber
 
 
 def supersets(keys, masks) -> list[int]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
-from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -150,8 +152,6 @@ def test_non_canonical_meet_names_the_first_pair(monkeypatch):
     monkeypatch.setattr(
         families._Atoms, "_decode", lambda self, mask: wrong[mask] if self.spec == spec and mask in wrong else decode(self, mask)
     )
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))  # no meet decoded before the patch
-    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))  # nor a warm codec
     checks = {c.check_id: c for c in audit(spec).checks}
     assert checks["semilattice-glb"].counterexample == {"elements": ["1", "1 2"], "note": "meet is not canonical"}
     for check_id in ("mu-constant", "nu-constant", "theta-constant", "alpha-lemma"):
@@ -164,8 +164,6 @@ def test_shared_atom_mask_is_a_counterexample(monkeypatch):
     monkeypatch.setattr(
         families._Atoms, "encode", lambda self, payload: 1 if self.spec == spec and payload == (2,) else encode(self, payload)
     )
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
-    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))  # atoms not yet cached
     glb = audit(spec).checks[0]
     assert glb.counterexample == {"elements": ["1", "2"], "note": "elements share one atom mask"}
 
@@ -177,8 +175,6 @@ def test_missing_meet_fails_every_check(monkeypatch):
     monkeypatch.setattr(
         families._Atoms, "encode", lambda self, payload: wrong[payload] if self.spec == spec and payload in wrong else encode(self, payload)
     )
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
-    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
     report = [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks]
     assert report == [
         ("semilattice-glb", 1, {"elements": ["1 2", "1 3"], "note": "meet is not canonical"}),
@@ -221,8 +217,6 @@ def test_order_reads_a_missing_or_shared_meet_as_the_meet_table_did(monkeypatch,
     monkeypatch.setattr(
         families._Atoms, "encode", lambda self, p: mask if self.spec == spec and p == payload else encode(self, p)
     )
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
-    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
     assert [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks] == report
 
 
@@ -390,6 +384,20 @@ def test_audit_holds_nothing_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_dropped_specs_leave_no_codec_or_element_alive():
+    # a spec owns its codec and fibers, so once the specs are gone nothing of theirs is
+    code = (
+        "import gc; from ekrlattice import families; from ekrlattice.audit import audit\n"
+        "passed = [audit(families.parse_family_spec(f'johnson:v={v},m=2')).passed for v in range(4, 26)]\n"
+        "gc.collect()\n"
+        "alive = [type(o) for o in gc.get_objects()]\n"
+        "print(passed.count(True), alive.count(families._Atoms), alive.count(families.Element))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.split() == ["22", "0", "0"]
 
 
 @pytest.mark.parametrize(

@@ -251,7 +251,6 @@ def test_oversized_work_is_refused_before_any_fiber_is_built(name, tmp_path, mon
     def no_fibers(spec, i):
         raise AssertionError(f"built the rank-{i} fiber of {spec} for refused work")
 
-    families._fiber.cache_clear()  # so that every fiber built here reaches the patched builder
     monkeypatch.setattr(families, "_fiber_payloads", no_fibers)
     monkeypatch.setattr(search, "VERTEX_CAP", 5)
     monkeypatch.chdir(tmp_path)
@@ -381,6 +380,14 @@ def test_enumerate(capsys):
     code, out, _ = run_cli(["enumerate", "--family", "signed:m=3,k=2", "--rank", "2"], capsys)
     assert code == 0
     assert out.strip().splitlines()[-1] == "count 12"
+
+
+def test_a_family_above_the_atom_cap_still_enumerates(capsys):
+    # 70,000 atoms, above ATOM_CAP: the fiber is built without a codec
+    code, out, _ = run_cli(["enumerate", "--family", "johnson:v=70000,m=1", "--rank", "1"], capsys)
+    rows = out.splitlines()
+    assert code == 0
+    assert (len(rows), rows[0], rows[-2], rows[-1]) == (70_001, "1", "70000", "count 70000")
 
 
 def test_closed_pipe_exits_quietly():

@@ -266,7 +266,6 @@ def test_verify_extremal_star_is_extremal(monkeypatch):
     members = star_members(cert.elements, z)
     # the center is sought below the common meet, not in the rank-1 fiber
     monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
-    families._fiber.cache_clear()
     verdict = ekr.verify_extremal(cert, members, 1)
     assert verdict.status == "extremal-star"
     assert verdict.center == z
@@ -299,12 +298,15 @@ def test_verify_extremal_not_a_star():
     assert families.format_element(verdict.center) == "1:0,2:0"
 
 
-def test_verify_extremal_without_a_common_center_builds_no_fiber(fano_cert, fano_spec, monkeypatch):
+def test_verify_extremal_without_a_common_center_builds_no_fiber(fano_cert, monkeypatch):
+    # the Fano plane again, on a spec of its own that holds no fiber yet
+    spec = families.parse_family_spec(str(fano_cert.spec))
+    lines = (families.parse_element(spec, str(x)) for x in fano_cert.elements)
+    cert = designs.DesignCertificate(spec, lines, fano_cert.strength, fano_cert.indices)
     # three Fano lines through no common point: pairwise 1-intersecting, lambda_1 = 3 of them
-    triangle = tuple(families.parse_element(fano_spec, text) for text in ("1 2 3", "1 4 5", "2 4 6"))
+    triangle = tuple(families.parse_element(spec, text) for text in ("1 2 3", "1 4 5", "2 4 6"))
     monkeypatch.setattr(families, "_fiber_payloads", lambda spec, i: pytest.fail(f"built the rank-{i} fiber"))
-    families._fiber.cache_clear()
-    verdict = ekr.verify_extremal(fano_cert, triangle, 1)
+    verdict = ekr.verify_extremal(cert, triangle, 1)
     assert (verdict.status, verdict.center, verdict.size, verdict.bound) == ("extremal-but-not-star", None, 3, 3)
 
 

@@ -8,7 +8,6 @@ mixed element pool.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
@@ -495,7 +494,7 @@ def vector_set(x, fld):
 def test_meet_matches_brute_span_intersection(q):
     spec = families.parse_family_spec(f"grassmann:v=6,m=3,q={q}")
     fld = gf.field(q)
-    codec = families._atoms(spec)
+    codec = spec.codec
     rref = {r: set(gf.enumerate_rref_matrices(6, r, fld)) for r in range(spec.top_rank + 1)}
     for a_rows, b_rows in sample_cases(q, 6):
         a, b = (codec.element(codec.encode(rows)) for rows in (a_rows, b_rows))
@@ -562,11 +561,10 @@ def test_a_join_whose_atoms_are_no_span_raises(monkeypatch, text, x, y):
         return total ^ 1 << total.bit_length() - 1
 
     monkeypatch.setattr(families._Atoms, "sumset", short)
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))  # nothing decoded before the patch
     x, y = families.parse_element(spec, x), families.parse_element(spec, y)
     with pytest.raises(AssertionError, match="are not an element's"):
         families.join_bounded(x, y)
-    assert not families._atoms(spec).decoded
+    assert not spec.codec.decoded
 
 
 def test_oversized_atom_table_is_refused():
@@ -582,6 +580,25 @@ def test_oversized_atom_table_is_refused():
     assert families.leq(families.least(at_cap), families.least(at_cap))
 
 
+def test_a_failed_codec_build_is_not_kept():
+    spec = families.parse_family_spec("johnson:v=70000,m=1")  # 70,000 atoms, above ATOM_CAP
+    fiber = families.enumerate_fiber(spec, 1)
+    assert len(fiber) == 70_000
+    for _ in range(3):  # each meet builds the codec again and is refused again
+        with pytest.raises(BudgetExceededError):
+            families.meet(fiber[0], fiber[1])
+    assert "codec" not in vars(spec)
+
+
+def test_lattice_results_carry_their_arguments_spec():
+    one = families.parse_family_spec("grassmann:v=4,m=2,q=2")
+    list(families.enumerate_all(one))
+    two = families.parse_family_spec("grassmann:v=4,m=2,q=2")
+    x, y, z = (families.parse_element(two, text) for text in ("1.0.0.0", "0.1.0.0", "1.0.0.0;0.0.1.0"))
+    assert families.join_bounded(x, y).spec is two
+    assert families.meet(families.join_bounded(x, y), z).spec is two
+
+
 # ---------------------------------------------------------------------------
 # one codec: an element's mask is `_Atoms.encode` of its payload, however it was built
 
@@ -591,7 +608,7 @@ CODEC_CASES = (*((text, None) for text in GRID_SPECS), *ODD_FIELD_SPECS)
 @pytest.mark.parametrize("text, per_rank", CODEC_CASES, ids=[text for text, _ in CODEC_CASES])
 def test_every_route_to_an_element_gives_the_codec_mask(text, per_rank):
     spec = families.parse_family_spec(text)
-    fresh = families._Atoms(spec).encode  # not the family's cached codec
+    fresh = families._Atoms(spec).encode  # not the spec's own codec
 
     def check(x):
         assert x.atoms == fresh(x.payload), str(x)
@@ -623,9 +640,7 @@ def test_parse_and_fiber_take_their_masks_from_the_codec(monkeypatch, text):
     encode = families._Atoms.encode
     flag = 1 << families.ATOM_CAP  # above every atom
     monkeypatch.setattr(families._Atoms, "encode", lambda self, payload: encode(self, payload) | flag)
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
-    monkeypatch.setattr(families, "_fiber", lru_cache(maxsize=128)(families._fiber.__wrapped__))
-    codec = families._atoms(spec)
+    codec = spec.codec
     for i in range(spec.top_rank + 1):
         for x in families.enumerate_fiber(spec, i)[:20]:
             assert x.atoms == encode(codec, x.payload) | flag
@@ -649,12 +664,13 @@ def test_every_lattice_operation_refuses_two_families(x, y):
 
 
 @pytest.mark.parametrize("text", ["johnson:v=4,m=2", "grassmann:v=4,m=2,q=2", "bilinear:m=2,n=1,q=3", "signed:m=3,k=2"])
-def test_equal_specs_share_one_codec(text):
-    # each spec object reaches the family's `_Atoms` once, through the `_atoms` cache
+def test_equal_specs_keep_their_own_codec_and_fibers(text):
+    # each spec object builds its own `_Atoms` and fibers, yet the elements of two equal specs mix
     one, two = families.parse_family_spec(text), families.parse_family_spec(text)
-    assert one is not two and one.codec is two.codec is families._atoms(one)
-    universe = list(families.enumerate_all(one))
-    twins = [families.Element(two, x.payload) for x in universe]  # encoded on first read
+    universe, twins = list(families.enumerate_all(one)), list(families.enumerate_all(two))
+    assert one == two and one.codec is not two.codec
+    assert all(one.fibers[i] is not two.fibers[i] for i in range(one.top_rank + 1))
+    assert twins == universe
     for x, x2 in zip(universe, twins):
         for y, y2 in zip(universe, twins):
             assert families.meet(x, y2) == families.meet(x2, y) == families.meet(x, y)
@@ -702,9 +718,9 @@ ROW_LEVEL_MISSES = (
 )
 
 
-def _verdict(spec_text: str, text: str):
+def _verdict(spec, text: str):
     try:
-        return families.parse_element(families.parse_family_spec(spec_text), text).payload
+        return families.parse_element(spec, text).payload
     except ParseError as exc:
         return str(exc)
 
@@ -716,9 +732,11 @@ def _file_verdict(path):
         return str(exc)
 
 
-def test_kept_tokens_change_no_verdict(monkeypatch, tmp_path):
-    # each parse first with no token kept, then twice in shuffled order: the
-    # first pass fills the token tables as it goes, the second reads them warm
+def test_kept_tokens_change_no_verdict(tmp_path):
+    # each parse first on a spec of its own, with no token kept, then twice in
+    # shuffled order on one spec per spec text: the first pass fills its token
+    # tables as it goes, the second reads them warm; a design file names its
+    # own spec, so each load starts cold
     corpus = list(ROW_LEVEL_MISSES)
     for spec_text in CANONICAL_SPECS:
         canonical = {families.format_element(x) for x in families.enumerate_all(families.parse_family_spec(spec_text))}
@@ -727,21 +745,15 @@ def test_kept_tokens_change_no_verdict(monkeypatch, tmp_path):
     for k, content in enumerate(MALFORMED):
         paths.append(tmp_path / f"{k}.design")
         paths[-1].write_text(content, encoding="utf-8")
-    monkeypatch.setattr(families, "_atoms", lru_cache(maxsize=16)(families._Atoms))
-    cold = {}
-    for item in corpus:
-        families._atoms.cache_clear()
-        cold[item] = _verdict(*item)
-    cold_files = {}
-    for path in paths:
-        families._atoms.cache_clear()
-        cold_files[path] = _file_verdict(path)
+    cold = {(spec_text, text): _verdict(families.parse_family_spec(spec_text), text) for spec_text, text in corpus}
+    cold_files = {path: _file_verdict(path) for path in paths}
     assert all(isinstance(v, str) for v in cold_files.values())
+    specs = {spec_text: families.parse_family_spec(spec_text) for spec_text, _ in corpus}
     rng = random.Random(0)
     for _ in range(2):
         rng.shuffle(corpus)
         rng.shuffle(paths)
-        assert {item: _verdict(*item) for item in corpus} == cold
+        assert {(spec_text, text): _verdict(specs[spec_text], text) for spec_text, text in corpus} == cold
         assert {path: _file_verdict(path) for path in paths} == cold_files
     assert all(isinstance(cold[item], str) for item in ROW_LEVEL_MISSES)
 
