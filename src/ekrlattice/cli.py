@@ -11,6 +11,15 @@ need and cap; a failed re-verification's witness; empty otherwise).  An
 argparse usage error (unknown option, missing or malformed argument,
 negative budget) exits 2 with argparse's message and no envelope.
 
+A plain argv (a subcommand, then only its exact option strings, each valued
+one with a value that does not start with `-` and that its type and choices
+accept, every required option given) is read straight off `_COMMANDS`,
+into the namespace argparse would give, so such a run never imports
+argparse.  argparse parses every other argv: `-h`, `--help`, `--version`,
+an abbreviation, `--opt=value`, `--`, a negative number, a bad value, a
+missing option or an unknown word.  Help text and usage errors are
+therefore argparse's own.
+
 A result mirrors the library record behind it (`ConditionReport`,
 `DrReport`, `SearchResult`, `ExtremalVerdict`): one key per field, plus the
 context the record lacks, such as the family.  Elements and family specs
@@ -21,10 +30,10 @@ are emitted as decimal strings and the envelope gains
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__, designs, ekr, families, parameters, search
 from .audit import audit as run_audit
@@ -272,7 +281,7 @@ def _cmd_search_max(args):
 
 def _cmd_verify_extremal(args):
     cert = designs.load_design(args.design)
-    spec, members = designs.read_family_file(args.family_file)
+    spec, members = designs.read_family_file(args.family_file, cert.spec)
     if spec != cert.spec:
         raise ParseError(
             f"family file spec {spec} does not match design spec {cert.spec}"
@@ -296,12 +305,20 @@ def _budget(text: str) -> int:
             return int(text)
     except ValueError:
         pass
+    import argparse
+
     raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
 
 
-# each subcommand: its help line and its options, each option its flags and
-# then its keywords to `add_argument`; every subcommand also takes --json and
-# --quiet, and runs `_cmd_<name>` with its dashes as underscores
+# the options every subcommand takes, ahead of its own
+_COMMON = (
+    ("--json", {"action": "store_true", "help": "emit a JSON report on stdout"}),
+    ("--quiet", {"action": "store_true", "help": "suppress the human-readable report"}),
+)
+
+# each subcommand: its help line and its options, each option its flags, the
+# long one last, and then its keywords to `add_argument`; every subcommand
+# runs `_cmd_<name>` with its dashes as underscores
 _COMMANDS = {
     "params": (
         "print the mu/nu/theta/alpha table",
@@ -363,12 +380,19 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only `command`'s subparser, or with all nine when
-    `command` is None.  Either gives the same output, exit code and
-    namespace on any argv whose first word is `command`: argparse reports an
-    unknown trailing argument through the top-level usage, so with one
-    subparser the choices are spelled out as the metavar."""
+def _handler(command: str):
+    return globals()["_cmd_" + command.replace("-", "_")]
+
+
+def _build_parser(command: str | None = None):
+    """The `argparse.ArgumentParser` with only `command`'s subparser, or
+    with all nine when `command` is None.  Either gives the same output,
+    exit code and namespace on any argv whose first word is `command`:
+    argparse reports an unknown trailing argument through the top-level
+    usage, so with one subparser the choices are spelled out as the
+    metavar."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ekrlattice",
         description="Exact designs, regularity audits, and intersection bounds in ranked meet-semilattices.",
@@ -379,12 +403,51 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in _COMMANDS if command is None else (command,):
         text, *options = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-        p.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
-        for *flags, keywords in options:
+        for *flags, keywords in (*_COMMON, *options):
             p.add_argument(*flags, **keywords)
-        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
+        p.set_defaults(handler=_handler(name))
     return parser
+
+
+def _plain_args(argv: list) -> dict | None:
+    """`vars(_build_parser().parse_args(argv))` for a plain argv (see the
+    module docstring), read off `_COMMANDS` without argparse; None for any
+    other argv, which argparse must parse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    fields = {"command": command}
+    by_flag = {}
+    required = set()
+    for *flags, keywords in (*_COMMON, *_COMMANDS[command][1:]):
+        dest = flags[-1][2:].replace("-", "_")
+        fields[dest] = keywords.get("default", False if "action" in keywords else None)
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+        if keywords.get("required"):
+            required.add(dest)
+    words = iter(argv[1:])
+    for word in words:
+        if word not in by_flag:
+            return None
+        dest, keywords = by_flag[word]
+        if "action" in keywords:  # store_true
+            fields[dest] = True
+            continue
+        value = next(words, "-")  # a missing value declines as a dashed one does
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # argparse calls the type again and reports its refusal
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        fields[dest] = value
+        required.discard(dest)
+    if required:
+        return None
+    fields["handler"] = _handler(command)
+    return fields
 
 
 # handled exceptions and their exit codes; anything else, a ValueError
@@ -401,13 +464,16 @@ _EXIT_CODES = {
 
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, print its report, return the exit code.
-    The parser holds only the subcommand that argv's first word names; with
-    no such word (no arguments, `--help`, `--version`, an unknown command)
-    it holds all nine."""
+    A plain argv builds no parser.  Otherwise the parser holds only the
+    subcommand that argv's first word names; with no such word (no
+    arguments, `--help`, `--version`, an unknown command) it holds all nine."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    fields = _plain_args(argv)
+    if fields is None:
+        fields = vars(_build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv))
+    args = SimpleNamespace(**fields)
     # the inputs echo is every option the subcommand parsed
-    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "json", "quiet")}
+    inputs = {k: v for k, v in fields.items() if k not in ("command", "handler", "json", "quiet")}
     error = None
     try:
         code, result, lines = args.handler(args)

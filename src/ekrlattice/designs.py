@@ -187,10 +187,11 @@ def save_design(cert: DesignCertificate, path) -> None:
         file.write("\n".join(lines) + "\n")
 
 
-def _read_file(path, *, want_strength: bool):
+def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
     """(spec, declared strength or None, elements) of a design or family file.
     The headers read as `save_design` writes them: one space after `family`
-    and after `strength`."""
+    and after `strength`.  A header naming the family of `like` gives `like`
+    itself, so the rows share its codec."""
     with open(path, "rb") as file:
         data = file.read()
     try:
@@ -215,6 +216,8 @@ def _read_file(path, *, want_strength: bool):
         spec = families.parse_family_spec(text)
     except ParseError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if spec == like:
+        spec = like
     strength = None
     if lines and lines[0][1].startswith("strength "):
         lineno, text = lines.pop(0)
@@ -252,9 +255,11 @@ def read_design_file(path):
     return _read_file(path, want_strength=True)
 
 
-def read_family_file(path):
-    """Parse a family file (header plus elements; strength line optional)."""
-    spec, _, elements = _read_file(path, want_strength=False)
+def read_family_file(path, spec: FamilySpec | None = None):
+    """Parse a family file (header plus elements; strength line optional).
+    When the header names the family of `spec`, the elements are built on
+    that spec object and share its codec."""
+    spec, _, elements = _read_file(path, want_strength=False, like=spec)
     return spec, elements
 
 

@@ -32,7 +32,9 @@ from .gf import qbinom
 
 
 def min_meet_rank(spec: FamilySpec, family) -> int:
-    """Minimum rank of a pairwise meet; the top rank for a singleton."""
+    """Minimum rank of a pairwise meet; the top rank for a singleton.  A meet
+    depends only on the common atoms, so `families.meet` runs once per
+    distinct common-atom mask, on the first pair that has it."""
     members = tuple(family)
     if not members:
         raise ParseError("family must be nonempty")
@@ -41,11 +43,15 @@ def min_meet_rank(spec: FamilySpec, family) -> int:
         if x.spec != spec or x.rank != top:
             raise ParseError("family members must be top-fiber elements of this family")
     best = top
+    seen = set()
     for i, x in enumerate(members):
         for y in members[i + 1:]:
-            best = min(best, families.meet(x, y).rank)
-            if best == 0:
-                return 0
+            common = x.atoms & y.atoms
+            if common not in seen:
+                seen.add(common)
+                best = min(best, families.meet(x, y).rank)
+                if best == 0:
+                    return 0
     return best
 
 

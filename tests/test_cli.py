@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -11,9 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ekrlattice
-from ekrlattice import cli, families, search
+from ekrlattice import cli, ekr, families, search
 from ekrlattice.audit import audit
 from ekrlattice.cli import main
 from ekrlattice.errors import BudgetExceededError, FamilyMismatchError
@@ -156,6 +160,23 @@ def _parser_argvs(command):
     yield [command, *options, "--version"]
 
 
+def _edge_argvs(command):
+    """Argvs the plain path must leave to argparse, or read as argparse does."""
+    options = EVERY_OPTION[command]
+    flag, value = options[:2]
+    yield [command, flag[:4], value, *options[2:]]  # an abbreviation
+    yield [command, f"{flag}={value}", *options[2:]]
+    yield [command, *options, flag, value]  # repeated: the last one holds
+    yield [command, *options, flag, "again"]
+    yield [command, *options[2:], flag, ""]  # an empty value
+    yield [command, *options, "--r", "-1"]
+    yield [command, *options, "-ox"]
+    yield [command, "--", *options]
+    yield [command, *options, "--"]
+    yield [command, *options, flag]  # a value missing at the end
+    yield [command, *options, "--json", "--json"]
+
+
 def _parse(parser, argv, capsys):
     try:
         outcome = vars(parser.parse_args(argv))
@@ -170,10 +191,58 @@ def test_the_one_subcommand_parser_parses_as_the_full_one(command, monkeypatch, 
     # reports an unrecognized argument through the top-level usage line
     assert set(EVERY_OPTION) == set(cli._COMMANDS)
     monkeypatch.setenv("COLUMNS", "80")
-    for argv in _parser_argvs(command):
+    for argv in (*_edge_argvs(command), *_parser_argvs(command)):
         one = _parse(cli._build_parser(command), argv, capsys)
         assert one == _parse(cli._build_parser(), argv, capsys), argv
     assert "{params,audit,enumerate,gen,check-design,ekr-check,dr,search-max,verify-extremal}" in one[2]
+    # the plain path gives the full parser's namespace, or declines
+    for argv in (*_edge_argvs(command), *_parser_argvs(command), ["--json", command, *EVERY_OPTION[command]]):
+        plain = cli._plain_args(argv)
+        assert plain is None or (plain, "", "") == _parse(cli._build_parser(), argv, capsys), argv
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    # registered before it runs: its dataclasses look their module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_option_set_and_benchmark_job_takes_the_plain_path():
+    # so their runs never import argparse; an `@name` file placeholder stands
+    # for a path.  The namespace matches argparse's key for key, in order
+    argvs = [[command, *options, *tail] for command, options in EVERY_OPTION.items() for tail in ([], ["--json", "--quiet"])]
+    workloads = _perfbench_workloads().WORKLOADS.values()
+    jobs = [list(job.argv) for w in workloads for job in w.jobs]
+    assert len(jobs) == 19
+    argvs += jobs + [["gen", *d.gen, "-o", f"{d.name}.design"] for w in workloads for d in w.designs]
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert list(plain.items()) == list(vars(cli._build_parser().parse_args(argv)).items()), argv
+
+
+OPTION_WORDS = sorted({flag for _, *options in cli._COMMANDS.values() for *flags, _ in (*cli._COMMON, *options) for flag in flags})
+OTHER_WORDS = ["1", "0", "-1", "x", "", "9", "01", " 2", "full-fiber", "linear-oa", "-", "--", "-h", "--version", "--fam", "-ox"]
+
+
+@given(
+    st.sampled_from(sorted(cli._COMMANDS)),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(OPTION_WORDS + OTHER_WORDS), st.sampled_from([(), *((w,) for w in OTHER_WORDS)])), max_size=6),
+)
+@settings(max_examples=500, deadline=None)
+def test_the_plain_path_parses_as_argparse_or_declines(command, every_option, chunks):
+    # random words, each option-like one with or without a value, after every option set or alone
+    argv = [command, *(EVERY_OPTION[command] if every_option else [])]
+    for word, value in chunks:
+        argv += [word, *value]
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert plain == vars(cli._build_parser().parse_args(argv)), argv
 
 
 def test_a_run_builds_only_the_parser_its_first_word_names(monkeypatch, capsys):
@@ -187,16 +256,17 @@ def test_a_run_builds_only_the_parser_its_first_word_names(monkeypatch, capsys):
     real = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", build)
     assert main(["params", "--family", "johnson:v=4,m=2", "--quiet"]) == 0
+    assert built == []  # a plain argv builds no parser
     errors = []
-    for argv in ([], ["--help"], ["--version"], ["nope"], ["--json", "params"]):
+    for argv in (["params", "-h"], [], ["--help"], ["--version"], ["nope"], ["--json", "params"]):
         with pytest.raises(SystemExit):
             main(argv)
         errors.append(capsys.readouterr().err)
     assert built[0] == ["params"]
     assert built[1:] == [sorted(cli._COMMANDS)] * 5
     # the full parser names its positional `command`, not by the choices
-    assert errors[0].endswith("error: the following arguments are required: command\n")
-    assert "error: argument command: invalid choice: 'nope'" in errors[3]
+    assert errors[1].endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'nope'" in errors[4]
 
 
 def test_only_input_errors_are_usage_errors(monkeypatch, capsys):
@@ -362,6 +432,20 @@ def test_verify_extremal_star(in_samples_tmp, capsys):
     assert code == 0
     assert "extremal-star" in out
     assert "center 1:0" in out
+
+
+def test_verify_extremal_reads_the_family_on_the_designs_spec(in_samples_tmp, monkeypatch, capsys):
+    # one spec object, so one codec, per process; a family of another spec is still refused
+    seen, verify = [], ekr.verify_extremal
+    monkeypatch.setattr(ekr, "verify_extremal", lambda cert, members, s: seen.append((cert, members)) or verify(cert, members, s))
+    argv = ["verify-extremal", "--design", "oa11.design", "--family-file", "star.family", "--s", "1"]
+    assert run_cli(argv, capsys)[0] == 0
+    (cert, members), = seen
+    assert len(members) == 11 and all(x.spec is cert.spec for x in members)
+    other = in_samples_tmp / "other.family"
+    other.write_text("family hamming:m=3,n=3\n1:0,2:0,3:0\n")
+    code, _, err = run_cli([*argv[:3], "--family-file", "other.family", "--s", "1"], capsys)
+    assert (code, err) == (2, "error: family file spec hamming:m=3,n=3 does not match design spec hamming:m=3,n=11\n")
 
 
 def test_verify_extremal_exceeds_exit_1(in_samples_tmp, capsys):

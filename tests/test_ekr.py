@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from conftest import star_members
+from conftest import GRID_SPECS, ODD_FIELD_SPECS, star_members
 from ekrlattice import designs, ekr, families
 from ekrlattice.errors import BudgetExceededError
 from ekrlattice.designs import full_fiber, generate_linear_oa, restrict_strength
@@ -18,6 +19,31 @@ def test_min_meet_rank(fano_spec, fano_elements):
     pair = (families.parse_element(hs, "1:0,2:0"), families.parse_element(hs, "1:1,2:1"))
     assert ekr.min_meet_rank(hs, pair) == 0
     assert ekr.min_meet_rank(fano_spec, fano_elements[:1]) == 3
+
+
+@pytest.mark.parametrize("text", GRID_SPECS + tuple(text for text, _ in ODD_FIELD_SPECS))
+def test_min_meet_rank_is_the_least_pairwise_meet_rank(text, monkeypatch):
+    # a star (no early stop), a random sample and a singleton, against every pair's meet
+    spec = families.parse_family_spec(text)
+    top = families.enumerate_fiber(spec, spec.top_rank)
+    star = star_members(top, families.enumerate_fiber(spec, 1)[0])
+    masks, meet = [], families.meet
+    monkeypatch.setattr(families, "meet", lambda x, y: masks.append(x.atoms & y.atoms) or meet(x, y))
+    for family in (star, random.Random(text).sample(top, min(8, len(top))), top[:1]):
+        pairwise = min((meet(x, y).rank for x, y in itertools.combinations(family, 2)), default=spec.top_rank)
+        masks.clear()
+        assert ekr.min_meet_rank(spec, family) == pairwise
+        assert len(masks) == len(set(masks))  # one meet per distinct common-atom mask
+
+
+def test_min_meet_rank_meets_once_per_common_atom_mask(monkeypatch):
+    # the star of johnson:v=10,m=4 through 1: its 3,486 pairs share 1 and at
+    # most two of the other nine points, so 1 + 9 + 36 distinct meets
+    spec = families.parse_family_spec("johnson:v=10,m=4")
+    star = star_members(families.enumerate_fiber(spec, 4), families.parse_element(spec, "1"))
+    calls, meet = [], families.meet
+    monkeypatch.setattr(families, "meet", lambda x, y: calls.append(1) or meet(x, y))
+    assert (len(star), ekr.min_meet_rank(spec, star), len(calls)) == (84, 1, 46)
 
 
 def test_is_intersecting(fano_spec, fano_elements):
