@@ -7,11 +7,17 @@ i), and below is its transpose: z <= i when z's atoms lie within i's, the
 relation `families.leq` tests.  The meet of a pair is the element
 whose atoms are the pair's common atoms; where two elements share a mask or
 a pair has no meet, which the first check reports, the order reads the meet
-as the first element with the mask, or element 0 (`_order`).  The pairs are
-scanned row by row for the first pair i < j of each distinct common-atom
-mask; `families.meet` depends only on those common atoms, so it is called
-once per distinct meet, on that first pair, and must decode to that
-element.  Then it checks by brute force:
+as the first element with the mask, or element 0 (`_order`).
+`families.meet` depends only on the common atoms, so it is called once per
+distinct meet and must decode to the element with those atoms.  Where the
+masks are down-closed (dropping any one atom of an element's mask leaves
+another element's mask, as in every set and map kind; checked in O(n rank)),
+every pairwise `&` is an element's mask, and the distinct meets are the
+elements with some element strictly above them: each is decoded once, on
+itself and the first element above it.  Otherwise, and to name the first
+failing pair when a decode disagrees, the pairs are scanned row by row for
+the first pair i < j of each distinct common-atom mask, and that pair is
+decoded.  Then it checks by brute force:
 
 * every pair has a unique greatest lower bound (the meet), and no two
   elements share an atom mask;
@@ -27,6 +33,14 @@ after the count of the cases that held before it.  One loop runs the
 checks in `CHECK_IDS` order, counts and times the cases and stops a check
 at its first counterexample.
 
+The four constants are counted in groups: mu per pair z <= y with y in the
+top fiber, the others per element, each group the list of its counts over
+the ranks its closed forms run through.  The first group of each rank is
+judged case by case; once it holds, its counts are that rank's row of
+closed forms, and a later group with equal counts holds in one list
+comparison.  Only a group that differs goes case by case, so the case
+counts and the first counterexample are those of one case at a time.
+
 The greatest lower bound check needs no pair loop.  below(i) is {z :
 atoms(z) within atoms(i)}.  Once no two masks are equal and every pairwise
 `&` is some element's mask (the two cases it checks first), below(i) &
@@ -36,9 +50,9 @@ in one yield.
 
 The budget is charged once, before any fiber is built.  A case counts as n
 comparisons (one bitmask over the n elements), so a passing audit costs n
-for the fibers, n^2 for the pairwise scan and n per case, and the closed
-forms give its cases exactly.  With top the top rank and f_s the rank-s
-fiber size:
+for the fibers, n^2 for the pairwise scan (charged also where down-closure
+spares it) and n per case, and the closed forms give its cases exactly.
+With top the top rank and f_s the rank-s fiber size:
 
 * n(n+1) for the greatest lower bounds and the joins (pairs i <= j), and n
   for theta;
@@ -53,15 +67,18 @@ need and every fiber size in its context.
 
 For set and map kinds `families.join_bounded` reads nothing but the union
 of its arguments' atoms, so the join check calls it once per distinct
-union, on the first pair (row order) that has it.  A pair's upper bounds
-are the elements above its union too, so once every meet is canonical the
-check judges each union once.  The subspace kinds, whose pairs nearly all
-have a union of their own, call it once per pair, one row i at a time
-through `map`; their join is the sumset of the two atom sets, decoded once
-per distinct join.  Of a row, only the pairs that share an upper bound (the
-OR of below(z) over z above i) or get an answer are judged: every other
-pair has no upper bound and no join, so it holds.  A set or map kind whose
-meets are not all canonical goes by rows too.
+union, on the first pair (row order) that has it.  Once every meet is
+canonical, a pair's upper bounds are the elements above its union too, and
+once every rank is its mask's popcount, a pair's own rank(i) + rank(j) -
+rank(meet) is its union's popcount.  Then the check judges each union once,
+on its first pair, and every other pair costs one `|` and one set lookup.
+The subspace kinds, whose pairs nearly all have a union of their own, call
+it once per pair, one row i at a time through `map`; their join is the
+sumset of the two atom sets, decoded once per distinct join.  Of a row,
+only the pairs that share an upper bound (the OR of below(z) over z above
+i) or get an answer are judged: every other pair has no upper bound and no
+join, so it holds.  A set or map kind whose meets are not all canonical,
+or whose ranks are not all popcounts, goes by rows too.
 """
 
 from __future__ import annotations
@@ -121,6 +138,24 @@ def _order(masks: list[int], at: dict[int, int]) -> tuple[list[int], list[int]]:
     return below, above
 
 
+def _down_closed(masks: list[int], at: dict[int, int]) -> bool:
+    """Whether dropping any one atom of an element's mask leaves another
+    element's mask (`at` holds every mask).  Then every subset of a mask is a
+    mask, and so is every `&` of two."""
+    return all(mask ^ (1 << a) in at for mask in masks for a in _bits(mask))
+
+
+def _first_pairs(masks: list[int]) -> dict[int, tuple[int, int]]:
+    """Each distinct common-atom mask of two elements -> its first pair i < j,
+    in row order."""
+    first = {}
+    for i, mask in enumerate(masks):
+        row = list(map(mask.__and__, masks[i + 1 :]))
+        for common in set(row).difference(first):
+            first[common] = (i, i + 1 + row.index(common))
+    return first
+
+
 def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     top = spec.top_rank
     fiber_sizes = [families.fiber_size(spec, i) for i in range(top + 1)]
@@ -149,21 +184,21 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
     for i, mask in enumerate(masks):
         if at.setdefault(mask, i) != i and shared is None:
             shared = (at[mask], i)
-    first = {}  # common-atom mask -> its first pair i < j, in row order
-    for i, mask in enumerate(masks):
-        row = list(map(mask.__and__, masks[i + 1 :]))
-        for common in set(row).difference(first):
-            first[common] = (i, i + 1 + row.index(common))
-    # a meet depends only on the common atoms, so one decode checks each distinct meet
-    not_canonical = min(
-        (
-            pair
-            for common, pair in first.items()
-            if common not in at or families.meet(els[pair[0]], els[pair[1]]) != els[at[common]]
-        ),
-        default=None,
-    )
     below, above = _order(masks, at)
+    down_closed = shared is None and _down_closed(masks, at)
+    if down_closed:  # the distinct meets are the elements strictly below another: one pair each
+        pairs = {}
+        for k, mask in enumerate(masks):
+            strictly = above[k] ^ (1 << k)
+            if strictly:
+                pairs[mask] = (k, (strictly & -strictly).bit_length() - 1)
+    else:
+        pairs = _first_pairs(masks)
+    # a meet depends only on the common atoms, so one decode checks each distinct meet
+    bad = [c for c, (i, j) in pairs.items() if c not in at or families.meet(els[i], els[j]) != els[at[c]]]
+    if bad and down_closed:
+        pairs = _first_pairs(masks)  # to name the first bad pair in row order
+    not_canonical = min((pairs[c] for c in bad), default=None)
     rank_of = {mask: ranks[k] for mask, k in at.items()}  # a meet's rank; a missing meet reads as element 0's
     rank_0 = ranks[0]
 
@@ -193,31 +228,46 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
             if ranks[j] > 0 and covers == 0:
                 yield (j,), "element covers nothing"
 
-    def constant(name, cases, forms):
-        """Each (witnesses, args, counted) case against `parameters.<name>(spec, *args)`,
-        evaluated once per distinct args unless `forms` (args -> the closed form's
-        value, or its NonIntegralError) has them already."""
+    def constant(name, args_of, groups, forms):
+        """Each group (witnesses, r, counts) against `parameters.<name>(spec, *args)`
+        for args in args_of[r], one case per count.  A closed form is evaluated
+        once per distinct args unless `forms` (args -> the closed form's value,
+        or its NonIntegralError) has them already.  The first group of each key
+        r goes case by case; once it holds, its counts are r's row of closed
+        forms, and a later group with the same counts holds in one comparison."""
         closed_form = getattr(parameters, name)
+        closed_rows = {}  # r -> the closed forms of args_of[r], once a group of key r has held
         held = 0
-        for witnesses, args, counted in cases:
-            want = forms.get(args)
-            if want is None:
-                try:
-                    want = closed_form(spec, *args)
-                except NonIntegralError as exc:
-                    want = exc
-                forms[args] = want
-            if isinstance(want, NonIntegralError):
-                note = str(want)
-            else:
-                note = None if counted == want else (
-                    f"{name}({','.join(map(str, args))}) counted {counted}, closed form {want}"
-                )
-            if note is not None:
-                yield held
-                yield witnesses, note
-            held += 1
+        for witnesses, r, counts in groups:
+            if counts == closed_rows.get(r):
+                held += len(counts)
+                continue
+            for args, counted in zip(args_of[r], counts):
+                want = forms.get(args)
+                if want is None:
+                    try:
+                        want = closed_form(spec, *args)
+                    except NonIntegralError as exc:
+                        want = exc
+                    forms[args] = want
+                if isinstance(want, NonIntegralError):
+                    note = str(want)
+                else:
+                    note = None if counted == want else (
+                        f"{name}({','.join(map(str, args))}) counted {counted}, closed form {want}"
+                    )
+                if note is not None:
+                    yield held
+                    yield witnesses, note
+                held += 1
+            closed_rows[r] = counts
         yield held
+
+    def mu_groups():
+        for y in _bits(fiber_masks[top]):
+            for z in _bits(below[y]):
+                between = above[z] & below[y]  # the interval [z, y]
+                yield (z, y), ranks[z], [(between & f).bit_count() for f in fiber_masks[ranks[z] :]]
 
     def verdict(i, j, jb):
         """The verdict on `jb`, join_bounded's answer for the pair (i, j): True
@@ -248,26 +298,27 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
         """Row i calls `join_bounded` on each pair (i, j), j >= i, in order.
         For set and map kinds it reads only the atom union, and once every meet
         is canonical the upper bounds are the elements above the union too
-        (`_order`): then one verdict, from one call, serves every pair with
-        that union.  Otherwise the row's answers come from one `map` over
-        els[i:], and only two kinds of pair are judged: those sharing an upper
-        bound with i, the bits of the OR of below[z] over z above i, and those
-        with an answer.  Every other pair has no upper bound and no answer, so
-        it holds."""
-        by_union = spec.q is None and shared is None and not_canonical is None
-        verdicts = {}  # atom union -> its verdict
+        (`_order`).  Where every rank is its mask's popcount, so is each pair's
+        rank(i) + rank(j) - rank(meet) its union's: then one verdict, from one
+        call, serves every pair with that union.  Otherwise the row's answers
+        come from one `map` over els[i:], and only two kinds of pair are
+        judged: those sharing an upper bound with i, the bits of the OR of
+        below[z] over z above i, and those with an answer.  Every other pair
+        has no upper bound and no answer, so it holds."""
+        canonical = spec.q is None and shared is None and not_canonical is None
+        by_union = canonical and ranks == list(map(int.bit_count, masks))
+        settled = set()  # the atom unions that hold for every pair with them
         for i in range(n):
             if by_union:
-                mask_i, rank_i = masks[i], ranks[i]
+                mask_i = masks[i]
                 for j in range(i, n):
                     union = mask_i | masks[j]
-                    pair = verdicts.get(union)
-                    if pair is None:
-                        pair = verdicts[union] = verdict(i, j, families.join_bounded(els[i], els[j]))
-                    if pair is True:
+                    if union in settled:
                         continue
-                    if type(pair) is tuple and pair[1] == rank_i + ranks[j] - rank_of.get(mask_i & masks[j], rank_0):
-                        continue  # li has the pair's own rank, as `failure` checks
+                    pair = verdict(i, j, families.join_bounded(els[i], els[j]))
+                    if pair is True or type(pair) is tuple and pair[1] == union.bit_count():
+                        settled.add(union)
+                        continue
                     yield j - i
                     yield failure(i, j, pair)
             else:
@@ -286,21 +337,19 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
                         yield bad
             yield n - i
 
+    upward = {r: [(r, s) for s in range(r, top + 1)] for r in set(ranks)}  # mu and alpha at r
     generators = (
         check_glb(),
         check_rank(),
-        constant("mu", (
-            ((z, y), (ranks[z], s), (above[z] & below[y] & fiber_masks[s]).bit_count())
-            for y in _bits(fiber_masks[top]) for z in _bits(below[y]) for s in range(ranks[z], top + 1)
-        ), {}),
-        constant("nu", (
-            ((u,), (r, ranks[u]), (below[u] & fiber_masks[r]).bit_count())
-            for u in range(n) for r in range(ranks[u] + 1)
+        constant("mu", upward, mu_groups(), {}),
+        constant("nu", {s: [(r, s) for r in range(s + 1)] for s in set(ranks)}, (
+            ((u,), ranks[u], [(below[u] & f).bit_count() for f in fiber_masks[: ranks[u] + 1]]) for u in range(n)
         ), nus),
-        constant("theta", (((a,), (ranks[a],), (above[a] & fiber_masks[top]).bit_count()) for a in range(n)), {}),
-        constant("alpha", (
-            ((u,), (ranks[u], s), (above[u] & fiber_masks[s]).bit_count())
-            for u in range(n) for s in range(ranks[u], top + 1)
+        constant("theta", {r: [(r,)] for r in set(ranks)}, (
+            ((a,), ranks[a], [(above[a] & fiber_masks[top]).bit_count()]) for a in range(n)
+        ), {}),
+        constant("alpha", upward, (
+            ((u,), ranks[u], [(above[u] & f).bit_count() for f in fiber_masks[ranks[u] :]]) for u in range(n)
         ), {}),
         check_join(),
     )

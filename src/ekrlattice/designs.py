@@ -191,7 +191,9 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
     """(spec, declared strength or None, elements) of a design or family file.
     The headers read as `save_design` writes them: one space after `family`
     and after `strength`.  A header naming the family of `like` gives `like`
-    itself, so the rows share its codec."""
+    itself, so the rows share its codec.  Errors name the file by its role:
+    a design file when `want_strength`, else a family file."""
+    role = "design file" if want_strength else "family file"
     with open(path, "rb") as file:
         data = file.read()
     try:
@@ -205,7 +207,7 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
         if text and not text.startswith("#"):
             lines.append((lineno, text))
     if not lines:
-        raise ParseError(f"{path}: empty design file")
+        raise ParseError(f"{path}: empty {role}")
     lineno, text = lines.pop(0)
     if not text.startswith("family "):
         raise ParseError(f"{path}:{lineno}: expected `family <spec>`")
@@ -246,7 +248,7 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
         seen.add(text)
         elements.append(element)
     if not elements:
-        raise ParseError(f"{path}: design file lists no elements")
+        raise ParseError(f"{path}: {role} lists no elements")
     return spec, strength, tuple(elements)
 
 

@@ -481,7 +481,7 @@ def max_intersecting(
     status = "proved-optimal" if proved else "budget-exhausted"
 
     def read(mask):  # bit j is member j, so the family comes out sorted
-        return tuple(x for j, x in enumerate(members) if mask >> j & 1)
+        return tuple(map(members.__getitem__, families._bits(mask)))
 
     witness = read(best_mask)
     all_max, found, overflow = None, [], False

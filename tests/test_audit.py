@@ -11,7 +11,7 @@ import pytest
 
 from conftest import grid
 from ekrlattice import families, parameters
-from ekrlattice.audit import CHECK_IDS, _order, audit
+from ekrlattice.audit import CHECK_IDS, _down_closed, _order, audit
 from ekrlattice.errors import BudgetExceededError, NonIntegralError
 
 
@@ -146,16 +146,86 @@ def test_a_non_integral_closed_form_is_the_note(monkeypatch):
 
 
 def test_non_canonical_meet_names_the_first_pair(monkeypatch):
-    spec = families.parse_family_spec("johnson:v=5,m=2")
+    # atoms {1} and {2}: two bad meets, so the first one must be named
+    _first_bad_meet_is_named(monkeypatch, "johnson:v=5,m=2", {"1": "2", "2": "3"}, ["1", "1 2"])
+
+
+@pytest.mark.parametrize(
+    "text, wrong, witnesses",
+    [
+        ("hamming:m=3,n=3", {"1:0,3:2": "1:0,3:1", "2:1": "2:2"}, ["2:1", "1:0,2:1"]),
+        ("injection:m=3,n=5", {"1:2,3:4": "1:2,3:5", "2:1": "2:2"}, ["2:1", "1:2,2:1"]),
+    ],
+)
+def test_non_canonical_meet_names_the_first_pair_of_a_map_kind(monkeypatch, text, wrong, witnesses):
+    _first_bad_meet_is_named(monkeypatch, text, wrong, witnesses)
+
+
+def _first_bad_meet_is_named(monkeypatch, text, wrong, witnesses):
+    """`wrong` maps an element to what the decode of its atoms reads instead:
+    two bad meets, so the first one in row order must be named."""
+    spec = families.parse_family_spec(text)
+    wrong = {families.parse_element(spec, a).atoms: families.parse_element(spec, b).payload for a, b in wrong.items()}
     decode = families._Atoms._decode
-    wrong = {1: (2,), 2: (3,)}  # atoms {1} and {2}: two bad meets, so the first one must be named
     monkeypatch.setattr(
         families._Atoms, "_decode", lambda self, mask: wrong[mask] if self.spec == spec and mask in wrong else decode(self, mask)
     )
     checks = {c.check_id: c for c in audit(spec).checks}
-    assert checks["semilattice-glb"].counterexample == {"elements": ["1", "1 2"], "note": "meet is not canonical"}
+    assert checks["semilattice-glb"].counterexample == {"elements": witnesses, "note": "meet is not canonical"}
     for check_id in ("mu-constant", "nu-constant", "theta-constant", "alpha-lemma"):
         assert checks[check_id].passed
+
+
+def test_a_bad_meet_of_down_closed_masks_is_named_at_its_first_pair_in_row_order(monkeypatch):
+    # "4" and "1 2 3" swap atom masks: the masks stay down-closed, but "4" now holds elements listed after it,
+    # so the first pair of a bad meet is not the first element above it, and the row scan names it
+    spec = families.parse_family_spec("johnson:v=6,m=3")
+    encode = families._Atoms.encode
+    swap = {(4,): encode(spec.codec, (1, 2, 3)), (1, 2, 3): encode(spec.codec, (4,))}
+    monkeypatch.setattr(
+        families._Atoms, "encode", lambda self, payload: swap[payload] if self.spec == spec and payload in swap else encode(self, payload)
+    )
+    masks = [e.atoms for e in families.enumerate_all(spec)]
+    assert _down_closed(masks, {mask: i for i, mask in enumerate(masks)})
+    glb = audit(spec).checks[0]
+    assert glb.counterexample == {"elements": ["1 4", "2 4"], "note": "meet is not canonical"}
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_down_closure_changes_no_report(monkeypatch, spec):
+    # the row scan of every pair gives the same report, `elapsed` aside
+    strip = lambda report: [(c.check_id, c.passed, c.cases, c.counterexample) for c in report.checks]
+    fast = strip(audit(spec))
+    calls = []
+    monkeypatch.setattr(sys.modules["ekrlattice.audit"], "_down_closed", lambda masks, at: calls.append(1) or False)
+    assert strip(audit(spec)) == fast
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("spec", grid(), ids=str)
+def test_set_and_map_kinds_are_down_closed(spec):
+    # a subspace's atoms are its nonzero vectors: dropping one leaves no subspace from rank 2 on (rank 1 at q > 2)
+    masks = [e.atoms for e in families.enumerate_all(spec)]
+    assert _down_closed(masks, {mask: i for i, mask in enumerate(masks)}) == (spec.q is None)
+
+
+@pytest.mark.parametrize(
+    "text, element, rank, cases, witnesses, note",
+    [
+        ("johnson:v=5,m=2", "1 2", 1, 18, ["1", "2", "1 2"], "least upper bound must have rank 2"),
+        ("hamming:m=3,n=3", "1:0,2:1", 3, 69, ["1:0", "2:1", "1:0,2:1"], "least upper bound must have rank 2"),
+        ("johnson:v=5,m=2", "3", 2, 19, ["1", "3", "1 3"], "least upper bound must have rank 3"),
+    ],
+)
+def test_a_rank_off_its_popcount_fails_the_join_at_its_first_pair(monkeypatch, text, element, rank, cases, witnesses, note):
+    # the join check no longer reads a pair's rank off its union's popcount, and names the first pair that fails
+    spec = families.parse_family_spec(text)
+    payload = families.parse_element(spec, element).payload
+    real = families.Element.rank.fget
+    monkeypatch.setattr(families.Element, "rank", property(lambda self: rank if self.payload == payload else real(self)))
+    join = audit(spec).checks[-1]
+    assert (join.check_id, join.cases) == ("join-rank", cases)
+    assert join.counterexample == {"elements": witnesses, "note": note}
 
 
 def test_shared_atom_mask_is_a_counterexample(monkeypatch):

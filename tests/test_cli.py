@@ -448,6 +448,15 @@ def test_verify_extremal_reads_the_family_on_the_designs_spec(in_samples_tmp, mo
     assert (code, err) == (2, "error: family file spec hamming:m=3,n=3 does not match design spec hamming:m=3,n=11\n")
 
 
+@pytest.mark.parametrize(
+    "content, message", [("", "empty family file"), ("family hamming:m=3,n=11\n", "family file lists no elements")]
+)
+def test_verify_extremal_names_an_empty_family_file(in_samples_tmp, capsys, content, message):
+    (in_samples_tmp / "empty.family").write_text(content)
+    argv = ["verify-extremal", "--design", "oa11.design", "--family-file", "empty.family", "--s", "1"]
+    assert run_cli(argv, capsys)[::2] == (2, f"error: empty.family: {message}\n")
+
+
 def test_verify_extremal_exceeds_exit_1(in_samples_tmp, capsys):
     family = in_samples_tmp / "all.family"
     body = (in_samples_tmp / "fano.design").read_text().splitlines()[2:]

@@ -287,3 +287,20 @@ def test_family_file_reader(tmp_path):
     path.write_text("family johnson:v=7,m=3\nstrength 2\n1 2 3\n")
     _, members = designs.read_family_file(path)
     assert len(members) == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", ": empty family file"),
+        ("# only a comment\n\n", ": empty family file"),
+        ("family johnson:v=7,m=3\n", ": family file lists no elements"),
+        ("family johnson:v=7,m=3\nstrength 2\n", ": family file lists no elements"),
+    ],
+)
+def test_family_file_errors_name_a_family_file(tmp_path, content, message):
+    path = tmp_path / "family.txt"
+    path.write_text(content)
+    with pytest.raises(ParseError) as exc:
+        designs.read_family_file(path)
+    assert str(exc.value) == f"{path}{message}"
