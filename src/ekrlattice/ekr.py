@@ -21,14 +21,12 @@ never silently reconciled with the raw rows:
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from . import families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
 from .families import FamilySpec
-from .gf import qbinom
 
 
 def min_meet_rank(spec: FamilySpec, family) -> int:
@@ -188,41 +186,12 @@ def remark_conditions(spec: FamilySpec, s: int, t: int) -> tuple[bool, tuple[Rem
 
 
 def table1_condition(spec: FamilySpec, s: int, t: int) -> bool:
-    """Closed-form parameter threshold, per family and regime."""
+    """Closed-form parameter threshold, per family (its record's `loose` and `tight`) and regime."""
     top = spec.top_rank
     if not 0 < s < t <= top:
         raise ParseError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
-    kind = spec.kind
-    m, n, v, q, k = spec.m, spec.n, spec.v, spec.q, spec.k
-    tight = s == t - 1  # otherwise s < t-1
-    if kind == "johnson":
-        if tight:
-            return v > s + (m - s) * math.comb(m, s) ** 2
-        return v > s + math.comb(m, s) * (m - s + 1) * (m - s)
-    if kind == "grassmann":
-        gauss = qbinom(m, s, q)
-        if tight:
-            return q ** (v - s) - 1 > gauss**2 * (q ** (m - s) - 1)
-        return q ** (v - s) - 1 > (q ** (m - s) - 1) * ((q ** (m - s - 1) - 1) // (q - 1)) * gauss**2
-    if kind == "hamming":
-        if tight:
-            return n > math.comb(m, s) ** 2
-        return n > (m - s + 1) * math.comb(m, s)
-    if kind == "bilinear":
-        if tight:
-            return q > qbinom(m, s, q) ** 2
-        return n > ((q ** (m - s + 1) - 1) // (q - 1)) * qbinom(m, s, q)
-    if kind == "injection":
-        if tight:
-            return n > s + math.comb(m, s) ** 2
-        return n > s + (m - s + 1) * math.comb(m, s)
-    if kind == "nbjohnson":
-        if tight:
-            return n * (m - s) > (k - s) * math.comb(k, s) ** 2
-        return n * (m - s) > (k - s + 1) * (k - s) * math.comb(k, s)
-    if tight:
-        return (m - 1) * (m - s) > (k - s) * math.comb(k, s) ** 2
-    return (m - 1) * (m - s) > (k - s + 1) * (k - s) * math.comb(k, s)
+    record = spec._record
+    return (record.tight if s == t - 1 else record.loose)(spec, s)  # otherwise s < t-1
 
 
 def ekr_bound(cert: DesignCertificate, s: int) -> int:

@@ -3,22 +3,12 @@
 Every family is truncated at its top rank M, so each fiber is finite and
 enumerable.  Elements carry a canonical payload (equal payloads ==
 equal elements); meet and leq work on the atom bitmask that each element
-gets where it is built (see the atoms section):
+gets where it is built (see the atoms section).
 
-* johnson    -- subsets of {1..v} of size <= m, stored as sorted tuples;
-* grassmann  -- subspaces of GF(q)^v of dimension <= m, stored as RREF
-                row tuples;
-* hamming    -- partial maps {1..m} -> {0..n-1}, stored as sorted
-                (position, value) pairs;
-* bilinear   -- partial linear maps: a subspace E of GF(q)^m in RREF plus
-                the images of its basis rows in GF(q)^n;
-* injection  -- partial injective maps {1..m} -> {1..n};
-* nbjohnson  -- hamming truncated at rank k < m;
-* signed     -- partial maps {1..m} -> {1..m} with f(i) != i, truncated
-                at rank k < m.
-
-Positions are 1-based everywhere; values are 0-based for hamming and
-nbjohnson and 1-based for injection and signed.
+Each kind is one `_Kind` record in `_KINDS`, the registry at the end of this
+module: what its elements are, and everything else that differs by kind.
+The code outside it reads the record and branches on its shape.  Positions
+are 1-based everywhere.
 """
 
 from __future__ import annotations
@@ -29,65 +19,44 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 from . import gf as gflib
 from .errors import BudgetExceededError, FamilyMismatchError, ParseError
-
-KINDS = ("johnson", "grassmann", "hamming", "bilinear", "injection", "nbjohnson", "signed")
-
-_REQUIRED = {
-    "johnson": ("v", "m"),
-    "grassmann": ("v", "m", "q"),
-    "hamming": ("m", "n"),
-    "bilinear": ("m", "n", "q"),
-    "injection": ("m", "n"),
-    "nbjohnson": ("m", "n", "k"),
-    "signed": ("m", "k"),
-}
-
-_MAP_KINDS = ("hamming", "injection", "nbjohnson", "signed")
 
 
 class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5)):
     """Which family, plus its integer parameters.
 
-    The top rank M is m for johnson/grassmann/hamming/bilinear/injection
-    and k for nbjohnson/signed.  A named tuple, so it hashes and compares
-    in C; the parameters are validated when it is built, also by `_make`
-    and `_replace`.  No `__slots__`, so `codec` has a `__dict__` to live in.
+    A named tuple, so it hashes and compares in C; the parameters are
+    validated against the kind's record when it is built, also by `_make`
+    and `_replace`.  No `__slots__`: the instance keeps its record in
+    `_record`, its top rank M (the record's `top` parameter) in `top_rank`,
+    and `codec` lives in its `__dict__`.
     """
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in _REQUIRED:
+        record = _KINDS.get(self.kind)
+        if record is None:
             raise ParseError(f"unknown family kind {self.kind!r}")
-        required = _REQUIRED[self.kind]
-        for name in ("v", "m", "n", "q", "k"):
+        for name in cls._fields[1:]:
             value = getattr(self, name)
-            if name in required:
-                if not isinstance(value, int) or value < 1:
+            if name in record.params:
+                if type(value) is not int or value < 1:  # a bool is no parameter
                     raise ParseError(f"{self.kind}: parameter {name} must be a positive integer")
             elif value is not None:
                 raise ParseError(f"{self.kind}: unexpected parameter {name}")
-        kind = self.kind
-        if kind in ("johnson", "grassmann") and not self.v >= 2 * self.m >= 2:
-            raise ParseError(f"{kind}: requires v >= 2m >= 2")
-        if kind == "hamming" and self.n < 2:
-            raise ParseError("hamming: requires n >= 2")
-        if kind == "injection" and self.n < self.m:
-            raise ParseError("injection: requires n >= m")
-        if kind == "nbjohnson":
-            if self.n < 2:
-                raise ParseError("nbjohnson: requires n >= 2")
-            if not self.k < self.m:
-                raise ParseError("nbjohnson: requires k < m")
-        if kind == "signed" and not self.k < self.m:
-            raise ParseError("signed: requires k < m")
+        for rule, holds in record.rules:
+            if not holds(self):
+                raise ParseError(f"{self.kind}: requires {rule}")
         if self.q is not None:
             try:
                 gflib.field(self.q)
             except ParseError as exc:
-                raise ParseError(f"{kind}: {exc}") from exc
+                raise ParseError(f"{self.kind}: {exc}") from exc
+        self._record = record
+        self.top_rank = getattr(self, record.top)
         return self
 
     @classmethod
@@ -95,9 +64,8 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
         """Build through `__new__`, so `_replace` validates too."""
         return cls(*iterable)
 
-    @property
-    def top_rank(self) -> int:
-        return self.k if self.kind in ("nbjohnson", "signed") else self.m
+    def __reduce__(self):  # pickled as its parameters; `__new__` rebuilds the record
+        return type(self), tuple(self)
 
     @cached_property
     def codec(self) -> "_Atoms":
@@ -111,21 +79,21 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
         return {}
 
     def __str__(self) -> str:
-        params = ",".join(f"{name}={getattr(self, name)}" for name in _REQUIRED[self.kind])
+        params = ",".join(f"{name}={getattr(self, name)}" for name in self._record.params)
         return f"{self.kind}:{params}"
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the `kind:key=value,...` grammar, e.g. `johnson:v=7,m=3`: exactly
     the text `str(FamilySpec)` writes, surrounding whitespace aside, so the
-    kind's parameters in `_REQUIRED` order, each a `_numeral`."""
+    kind's parameters in its record's order, each a `_numeral`."""
     text = text.strip()
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ParseError(f"bad family spec {text!r}: expected kind:key=value,...")
-    if kind not in _REQUIRED:
+    if kind not in _KINDS:
         raise ParseError(f"unknown family kind {kind!r}")
-    names = _REQUIRED[kind]
+    names = _KINDS[kind].params
     items = rest.split(",")
     if [item.partition("=")[0] for item in items] != list(names):
         raise ParseError(f"{kind}: expected parameters {', '.join(names)}, in this order")
@@ -147,7 +115,7 @@ class Element(namedtuple("Element", "spec payload")):
 
     @property
     def rank(self) -> int:
-        if self.spec.kind == "bilinear":
+        if self.spec._record.graph:
             return len(self.payload[0])
         return len(self.payload)
 
@@ -182,9 +150,8 @@ class Element(namedtuple("Element", "spec payload")):
 
 
 def least(spec: FamilySpec) -> Element:
-    """The least element: empty set, zero space, or empty partial map."""
-    payload = ((), ()) if spec.kind == "bilinear" else ()
-    return Element(spec, payload)
+    """The least element: empty set, zero space, or empty partial map; no rows span it."""
+    return Element(spec, _from_rows(spec, ()))
 
 
 def _same_family(x: Element, y: Element) -> None:
@@ -243,10 +210,11 @@ class _Atoms:
     """Payload <-> atom bitmask for one family, plus a bounded decode cache."""
 
     def __init__(self, spec: FamilySpec):
-        kind = spec.kind
-        if kind in ("grassmann", "bilinear"):
+        record = spec._record
+        shape = self.shape = record.shape
+        if shape == "subspace":
             self.fld = gflib.field(spec.q)
-            self.width = spec.v if kind == "grassmann" else spec.m + spec.n
+            self.width = spec.m + spec.n if record.graph else spec.v
             count = spec.q**self.width
             self.counts = tuple(spec.q**r - 1 for r in range(spec.top_rank + 1))  # rank -> popcount
             self.ranks = {c: r for r, c in enumerate(self.counts)}  # popcount -> rank
@@ -254,23 +222,21 @@ class _Atoms:
             self.vectors: dict[int, tuple] = {}  # code -> vector, filled by `_vector`
             # GF(2^k) elements are bit polynomials, so vectors add by the xor of their codes
             self.plus = operator.xor if self.fld.p == 2 else self.fld.add
-            # bilinear: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
-            self.flat = (1 << spec.q**spec.n) - 2 if kind == "bilinear" else 0
-            self.image_tokens: dict[str, tuple] = {}  # bilinear's image rows, kept by `parse_element`
-        elif kind == "johnson":
+            # a graph kind: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
+            self.flat = (1 << spec.q**spec.n) - 2 if record.graph else 0
+            self.image_tokens: dict[str, tuple] = {}  # a graph kind's image rows, kept by `parse_element`
+        elif shape == "set":
             count = spec.v
+            atoms = range(1, count + 1)
         else:
-            self.stride = spec.m if kind == "signed" else spec.n
-            self.base = 0 if kind in ("hamming", "nbjohnson") else 1
+            self.base, self.stride, self.injective = record.base, getattr(spec, record.stride), record.injective
             count = spec.m * self.stride
+            atoms = product(range(1, spec.m + 1), range(self.base, self.base + self.stride))
         if count > ATOM_CAP:
             raise BudgetExceededError(str(spec), count, "atoms", ATOM_CAP)
-        self.bit = None  # set and map kinds: atom -> its bit
-        if kind == "johnson":
-            self.bit = {i: 1 << i - 1 for i in range(1, count + 1)}.__getitem__
-        elif kind in _MAP_KINDS:
-            atoms = product(range(1, spec.m + 1), range(self.base, self.base + self.stride))
-            self.bit = {atom: 1 << b for b, atom in enumerate(atoms)}.__getitem__
+        # set and map kinds: atom -> its bit
+        self.bit = None if shape == "subspace" else {atom: 1 << b for b, atom in enumerate(atoms)}.__getitem__
+        if shape == "map":
             # per position, its top atom (high) and the atoms under it (low)
             ones = ((1 << count) - 1) // ((1 << self.stride) - 1)  # each position's first atom
             self.high = ones << self.stride - 1
@@ -282,7 +248,7 @@ class _Atoms:
 
     def encode(self, payload: tuple) -> int:
         if self.bit is None:  # subspace kinds
-            return self._span(sum(1 << self.code(row) for row in _rows(self.spec.kind, payload)))
+            return self._span(sum(1 << self.code(row) for row in _rows(self.spec, payload)))
         return sum(map(self.bit, payload))
 
     def element(self, mask: int) -> Element:
@@ -302,12 +268,12 @@ class _Atoms:
 
     def clash(self, mask: int) -> bool:
         """Whether two atoms of a map kind's mask share a position or, for
-        injection, a value."""
+        an injective kind, a value."""
         count = mask.bit_count()
         # a position's top bit is set, or carried into, iff the position holds an atom
         if (((mask & self.low) + self.low | mask) & self.high).bit_count() != count:
             return True
-        if self.spec.kind != "injection":
+        if not self.injective:
             return False
         values, block = 0, (1 << self.stride) - 1
         while mask:
@@ -316,10 +282,9 @@ class _Atoms:
         return values.bit_count() != count
 
     def _decode(self, mask: int) -> tuple:
-        kind = self.spec.kind
-        if kind == "johnson":
+        if self.shape == "set":
             return tuple(b + 1 for b in _bits(mask))
-        if kind not in ("grassmann", "bilinear"):
+        if self.shape == "map":
             return tuple((b // self.stride + 1, b % self.stride + self.base) for b in _bits(mask))
         # Adding later RREF rows to a row puts a nonzero entry at a later pivot,
         # where the row has 0, so the row with its pivot at column c is the least
@@ -387,14 +352,14 @@ def _codec(spec: FamilySpec) -> _Atoms | None:
 _new = tuple.__new__  # builds an Element from (spec, payload), as namedtuple's `_make` does
 
 
-def _rows(kind: str, payload: tuple) -> tuple:
+def _rows(spec: FamilySpec, payload: tuple) -> tuple:
     """Spanning rows of a subspace, or of a partial linear map's graph {(w, f(w))}."""
-    return payload if kind == "grassmann" else tuple(d + f for d, f in zip(*payload))
+    return tuple(d + f for d, f in zip(*payload)) if spec._record.graph else payload
 
 
 def _from_rows(spec: FamilySpec, rows: tuple) -> tuple:
     """The payload spanned by RREF rows with no pivot in an image column."""
-    if spec.kind == "grassmann":
+    if not spec._record.graph:
         return rows
     return tuple(r[: spec.m] for r in rows), tuple(r[spec.m :] for r in rows)
 
@@ -450,7 +415,7 @@ def join_bounded(x: Element, y: Element) -> Element | None:
     a, b = x.atoms, y.atoms
     if spec.q is None:  # set and map kinds: the join's atoms are the union
         union = a | b
-        if union.bit_count() > atoms.top_rank or spec.kind != "johnson" and atoms.clash(union):
+        if union.bit_count() > atoms.top_rank or atoms.shape == "map" and atoms.clash(union):
             return None
         return atoms.element(union)
     common = a & b
@@ -479,34 +444,25 @@ FIBER_CAP = 10**6  # elements per fiber; each costs about 3-9 us and 250-660 byt
 DEFAULT_BUDGET = 10**8  # comparisons an audit, a coverage pass or a d_r scan may make
 
 
-def _value_choices(spec: FamilySpec, pos: int) -> list[int]:
-    kind = spec.kind
-    if kind in ("hamming", "nbjohnson"):
-        return list(range(spec.n))
-    if kind == "signed":
-        return [v for v in range(1, spec.m + 1) if v != pos]
-    raise AssertionError(kind)
-
-
 def _fiber_payloads(spec: FamilySpec, i: int) -> list[tuple]:
-    kind = spec.kind
-    if kind == "johnson":
+    record = spec._record
+    if record.shape == "set":
         return list(combinations(range(1, spec.v + 1), i))
-    if kind == "injection":
+    if record.shape == "map":
+        values = range(record.base, record.base + getattr(spec, record.stride))
         out = []
-        for pos in combinations(range(1, spec.m + 1), i):
-            for vals in permutations(range(1, spec.n + 1), i):
-                out.append(tuple(zip(pos, vals)))
-        return out
-    if kind in ("hamming", "nbjohnson", "signed"):
+        if record.injective:
+            for pos in combinations(range(1, spec.m + 1), i):
+                for vals in permutations(values, i):
+                    out.append(tuple(zip(pos, vals)))
+            return out
         # i positions, then a pair at each; the payloads share their pairs
-        pairs = [[(p, v) for v in _value_choices(spec, p)] for p in range(1, spec.m + 1)]
-        out = []
+        pairs = [[(p, v) for v in values if not (record.derangement and v == p)] for p in range(1, spec.m + 1)]
         for chosen in combinations(pairs, i):
             out += product(*chosen)
         return out
     fld = gflib.field(spec.q)
-    if kind == "grassmann":
+    if not record.graph:
         return list(gflib.enumerate_rref_matrices(spec.v, i, fld))
     vectors = list(product(range(spec.q), repeat=spec.n))
     out = []
@@ -520,15 +476,7 @@ def fiber_size(spec: FamilySpec, i: int) -> int:
     """Number of rank-i elements, by closed form; nothing is built."""
     if not 0 <= i <= spec.top_rank:
         raise ParseError(f"rank {i} out of range 0..{spec.top_rank}")
-    kind, m, n, q = spec.kind, spec.m, spec.n, spec.q
-    if kind == "johnson":
-        return math.comb(spec.v, i)
-    if kind == "grassmann":
-        return gflib.qbinom(spec.v, i, q)
-    if kind == "bilinear":
-        return gflib.qbinom(m, i, q) * q ** (n * i)
-    values = math.perm(n, i) if kind == "injection" else (m - 1) ** i if kind == "signed" else n**i
-    return math.comb(m, i) * values  # i positions, then a value at each
+    return spec._record.fiber_size(spec, i)
 
 
 def _fiber(spec: FamilySpec, i: int) -> tuple[Element, ...]:
@@ -623,7 +571,7 @@ def below(x: Element, i: int) -> list[Element]:
     # multiples[j][c]: the code of c times row j
     multiples = [
         [0, *(scale(c, code) for c in range(1, spec.q))]
-        for code in map(atoms.code, _rows(spec.kind, x.payload))
+        for code in map(atoms.code, _rows(spec, x.payload))
     ]
     payloads = []
     for coeffs in _coefficients(x.rank, i, spec.q):
@@ -658,6 +606,31 @@ def _linear_maps(fld, width: int) -> list:
     return (maps if width >= 2 else []) + ([lambda c: (fld.mul(g, c[0]),) + c[1:]] if g != 1 else [])
 
 
+def _graph_maps(spec: FamilySpec, fld) -> list:
+    """The block maps (w, u) -> (wA, wB + uD) on a graph's vectors, with one of
+    A, D a generator of `_linear_maps` (B = 0), or A = D = I and B = E11."""
+    m = spec.m
+    maps = [lambda c, a=a: a(c[:m]) + c[m:] for a in _linear_maps(fld, m)]
+    maps += [lambda c, d=d: c[:m] + d(c[m:]) for d in _linear_maps(fld, spec.n)]
+    maps.append(lambda c: c[:m] + (fld.add(c[m], c[0]),) + c[m + 1 :])
+    return maps
+
+
+# Moves of set and map kinds: (p, a, m, width) -> the image of the 0-based
+# (position, value) atom (p, a), for m positions with `width` values each.
+_POSITION_MOVES = (lambda p, a, m, w: (_swap(p), a), lambda p, a, m, w: ((p + 1) % m, a))
+# a value transposition and cycle at position 1, or at every position at once
+_FIRST_VALUE_MOVES = (lambda p, a, m, w: (p, _swap(a) if p == 0 else a), lambda p, a, m, w: (p, (a + 1) % w if p == 0 else a))
+_VALUE_MOVES = (lambda p, a, m, w: (p, _swap(a)), lambda p, a, m, w: (p, (a + 1) % w))
+# conjugation by (1 2) and (1 ... m), moving positions and values together,
+# and the swap of values 2 and 3 at position 1 (no permutation when m = 2)
+_CONJUGATIONS = (
+    lambda p, a, m, w: (_swap(p), _swap(a)),
+    lambda p, a, m, w: ((p + 1) % m, (a + 1) % m),
+    lambda p, a, m, w: (p, 3 - a if p == 0 and a in (1, 2) else a),
+)
+
+
 class Symmetry:
     """A candidate automorphism given by `move`, a map of atom indices.  Called
     on an element, it gives the atom mask of the element's image."""
@@ -681,37 +654,20 @@ class Symmetry:
 
 
 def symmetries(spec: FamilySpec) -> list[Symmetry]:
-    """Candidate generators of the family's automorphism group.
+    """Candidate generators of the family's automorphism group, its record's `moves`.
 
-    Set and map kinds permute (position, value) atoms, 0-based; johnson has one
-    position per point.  Subspace kinds apply an invertible linear map to an
-    atom's vector when the atom first occurs, so the cost grows with the atoms
-    met, not with q^width; bilinear uses the block maps (w, u) -> (wA, wB + uD)
-    with one of A, D a generator above (B = 0), or A = D = I and B = E11.
+    Set and map kinds permute (position, value) atoms, 0-based; a set kind has
+    one position per point.  Subspace kinds apply an invertible linear map to
+    an atom's vector when the atom first occurs, so the cost grows with the
+    atoms met, not with q^width.
     """
-    kind = spec.kind
-    if kind in ("grassmann", "bilinear"):
+    record = spec._record
+    if record.shape == "subspace":
         atoms = spec.codec
-        fld = atoms.fld
-        maps = _linear_maps(fld, spec.v) if kind == "grassmann" else []
-        if kind == "bilinear":
-            m = spec.m
-            maps += [lambda c, a=a: a(c[:m]) + c[m:] for a in _linear_maps(fld, m)]
-            maps += [lambda c, d=d: c[:m] + d(c[m:]) for d in _linear_maps(fld, spec.n)]
-            maps.append(lambda c: c[:m] + (fld.add(c[m], c[0]),) + c[m + 1 :])
-        moves = [lru_cache(maxsize=None)(lambda b, g=g: atoms.code(g(atoms._vector(b)))) for g in maps]
+        moves = [lru_cache(maxsize=None)(lambda b, g=g: atoms.code(g(atoms._vector(b)))) for g in record.moves(spec, atoms.fld)]
     else:
-        m, width = (spec.v, 1) if kind == "johnson" else (spec.m, spec.codec.stride)
-        pairs = [lambda p, a: (_swap(p), a), lambda p, a: ((p + 1) % m, a)]
-        if kind == "signed":  # conjugations, moving positions and values together
-            pairs = [lambda p, a: (_swap(p), _swap(a)), lambda p, a: ((p + 1) % m, (a + 1) % m)]
-            if m >= 3:
-                pairs.append(lambda p, a: (p, 3 - a if p == 0 and a in (1, 2) else a))
-        elif kind == "injection":  # a value permutation at every position at once
-            pairs += [lambda p, a: (p, _swap(a)), lambda p, a: (p, (a + 1) % width)]
-        elif kind != "johnson":  # a value permutation at position 1
-            pairs += [lambda p, a: (p, _swap(a) if p == 0 else a), lambda p, a: (p, (a + 1) % width if p == 0 else a)]
-        perms = [[p * width + a for p, a in (f(*divmod(b, width)) for b in range(m * width))] for f in pairs]
+        m, width = (spec.v, 1) if record.shape == "set" else (spec.m, spec.codec.stride)
+        perms = [[p * width + a for p, a in (f(*divmod(b, width), m, width) for b in range(m * width))] for f in record.moves]
         # a swap needs two positions or values: keep only true permutations
         moves = [perm.__getitem__ for perm in perms if sorted(perm) == list(range(m * width))]
     return [Symmetry(f) for f in moves]
@@ -722,14 +678,14 @@ def symmetries(spec: FamilySpec) -> list[Symmetry]:
 
 
 def format_element(x: Element) -> str:
-    kind = x.spec.kind
+    record = x.spec._record
     if x.rank == 0:
         return "-"
-    if kind == "johnson":
+    if record.shape == "set":
         return " ".join(str(i) for i in x.payload)
-    if kind in _MAP_KINDS:
+    if record.shape == "map":
         return ",".join(f"{p}:{v}" for p, v in x.payload)
-    if kind == "grassmann":
+    if not record.graph:
         return ";".join(".".join(str(c) for c in row) for row in x.payload)
     dom, images = x.payload
     dom_text = ";".join(".".join(str(c) for c in row) for row in dom)
@@ -826,7 +782,7 @@ def _parse_pairs(spec: FamilySpec, text: str, known: dict) -> tuple:
             raise ParseError("positions must be strictly increasing")
         last_pos = pair[0]
         pairs.append(pair)
-    if spec.kind == "injection" and len({v for _, v in pairs}) != len(pairs):
+    if spec._record.injective and len({v for _, v in pairs}) != len(pairs):
         raise ParseError("duplicate values in an injective map")
     return tuple(pairs)
 
@@ -835,7 +791,6 @@ def _pair(spec: FamilySpec, item: str, last_pos: int, known: dict) -> tuple:
     """One position:value pair after position `last_pos`, checked in the row's
     order (numerals, position range, position order, value), then kept in
     `known`."""
-    kind = spec.kind
     pos_text, sep, val_text = item.partition(":")
     if not sep or not _numeral(pos_text) or not _numeral(val_text):
         raise ParseError(f"bad position:value pair {item!r}")
@@ -844,17 +799,12 @@ def _pair(spec: FamilySpec, item: str, last_pos: int, known: dict) -> tuple:
         raise ParseError(f"position {pos} out of range 1..{spec.m}")
     if pos <= last_pos:
         raise ParseError("positions must be strictly increasing")
-    if kind in ("hamming", "nbjohnson"):
-        if not 0 <= val <= spec.n - 1:
-            raise ParseError(f"value {val} out of range 0..{spec.n - 1}")
-    elif kind == "injection":
-        if not 1 <= val <= spec.n:
-            raise ParseError(f"value {val} out of range 1..{spec.n}")
-    else:
-        if not 1 <= val <= spec.m:
-            raise ParseError(f"value {val} out of range 1..{spec.m}")
-        if val == pos:
-            raise ParseError(f"fixed point {pos}:{val} is not allowed")
+    record = spec._record
+    top = record.base + getattr(spec, record.stride) - 1
+    if not record.base <= val <= top:
+        raise ParseError(f"value {val} out of range {record.base}..{top}")
+    if record.derangement and val == pos:
+        raise ParseError(f"fixed point {pos}:{val} is not allowed")
     pair = known[item] = (pos, val)
     return pair
 
@@ -873,18 +823,18 @@ def parse_element(spec: FamilySpec, text: str) -> Element:
         raise ParseError("empty element encoding")
     atoms = _codec(spec)
     known = {} if atoms is None else atoms.tokens
-    kind = spec.kind
-    if kind == "johnson":
+    record = spec._record
+    if record.shape == "set":
         payload = _parse_members(spec, raw, known)
-    elif kind in _MAP_KINDS:
+    elif record.shape == "map":
         payload = _parse_pairs(spec, raw, known)
-    elif kind == "grassmann":
-        payload = _parse_matrix(raw, spec.v, spec.q, "grassmann matrix", known)
+    elif not record.graph:
+        payload = _parse_matrix(raw, spec.v, spec.q, f"{spec.kind} matrix", known)
         if not _is_rref(payload):
             raise ParseError("matrix is not in reduced row echelon form")
     else:
         if not raw.startswith("E=") or ";f=" not in raw:
-            raise ParseError("bilinear element must look like E=<matrix>;f=<matrix>")
+            raise ParseError(f"{spec.kind} element must look like E=<matrix>;f=<matrix>")
         dom_text, _, img_text = raw[2:].partition(";f=")
         dom = _parse_matrix(dom_text, spec.m, spec.q, "domain matrix", known)
         images = _parse_matrix(img_text, spec.n, spec.q, "image matrix", {} if atoms is None else atoms.image_tokens)
@@ -899,3 +849,99 @@ def parse_element(spec: FamilySpec, text: str) -> Element:
     if atoms is not None:
         element.atoms = atoms.encode(payload)
     return element
+
+
+# ---------------------------------------------------------------------------
+# the registry
+#
+# One `_Kind` per kind; its callables take the spec as `f`.  A spec that
+# fails a rule (text, holds) is refused ("requires <text>").  `shape` is
+# "set" (subsets of {1..v}), "map" (partial, on {1..m}) or "subspace" (of
+# GF(q)^v, or for a `graph` kind the graphs of maps GF(q)^m -> GF(q)^n).  A map
+# kind's position p takes the values base .. base + f.<stride> - 1, distinct
+# across positions if injective, and never p if derangement.
+# `loose` and `tight` are the Table 1 thresholds for s < t-1 and s = t-1.
+# `moves` are the symmetry candidates: moves of atoms for set and map kinds
+# (see the symmetries section), (f, field) -> maps of vectors otherwise.
+# mu and nu need no entry (`parameters._binomial`).
+
+
+class _Kind(SimpleNamespace):  # built by keyword; only map kinds set the value rule
+    base = stride = None
+    injective = derangement = graph = False
+
+
+_KINDS = {
+    # subsets of {1..v} of size <= m, stored as sorted tuples
+    "johnson": _Kind(
+        params=("v", "m"), rules=(("v >= 2m >= 2", lambda f: f.v >= 2 * f.m >= 2),), top="m", shape="set",
+        fiber_size=lambda f, i: math.comb(f.v, i),
+        theta=lambda f, r: math.comb(f.v - r, f.m - r),
+        loose=lambda f, s: f.v > s + math.comb(f.m, s) * (f.m - s + 1) * (f.m - s),
+        tight=lambda f, s: f.v > s + (f.m - s) * math.comb(f.m, s) ** 2,
+        moves=_POSITION_MOVES,
+    ),
+    # subspaces of GF(q)^v of dimension <= m, stored as RREF row tuples
+    "grassmann": _Kind(
+        params=("v", "m", "q"), rules=(("v >= 2m >= 2", lambda f: f.v >= 2 * f.m >= 2),), top="m", shape="subspace",
+        fiber_size=lambda f, i: gflib.qbinom(f.v, i, f.q),
+        theta=lambda f, r: gflib.qbinom(f.v - r, f.m - r, f.q),
+        loose=lambda f, s: f.q ** (f.v - s) - 1
+            > (f.q ** (f.m - s) - 1) * ((f.q ** (f.m - s - 1) - 1) // (f.q - 1)) * gflib.qbinom(f.m, s, f.q) ** 2,
+        tight=lambda f, s: f.q ** (f.v - s) - 1 > gflib.qbinom(f.m, s, f.q) ** 2 * (f.q ** (f.m - s) - 1),
+        moves=lambda f, fld: _linear_maps(fld, f.v),
+    ),
+    # partial maps {1..m} -> {0..n-1}, stored as sorted (position, value) pairs
+    "hamming": _Kind(
+        params=("m", "n"), rules=(("n >= 2", lambda f: f.n >= 2),), top="m", shape="map",
+        fiber_size=lambda f, i: math.comb(f.m, i) * f.n**i,  # i positions, then a value at each
+        theta=lambda f, r: f.n ** (f.m - r),
+        loose=lambda f, s: f.n > (f.m - s + 1) * math.comb(f.m, s),
+        tight=lambda f, s: f.n > math.comb(f.m, s) ** 2,
+        moves=_POSITION_MOVES + _FIRST_VALUE_MOVES,
+        base=0, stride="n",
+    ),
+    # partial linear maps: a subspace E of GF(q)^m in RREF plus the images of
+    # its basis rows in GF(q)^n
+    "bilinear": _Kind(
+        params=("m", "n", "q"), rules=(), top="m", shape="subspace",
+        fiber_size=lambda f, i: gflib.qbinom(f.m, i, f.q) * f.q ** (f.n * i),
+        # the codomain has q**n points, so each of the m-r missing basis
+        # directions picks its image among q**n vectors
+        theta=lambda f, r: f.q ** (f.n * (f.m - r)),
+        loose=lambda f, s: f.n > ((f.q ** (f.m - s + 1) - 1) // (f.q - 1)) * gflib.qbinom(f.m, s, f.q),
+        tight=lambda f, s: f.q > gflib.qbinom(f.m, s, f.q) ** 2,
+        moves=_graph_maps,
+        graph=True,
+    ),
+    # partial injective maps {1..m} -> {1..n}
+    "injection": _Kind(
+        params=("m", "n"), rules=(("n >= m", lambda f: f.n >= f.m),), top="m", shape="map",
+        fiber_size=lambda f, i: math.comb(f.m, i) * math.perm(f.n, i),
+        theta=lambda f, r: math.perm(f.n - r, f.m - r),
+        loose=lambda f, s: f.n > s + (f.m - s + 1) * math.comb(f.m, s),
+        tight=lambda f, s: f.n > s + math.comb(f.m, s) ** 2,
+        moves=_POSITION_MOVES + _VALUE_MOVES,
+        base=1, stride="n", injective=True,
+    ),
+    # hamming truncated at rank k < m
+    "nbjohnson": _Kind(
+        params=("m", "n", "k"), rules=(("n >= 2", lambda f: f.n >= 2), ("k < m", lambda f: f.k < f.m)), top="k", shape="map",
+        fiber_size=lambda f, i: math.comb(f.m, i) * f.n**i,
+        theta=lambda f, r: f.n ** (f.k - r) * math.comb(f.m - r, f.k - r),
+        loose=lambda f, s: f.n * (f.m - s) > (f.k - s + 1) * (f.k - s) * math.comb(f.k, s),
+        tight=lambda f, s: f.n * (f.m - s) > (f.k - s) * math.comb(f.k, s) ** 2,
+        moves=_POSITION_MOVES + _FIRST_VALUE_MOVES,
+        base=0, stride="n",
+    ),
+    # partial maps {1..m} -> {1..m} with f(i) != i, truncated at rank k < m
+    "signed": _Kind(
+        params=("m", "k"), rules=(("k < m", lambda f: f.k < f.m),), top="k", shape="map",
+        fiber_size=lambda f, i: math.comb(f.m, i) * (f.m - 1) ** i,
+        theta=lambda f, r: (f.m - 1) ** (f.k - r) * math.comb(f.m - r, f.k - r),
+        loose=lambda f, s: (f.m - 1) * (f.m - s) > (f.k - s + 1) * (f.k - s) * math.comb(f.k, s),
+        tight=lambda f, s: (f.m - 1) * (f.m - s) > (f.k - s) * math.comb(f.k, s) ** 2,
+        moves=_CONJUGATIONS,
+        base=1, stride="m", derangement=True,
+    ),
+}

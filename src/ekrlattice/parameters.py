@@ -32,45 +32,28 @@ def _check_ranks(spec: FamilySpec, r: int, s: int):
         raise ParseError(f"ranks must satisfy 0 <= r <= s <= {spec.top_rank}, got r={r}, s={s}")
 
 
+def _binomial(spec: FamilySpec, a: int, b: int) -> int:
+    """[a b]_q for subspace kinds, C(a, b) for the others."""
+    return qbinom(a, b, spec.q) if spec._record.shape == "subspace" else math.comb(a, b)
+
+
 def mu(spec: FamilySpec, r: int, s: int) -> int:
     """Count of rank-s elements u with z <= u <= y, for z of rank r below a top y."""
     _check_ranks(spec, r, s)
-    kind = spec.kind
-    if kind in ("johnson", "hamming", "injection"):
-        return math.comb(spec.m - r, spec.m - s)
-    if kind in ("grassmann", "bilinear"):
-        return qbinom(spec.m - r, spec.m - s, spec.q)
-    return math.comb(spec.k - r, s - r)
+    return _binomial(spec, spec.top_rank - r, s - r)
 
 
 def nu(spec: FamilySpec, r: int, s: int) -> int:
     """Count of rank-r elements below a fixed rank-s element."""
     _check_ranks(spec, r, s)
-    if spec.kind in ("grassmann", "bilinear"):
-        return qbinom(s, r, spec.q)
-    return math.comb(s, r)
+    return _binomial(spec, s, r)
 
 
 def theta(spec: FamilySpec, r: int) -> int:
-    """Count of top-fiber elements above a fixed rank-r element."""
+    """Count of top-fiber elements above a fixed rank-r element, by the kind's record."""
     if not 0 <= r <= spec.top_rank:
         raise ParseError(f"rank must satisfy 0 <= r <= {spec.top_rank}, got {r}")
-    kind = spec.kind
-    if kind == "johnson":
-        return math.comb(spec.v - r, spec.m - r)
-    if kind == "grassmann":
-        return qbinom(spec.v - r, spec.m - r, spec.q)
-    if kind == "hamming":
-        return spec.n ** (spec.m - r)
-    if kind == "bilinear":
-        # the codomain has q**n points, so each of the m-r missing basis
-        # directions picks its image among q**n vectors
-        return spec.q ** (spec.n * (spec.m - r))
-    if kind == "injection":
-        return math.perm(spec.n - r, spec.m - r)
-    if kind == "nbjohnson":
-        return spec.n ** (spec.k - r) * math.comb(spec.m - r, spec.k - r)
-    return (spec.m - 1) ** (spec.k - r) * math.comb(spec.m - r, spec.k - r)
+    return spec._record.theta(spec, r)
 
 
 def alpha(spec: FamilySpec, r: int, s: int) -> int:

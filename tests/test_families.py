@@ -7,6 +7,7 @@ mixed element pool.
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import combinations, permutations, product
 
@@ -78,10 +79,55 @@ def test_replace_validates_the_spec():
         families.FamilySpec._make(("johnson", 4, 2, None, 2, None))
 
 
+def test_a_bool_is_no_parameter():
+    # `str` of such a spec would read `hamming:m=True,n=2`, which the parser refuses
+    with pytest.raises(ParseError, match="^hamming: parameter m must be a positive integer$"):
+        families.FamilySpec(kind="hamming", m=True, n=2)
+    with pytest.raises(ParseError, match="^grassmann: parameter q must be a positive integer$"):
+        families.FamilySpec(kind="grassmann", v=4, m=2, q=True)
+    with pytest.raises(ParseError, match="^johnson: parameter v must be a positive integer$"):
+        families.parse_family_spec("johnson:v=4,m=2")._replace(v=False)
+
+
+def test_specs_and_elements_pickle_as_their_parameters():
+    for spec, universe in small_universes():
+        x = universe[-1]
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and back.spec.top_rank == spec.top_rank and str(back.spec) == str(spec)
+        assert families.meet(back, back) == x  # the unpickled spec builds its own codec
+    data = pickle.dumps(families.parse_family_spec("johnson:v=4,m=2"))
+    with pytest.raises(ParseError, match="requires v >= 2m"):  # a pickled spec is checked again as it is read
+        pickle.loads(data.replace(b"K\x04K\x02", b"K\x03K\x02"))  # v=4 -> v=3
+
+
 def test_top_rank():
     assert families.parse_family_spec("johnson:v=7,m=3").top_rank == 3
     assert families.parse_family_spec("nbjohnson:m=4,n=3,k=2").top_rank == 2
     assert families.parse_family_spec("signed:m=5,k=2").top_rank == 2
+
+
+def test_every_registered_kind_is_on_the_grid_with_a_whole_record():
+    # the acceptance grid's oracle and audit runs cover a kind only through its GRID_SPECS entry
+    specs = {}
+    for spec in grid():
+        specs.setdefault(spec.kind, spec)
+    assert set(specs) == set(families._KINDS)
+    for kind, record in families._KINDS.items():
+        spec = specs[kind]
+        assert families.parse_family_spec(str(spec)) == spec and str(families.parse_family_spec(str(spec))) == str(spec)
+        assert spec._record is record and spec.top_rank == getattr(spec, record.top)
+        # every field is set, and the value rule only on a map kind
+        fields = {"params", "rules", "top", "shape", "fiber_size", "theta", "loose", "tight", "moves"}
+        rule = {"base", "stride", "injective", "derangement"} if record.shape == "map" else set()
+        assert fields <= set(vars(record)) <= fields | rule | {"graph"}
+        assert all(getattr(record, name) is not None for name in fields | rule - {"injective", "derangement"})
+        assert record.shape in ("set", "map", "subspace") and record.top in record.params and record.moves
+        assert all(callable(getattr(record, name)) for name in ("fiber_size", "theta", "loose", "tight"))
+        assert all(isinstance(text, str) and callable(holds) for text, holds in record.rules)
+        assert record.graph in (False, True) and (not record.graph or record.shape == "subspace")
+        assert not (record.injective or record.derangement) or record.shape == "map"
+        if record.shape == "map":
+            assert record.stride in record.params and record.base in (0, 1)
 
 
 # ---------------------------------------------------------------------------

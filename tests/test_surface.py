@@ -1,10 +1,14 @@
 """The public surface: every exported name resolves, the resource limits
 that only the library sets are module constants, not per-call parameters,
-and importing the CLI loads no code-generation modules."""
+importing the CLI loads no code-generation modules, and the family kinds
+are decided only in the registry of `families`, which the README's kind
+table lists."""
 
 from __future__ import annotations
 
+import ast
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import ekrlattice
-from ekrlattice import designs, ekr, search
+from ekrlattice import designs, ekr, families, search
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REMOVED_LIMITS = {"budget", "vertex_budget", "all_max_cap"}
 
@@ -33,7 +39,7 @@ def test_no_function_takes_a_limit_the_cli_does_not_set(fn):
 
 def _modules_added(code: str) -> set:
     """The modules a fresh interpreter loads while it runs `code`."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     code = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(' '.join(sorted(set(sys.modules) - before)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60
@@ -56,3 +62,57 @@ def test_a_plain_run_loads_no_argparse():
     # an abbreviation is argparse's to read
     abbreviated = _modules_added("import ekrlattice.cli as c; c.run(['params', '--fam', 'johnson:v=4,m=2', '--quiet'])")
     assert {"argparse", "gettext"} <= abbreviated
+
+
+def _kind_comparisons(source: str) -> list[tuple[int, list[str]]]:
+    """(line, kind names) of each comparison or match pattern in the source
+    that has a registered kind name among its operands, outside the
+    `_KINDS = {...}` registry."""
+    kinds = set(families._KINDS)
+    tree = ast.parse(source)
+    registry = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_KINDS" for t in node.targets):
+            registry.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if id(node) in registry:
+            continue
+        names = {c.value for operand in operands for c in ast.walk(operand) if isinstance(c, ast.Constant)}
+        if kinds & names:
+            found.append((node.lineno, sorted(kinds & names)))
+    return found
+
+
+def test_the_kind_scan_finds_a_dispatch_on_a_kind_name():
+    assert _kind_comparisons("if spec.kind in ('johnson', 'signed'):\n    pass\nx = 'hamming' != k") == [
+        (1, ["johnson", "signed"]),
+        (3, ["hamming"]),
+    ]
+    # building a spec of a kind dispatches on nothing; the registry itself may compare
+    assert _kind_comparisons("spec = FamilySpec(kind='hamming', m=2, n=3)\n_KINDS = {'x': 'johnson' == k}") == []
+
+
+def test_no_library_line_outside_the_registry_compares_a_kind_name():
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "ekrlattice").glob("*.py"))
+        if (hits := _kind_comparisons(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_readme_kind_table_lists_the_registry():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| kind +\| elements +\| parameters +\|\n\|[-|]+\|\n((?:\|.*\|\n)+)", text, re.M)
+    assert table is not None, "no kind table in the README"
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.group(1).splitlines()]
+    listed = {row[0].strip("`"): tuple(name.strip("`") for name in row[2].split(", ")) for row in rows}
+    assert len(listed) == len(rows)
+    assert listed == {kind: record.params for kind, record in families._KINDS.items()}
