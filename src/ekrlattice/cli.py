@@ -20,6 +20,13 @@ an abbreviation, `--opt=value`, `--`, a negative number, a bad value, a
 missing option or an unknown word.  Help text and usage errors are
 therefore argparse's own.
 
+A process imports only what its subcommand runs: this module loads
+`families` and `errors`, and each `_cmd_*` handler imports its own library
+modules when it runs (`audit` loads no `designs`, `search` or `ekr`).
+`_dumps` writes the `--json` envelope byte for byte as
+`json.dumps(envelope, indent=2, sort_keys=True)` would, without the json
+package.
+
 A result mirrors the library record behind it (`ConditionReport`,
 `DrReport`, `SearchResult`, `ExtremalVerdict`): one key per field, plus the
 context the record lacks, such as the family.  Elements and family specs
@@ -30,13 +37,11 @@ are emitted as decimal strings and the envelope gains
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
 
-from . import __version__, designs, ekr, families, parameters, search
-from .audit import audit as run_audit
+from . import __version__, families
 from .errors import BudgetExceededError, FamilyMismatchError, NonIntegralError, ParseError, VerificationError
 
 _INT64_MIN = -(2**63)
@@ -87,11 +92,67 @@ def _envelope(command: str, inputs: dict, result: dict | None, exit_code: int, e
     return body
 
 
+# json's two-character escapes; every other control character, DEL and any
+# non-ASCII character is written as \uXXXX, one above U+FFFF as a surrogate pair
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _escape(ch: str) -> str:
+    code = ord(ch)
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    if 32 <= code < 127:
+        return ch
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _quote(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` of a report, without
+    the json package: str keys only, tuples as lists, and any other type
+    than str, int, float, bool, None, list, tuple and dict a TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOATS.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_dumps(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("a report's keys must be str")
+        items = [f"{_quote(key)}: {_dumps(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, result, text_lines)
 
 
 def _cmd_params(args):
+    from . import parameters
+
     spec = families.parse_family_spec(args.family)
     top = spec.top_rank
     if args.r is not None and not 0 <= args.r <= top:
@@ -128,8 +189,10 @@ def _cmd_params(args):
 
 
 def _cmd_audit(args):
+    from .audit import audit
+
     spec = families.parse_family_spec(args.family)
-    report = run_audit(spec, budget=args.budget)
+    report = audit(spec, budget=args.budget)
     checks = [
         {
             "id": c.check_id,
@@ -161,6 +224,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_gen(args):
+    from . import designs
+
     if args.kind == "full-fiber":
         if not args.family:
             raise ParseError("gen --kind full-fiber requires --family")
@@ -184,6 +249,8 @@ def _cmd_gen(args):
 
 
 def _cmd_check_design(args):
+    from . import designs
+
     spec, declared, elements = designs.read_design_file(args.design)
     t = args.strength if args.strength is not None else declared
     result = {"family": spec, "strength": t, "size": len(elements)}
@@ -204,6 +271,8 @@ def _cmd_check_design(args):
 
 
 def _load_cert(args):
+    from . import designs
+
     cert = designs.load_design(args.design)
     if getattr(args, "t", None) is not None:
         cert = designs.restrict_strength(cert, args.t)
@@ -211,6 +280,8 @@ def _load_cert(args):
 
 
 def _cmd_ekr_check(args):
+    from . import ekr
+
     cert = _load_cert(args)
     report = ekr.check_conditions(cert, args.s)
     result = report._asdict()
@@ -239,6 +310,8 @@ def _cmd_ekr_check(args):
 
 
 def _cmd_dr(args):
+    from . import ekr
+
     cert = _load_cert(args)
     report = ekr.compute_dr(cert, args.s, args.r)
     result = report._asdict()
@@ -255,6 +328,8 @@ def _cmd_dr(args):
 
 
 def _cmd_search_max(args):
+    from . import designs, search
+
     spec, strength, elements = designs.read_design_file(args.design)
     search.check_vertices(len(elements))  # before the coverage pass
     cert = designs.verify_design_file(args.design, spec, strength, elements)
@@ -280,6 +355,8 @@ def _cmd_search_max(args):
 
 
 def _cmd_verify_extremal(args):
+    from . import designs, ekr
+
     cert = designs.load_design(args.design)
     spec, members = designs.read_family_file(args.family_file, cert.spec)
     if spec != cert.spec:
@@ -483,7 +560,7 @@ def run(argv=None) -> int:
         result, lines = None, []
         error = {"type": type(exc).__name__, "message": str(exc), "context": getattr(exc, "context", {})}
     if args.json:
-        print(json.dumps(_envelope(args.command, inputs, result, code, error), indent=2, sort_keys=True))
+        print(_dumps(_envelope(args.command, inputs, result, code, error)))
     elif not args.quiet:
         for line in lines:
             print(line)

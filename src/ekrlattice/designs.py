@@ -199,8 +199,12 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
     try:
         rows = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        lineno = data.count(b"\n", 0, line_start) + 1
+        column = exc.start - line_start + 1
+        raise ParseError(
+            f"{path}:{lineno}: 'utf-8' codec can't decode byte 0x{data[exc.start]:02x} in column {column}: {exc.reason}"
+        ) from exc
     lines = []
     for lineno, line in enumerate(rows, start=1):
         text = line.strip()

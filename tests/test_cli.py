@@ -32,6 +32,24 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def json_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.fixture(autouse=True)
+def envelopes_are_written_as_json_writes_them(monkeypatch):
+    """Every envelope a test here prints in process is checked against the
+    json package's text of it."""
+    build = cli._envelope
+
+    def checked(*args):
+        body = build(*args)
+        assert cli._dumps(body) == json_text(body)
+        return body
+
+    monkeypatch.setattr(cli, "_envelope", checked)
+
+
 @pytest.fixture
 def in_samples_tmp(tmp_path, monkeypatch):
     """Run in a temp dir holding copies of the bundled samples (stable paths)
@@ -832,6 +850,45 @@ def test_golden_audit_reports(name, capsys):
         check["elapsed"] = 0
     assert code == 0
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == (GOLDEN_DIR / name).read_text()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda path: path.name)
+def test_the_envelope_writer_rewrites_each_golden_report(path):
+    text = path.read_text(encoding="utf-8")
+    assert cli._dumps(json.loads(text)) + "\n" == text
+
+
+# strings with every escape json writes: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral characters, and lone surrogates
+_TEXTS = st.text(st.sampled_from('ab 1:"\\\x00\x08\x0c\n\r\t\x1f\x7f\x80\xe9\u20ac\ud800\udfff\U0001f600') | st.characters())
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats(0, 10).map(lambda x: round(x, 6))  # the audit's `elapsed`
+    | _TEXTS
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXTS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_the_envelope_writer_writes_what_json_writes(value):
+    assert cli._dumps(value) == json_text(value)
+
+
+@pytest.mark.parametrize("value", ({1: 0}, {"a": [{None: 0}]}, {"a": {1.5, 2}}, b"bytes"), ids=repr)
+def test_the_envelope_writer_refuses_what_json_would_not_write_as_is(value):
+    # json turns a non-str key into a string; a report has none
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 def test_golden_search_under_python_optimize(in_samples_tmp):

@@ -270,11 +270,28 @@ def test_load_rejects_malformed_files(tmp_path, content):
 def test_a_file_that_is_not_utf8_is_a_parse_error_naming_its_line(tmp_path):
     path = tmp_path / "latin1.design"
     path.write_bytes(b"family johnson:v=5,m=2\nstrength 1\n1 \xff\n")
-    message = f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 36: invalid start byte"
+    message = f"{path}:3: 'utf-8' codec can't decode byte 0xff in column 3: invalid start byte"
     for read in (designs.load_design, designs.read_family_file):
         with pytest.raises(ParseError) as exc:
             read(path)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        # the column counts bytes from the start of the line, not of the file (byte 38 here)
+        (b"family johnson:v=5,m=2\nstrength 1\n1 2\n\xff 3\n", "4: 'utf-8' codec can't decode byte 0xff in column 1"),
+        (b"family johnson:v=5,m=2\n\n# \xc3\xa9t\xc3\n", "3: 'utf-8' codec can't decode byte 0xc3 in column 6"),
+        (b"\xe2\x82x", "1: 'utf-8' codec can't decode byte 0xe2 in column 1"),
+    ],
+)
+def test_a_decode_error_names_its_line_and_column(tmp_path, data, where):
+    path = tmp_path / "bad.design"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        designs.load_design(path)
+    assert str(exc.value).startswith(f"{path}:{where}: ")
 
 
 def test_family_file_reader(tmp_path):

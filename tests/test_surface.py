@@ -1,12 +1,13 @@
-"""The public surface: every exported name resolves, the resource limits
-that only the library sets are module constants, not per-call parameters,
-importing the CLI loads no code-generation modules, and the family kinds
-are decided only in the registry of `families`, which the README's kind
-table lists."""
+"""The public surface: every exported name resolves on first use to its
+home module's object, the resource limits that only the library sets are
+module constants, not per-call parameters, a CLI process loads only what
+its subcommand runs, and the family kinds are decided only in the registry
+of `families`, which the README's kind table lists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 import subprocess
@@ -28,6 +29,42 @@ def test_every_exported_name_resolves():
     assert [name for name in ekrlattice.__all__ if not hasattr(ekrlattice, name)] == []
 
 
+def test_every_export_is_its_home_modules_object_and_dir_lists_it():
+    homes = {name: home for home, names in ekrlattice._HOMES.items() for name in names}
+    assert ["__version__", *sorted(homes)] == ekrlattice.__all__
+    for name, home in homes.items():
+        assert getattr(ekrlattice, name) is getattr(importlib.import_module(f"ekrlattice.{home}"), name), name
+    assert set(ekrlattice.__all__) <= set(dir(ekrlattice))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ekrlattice.nope
+    assert not hasattr(ekrlattice, "_private")
+
+
+AUDIT_RUN = "ekrlattice.cli.run(['audit', '--family', 'johnson:v=4,m=2', '--quiet'])"
+
+
+@pytest.mark.parametrize(
+    "code",
+    (
+        "import ekrlattice",
+        "import ekrlattice.audit",
+        "from ekrlattice import audit",
+        f"import ekrlattice.cli; {AUDIT_RUN}",
+        # the submodule loads after the function was read: the import system rebinds the name
+        "import ekrlattice; ekrlattice.audit; import ekrlattice.audit",
+    ),
+)
+def test_the_package_audit_is_the_function_after_any_import_order(code):
+    check = "import ekrlattice, sys; print(ekrlattice.audit is sys.modules['ekrlattice.audit'].audit)"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{check}"], cwd=ROOT / "src", capture_output=True, text=True, check=True, timeout=60
+    )
+    assert proc.stdout == "True\n"
+
+
 @pytest.mark.parametrize(
     "fn",
     (designs.make_certificate, designs.load_design, ekr.compute_dr, search.max_intersecting),
@@ -38,13 +75,14 @@ def test_no_function_takes_a_limit_the_cli_does_not_set(fn):
 
 
 def _modules_added(code: str) -> set:
-    """The modules a fresh interpreter loads while it runs `code`."""
+    """The modules a fresh interpreter loads while it runs `code`, read off
+    the last line of its stdout, below whatever `code` prints."""
     src = ROOT / "src"
     code = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(' '.join(sorted(set(sys.modules) - before)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60
     )
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -54,6 +92,30 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = _modules_added("import ekrlattice.cli")
     assert "ekrlattice.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "argparse", "gettext"})
+
+
+LIBRARY = {"ekrlattice.designs", "ekrlattice.search", "ekrlattice.ekr"}
+
+
+def test_cli_import_loads_only_what_every_subcommand_runs():
+    added = _modules_added("import ekrlattice.cli")
+    assert "ekrlattice.families" in added and added.isdisjoint({"json", *LIBRARY, "ekrlattice.audit"})
+
+
+def _run_added(*argv) -> set:
+    return _modules_added(f"import ekrlattice.cli as c; c.run({list(argv)!r})")
+
+
+def test_an_audit_run_loads_neither_json_nor_the_design_modules():
+    added = _run_added("audit", "--family", "johnson:v=4,m=2", "--json")
+    assert "ekrlattice.audit" in added and added.isdisjoint({"json", *LIBRARY})
+
+
+@pytest.mark.parametrize("argv", (("search-max", "--s", "1"), ("check-design",)), ids=lambda argv: argv[0])
+def test_a_design_run_writes_its_envelope_without_json(argv):
+    design = str(ROOT / "src" / "ekrlattice" / "samples" / "oa3.design")
+    added = _run_added(*argv, "--design", design, "--json")
+    assert "ekrlattice.designs" in added and "json" not in added
 
 
 def test_a_plain_run_loads_no_argparse():
