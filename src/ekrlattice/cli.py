@@ -15,10 +15,10 @@ A plain argv (a subcommand, then only its exact option strings, each valued
 one with a value that does not start with `-` and that its type and choices
 accept, every required option given) is read straight off `_COMMANDS`,
 into the namespace argparse would give, so such a run never imports
-argparse.  argparse parses every other argv: `-h`, `--help`, `--version`,
-an abbreviation, `--opt=value`, `--`, a negative number, a bad value, a
-missing option or an unknown word.  Help text and usage errors are
-therefore argparse's own.
+argparse.  Every other argv builds the one parser of all nine subcommands
+(`_build_parser`): `-h`, `--help`, `--version`, an abbreviation,
+`--opt=value`, `--`, a negative number, a bad value, a missing option or an
+unknown word.  Help text and usage errors are therefore argparse's own.
 
 A process imports only what its subcommand runs: this module loads
 `families` and `errors`, and each `_cmd_*` handler imports its own library
@@ -331,8 +331,8 @@ def _cmd_search_max(args):
     from . import designs, search
 
     spec, strength, elements = designs.read_design_file(args.design)
-    search.check_vertices(len(elements))  # before the coverage pass
-    cert = designs.verify_design_file(args.design, spec, strength, elements)
+    search.check_graph(spec, args.s, len(elements))  # before the coverage pass
+    cert = designs.make_certificate(spec, elements, strength)
     result_obj = search.max_intersecting(
         cert,
         args.s,
@@ -457,17 +457,8 @@ _COMMANDS = {
 }
 
 
-def _handler(command: str):
-    return globals()["_cmd_" + command.replace("-", "_")]
-
-
-def _build_parser(command: str | None = None):
-    """The `argparse.ArgumentParser` with only `command`'s subparser, or
-    with all nine when `command` is None.  Either gives the same output,
-    exit code and namespace on any argv whose first word is `command`:
-    argparse reports an unknown trailing argument through the top-level
-    usage, so with one subparser the choices are spelled out as the
-    metavar."""
+def _build_parser():
+    """The `argparse.ArgumentParser` of all nine subcommands."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -475,14 +466,11 @@ def _build_parser(command: str | None = None):
         description="Exact designs, regularity audits, and intersection bounds in ranked meet-semilattices.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        text, *options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, *options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for *flags, keywords in (*_COMMON, *options):
             p.add_argument(*flags, **keywords)
-        p.set_defaults(handler=_handler(name))
     return parser
 
 
@@ -523,7 +511,6 @@ def _plain_args(argv: list) -> dict | None:
         required.discard(dest)
     if required:
         return None
-    fields["handler"] = _handler(command)
     return fields
 
 
@@ -541,37 +528,43 @@ _EXIT_CODES = {
 
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, print its report, return the exit code.
-    A plain argv builds no parser.  Otherwise the parser holds only the
-    subcommand that argv's first word names; with no such word (no
-    arguments, `--help`, `--version`, an unknown command) it holds all nine."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    fields = _plain_args(argv)
-    if fields is None:
-        fields = vars(_build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv))
-    args = SimpleNamespace(**fields)
-    # the inputs echo is every option the subcommand parsed
-    inputs = {k: v for k, v in fields.items() if k not in ("command", "handler", "json", "quiet")}
-    error = None
+    A plain argv builds no parser; any other argv builds the full one.  The
+    interpreter's int-to-str digit limit is lifted while it runs, so every
+    integer is read and printed in full, and restored when it returns."""
+    lift = hasattr(sys, "set_int_max_str_digits")  # from 3.10.7 on, str(int) stops at 4,300 digits
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        code, result, lines = args.handler(args)
-    except tuple(_EXIT_CODES) as exc:
-        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
-        print(f"error: {exc}", file=sys.stderr)
-        result, lines = None, []
-        error = {"type": type(exc).__name__, "message": str(exc), "context": getattr(exc, "context", {})}
-    if args.json:
-        print(_dumps(_envelope(args.command, inputs, result, code, error)))
-    elif not args.quiet:
-        for line in lines:
-            print(line)
-    return code
+        argv = sys.argv[1:] if argv is None else list(argv)
+        fields = _plain_args(argv)
+        if fields is None:
+            fields = vars(_build_parser().parse_args(argv))
+        args = SimpleNamespace(**fields)
+        # the inputs echo is every option the subcommand parsed
+        inputs = {k: v for k, v in fields.items() if k not in ("command", "json", "quiet")}
+        error = None
+        try:
+            code, result, lines = globals()["_cmd_" + args.command.replace("-", "_")](args)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+            print(f"error: {exc}", file=sys.stderr)
+            result, lines = None, []
+            error = {"type": type(exc).__name__, "message": str(exc), "context": getattr(exc, "context", {})}
+        if args.json:
+            print(_dumps(_envelope(args.command, inputs, result, code, error)))
+        elif not args.quiet:
+            for line in lines:
+                print(line)
+        return code
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code; argparse's `--help`,
     `--version` and usage errors raise `SystemExit`."""
-    if hasattr(sys, "set_int_max_str_digits"):  # from 3.10.7 on, str(int) stops at 4,300 digits
-        sys.set_int_max_str_digits(0)  # every integer is printed in full
     return run(argv)
 
 

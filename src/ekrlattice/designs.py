@@ -13,7 +13,9 @@ Design files are UTF-8 with LF line endings::
     1:0,2:0,3:0
     ...
 
-`#` starts a comment line; the declared strength is re-verified on load.
+`#` starts a comment line.  A strength line above the family's top rank is
+refused where it is read, in a design file or a family file, before any
+coverage pass; the declared strength is re-verified on load.
 """
 
 from __future__ import annotations
@@ -26,23 +28,24 @@ from .errors import BudgetExceededError, NonIntegralError, ParseError, Verificat
 from .families import Element, FamilySpec
 
 
-class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices stars", defaults=(None,))):
+class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices")):
     """A verified design: spec, elements, strength, and exact index vector
     (indices[j] == lambda_j for 0 <= j <= strength).  The elements are kept
     in canonical (payload) order whatever order they came in, so nothing read
     off a certificate depends on a design file's row order.
 
-    `stars`, kept by `make_certificate` from its coverage pass, holds for each
+    `stars`, set by `make_certificate` from its coverage pass, holds for each
     rank-`strength` element, in canonical order, the mask of the members above
-    it, bit j for elements[j]; it is None when no coverage pass ran.  The
-    builders below, whose elements are in canonical order already, skip the
-    sort through `_sorted_certificate`.
+    it, bit j for elements[j]; it is None when no coverage pass ran.  It is an
+    attribute, not a field, so equality, hashing, `_asdict` and `_replace` see
+    values only.  The builders below, whose elements are in canonical order
+    already, skip the sort through `_sorted_certificate`.
     """
 
-    __slots__ = ()
+    stars = None
 
-    def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...], stars=None):
-        return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices, stars)
+    def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...]):
+        return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices)
 
     @classmethod
     def _make(cls, iterable):
@@ -54,9 +57,9 @@ class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength 
         return len(self.elements)
 
 
-def _sorted_certificate(spec: FamilySpec, elements: tuple, strength: int, indices: tuple, stars=None):
+def _sorted_certificate(spec: FamilySpec, elements: tuple, strength: int, indices: tuple):
     """A DesignCertificate of elements already in canonical order, not sorted again."""
-    return tuple.__new__(DesignCertificate, (spec, elements, strength, indices, stars))
+    return tuple.__new__(DesignCertificate, (spec, elements, strength, indices))
 
 
 def _validate_top_elements(spec: FamilySpec, elements):
@@ -129,8 +132,9 @@ def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
     lam, witness = _index(spec, t, stars)
     if lam is None:
         raise VerificationError(t, witness)
-    indices = tuple(derive_index(spec, lam, t, j) for j in range(t + 1))
-    return _sorted_certificate(spec, elements, t, indices, stars)
+    cert = _sorted_certificate(spec, elements, t, tuple(derive_index(spec, lam, t, j) for j in range(t + 1)))
+    cert.stars = stars
+    return cert
 
 
 def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:
@@ -191,8 +195,9 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
     """(spec, declared strength or None, elements) of a design or family file.
     The headers read as `save_design` writes them: one space after `family`
     and after `strength`.  A header naming the family of `like` gives `like`
-    itself, so the rows share its codec.  Errors name the file by its role:
-    a design file when `want_strength`, else a family file."""
+    itself, so the rows share its codec.  A strength above the top rank is
+    refused on its line.  Errors name the file by its role: a design file
+    when `want_strength`, else a family file."""
     role = "design file" if want_strength else "family file"
     with open(path, "rb") as file:
         data = file.read()
@@ -234,6 +239,8 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
             strength = -1
         if strength < 0:
             raise ParseError(f"{path}:{lineno}: bad strength {text!r}")
+        if strength > spec.top_rank:
+            raise ParseError(f"{path}:{lineno}: declared strength {strength} out of range 0..{spec.top_rank}")
     elif want_strength and lines:
         raise ParseError(f"{path}:{lines[0][0]}: expected `strength <t>`")
     elif want_strength:
@@ -257,7 +264,8 @@ def _read_file(path, *, want_strength: bool, like: FamilySpec | None = None):
 
 
 def read_design_file(path):
-    """Parse a design file without verifying: (spec, declared strength, elements)."""
+    """Parse a design file without its coverage pass: (spec, declared strength,
+    elements), the strength in 0..top rank."""
     return _read_file(path, want_strength=True)
 
 
@@ -271,11 +279,5 @@ def read_family_file(path, spec: FamilySpec | None = None):
 
 def load_design(path) -> DesignCertificate:
     """Load and re-verify a design file; rejects files whose strength fails."""
-    return verify_design_file(path, *read_design_file(path))
-
-
-def verify_design_file(path, spec: FamilySpec, strength: int, elements) -> DesignCertificate:
-    """Re-verify what `read_design_file(path)` parsed, at its declared strength."""
-    if not 0 <= strength <= spec.top_rank:
-        raise ParseError(f"{path}: declared strength {strength} out of range 0..{spec.top_rank}")
+    spec, strength, elements = read_design_file(path)
     return make_certificate(spec, elements, strength)

@@ -73,27 +73,28 @@ VERTEX_CAP = 5000  # design members a search graph may have
 ALL_MAX_CAP = 10**6  # maximum families `enumerate_all` may list
 
 
-def check_vertices(n: int) -> None:
-    """Refuse a search graph of `n` vertices, one per design member, above `VERTEX_CAP`."""
+def check_graph(spec: families.FamilySpec, s: int, n: int) -> None:
+    """Refuse a search at `s` outside 1..top rank, then a search graph of `n`
+    vertices, one per design member, above `VERTEX_CAP`."""
+    if not 1 <= s <= spec.top_rank:
+        raise ParseError(f"s must satisfy 1 <= s <= {spec.top_rank}, got {s}")
     if n > VERTEX_CAP:
         raise BudgetExceededError("the search graph", n, "vertices", VERTEX_CAP)
 
 
 def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
     """(adjacency, seed mask) of the search, bit j for member j, after the s
-    range and then `VERTEX_CAP` are checked.  Member j's mask, its own bit
-    set, is the OR of the rank-s stars holding j (`ekr.star_neighbourhoods`),
+    range and then `VERTEX_CAP` are checked (`check_graph`).  Member j's mask,
+    its own bit set, is the OR of the rank-s stars holding j (`ekr.star_neighbourhoods`),
     and the seed is the first largest star in canonical center order.  At the
     certificate's strength the stars are its coverage pass's (`cert.stars`);
     below it they are tabulated from the centers below each member
     (`families.below`), so no fiber is built.  When that table would list more
     than `families.FIBER_CAP` center entries, the graph is built pair by pair
     (`ekr.intersection_masks`) and member 0 is the seed."""
-    if not 1 <= s <= cert.spec.top_rank:
-        raise ParseError(f"s must satisfy 1 <= s <= {cert.spec.top_rank}, got {s}")
     members = cert.elements
     n = len(members)
-    check_vertices(n)
+    check_graph(cert.spec, s, n)
     if n * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
         return tuple(ekr.intersection_masks(members, s)), 1
     if s == cert.strength and cert.stars is not None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -53,6 +54,17 @@ def seed_family(cert, mask):
     """(size, members) of a seed mask, bit j for member j, members in canonical order."""
     members = tuple(x for j, x in enumerate(cert.elements) if mask >> j & 1)
     return len(members), members
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit of 4,300 for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="session")

@@ -205,15 +205,10 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
 def test_the_one_subcommand_parser_parses_as_the_full_one(command, monkeypatch, capsys):
-    # the same namespace, or the same exit code, stdout and stderr; argparse
-    # reports an unrecognized argument through the top-level usage line
+    # the plain path gives the parser's namespace, with nothing on stdout or
+    # stderr, or declines
     assert set(EVERY_OPTION) == set(cli._COMMANDS)
     monkeypatch.setenv("COLUMNS", "80")
-    for argv in (*_edge_argvs(command), *_parser_argvs(command)):
-        one = _parse(cli._build_parser(command), argv, capsys)
-        assert one == _parse(cli._build_parser(), argv, capsys), argv
-    assert "{params,audit,enumerate,gen,check-design,ekr-check,dr,search-max,verify-extremal}" in one[2]
-    # the plain path gives the full parser's namespace, or declines
     for argv in (*_edge_argvs(command), *_parser_argvs(command), ["--json", command, *EVERY_OPTION[command]]):
         plain = cli._plain_args(argv)
         assert plain is None or (plain, "", "") == _parse(cli._build_parser(), argv, capsys), argv
@@ -264,10 +259,11 @@ def test_the_plain_path_parses_as_argparse_or_declines(command, every_option, ch
 
 
 def test_a_run_builds_only_the_parser_its_first_word_names(monkeypatch, capsys):
+    # a plain argv builds no parser, any other the one parser of every subcommand
     built = []
 
-    def build(command=None):
-        parser = real(command)
+    def build():
+        parser = real()
         built.append(sorted(parser._subparsers._group_actions[0].choices))
         return parser
 
@@ -280,9 +276,8 @@ def test_a_run_builds_only_the_parser_its_first_word_names(monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main(argv)
         errors.append(capsys.readouterr().err)
-    assert built[0] == ["params"]
-    assert built[1:] == [sorted(cli._COMMANDS)] * 5
-    # the full parser names its positional `command`, not by the choices
+    assert built == [sorted(cli._COMMANDS)] * 6
+    # the parser names its positional `command`, not by the choices
     assert errors[1].endswith("error: the following arguments are required: command\n")
     assert "error: argument command: invalid choice: 'nope'" in errors[4]
 
@@ -364,6 +359,29 @@ def test_search_max_refuses_an_oversized_design_before_its_coverage_pass(tmp_pat
     code, out, _ = run_cli(["search-max", "--design", "broken.design", "--s", "1", "--json"], capsys)
     assert code == 3
     assert json.loads(out)["error"]["context"] == {"need": 2, "cap": 1}
+
+
+@pytest.mark.parametrize("s", [0, 4])
+def test_search_max_refuses_an_s_out_of_range_before_its_coverage_pass(s, in_samples_tmp, monkeypatch, capsys):
+    monkeypatch.setattr(families, "above", lambda *args: pytest.fail("covered a design the search refuses"))
+    code, _, err = run_cli(["search-max", "--design", "fano.design", "--s", str(s)], capsys)
+    assert code == 2 and err == f"error: s must satisfy 1 <= s <= 3, got {s}\n"
+
+
+def test_a_strength_above_the_top_rank_is_refused_where_it_is_read(in_samples_tmp, monkeypatch, capsys):
+    # under `check-design --strength` and in a family file too
+    Path("bad.design").write_text("family johnson:v=7,m=3\nstrength 4\n1 2 3\n")
+    message = "error: bad.design:2: declared strength 4 out of range 0..3\n"
+    argv = ["verify-extremal", "--design", "fano.design", "--family-file", "bad.design", "--s", "1"]
+    assert run_cli(argv, capsys)[::2] == (2, message)
+    monkeypatch.setattr(families, "above", lambda *args: pytest.fail("covered a design with a bad strength line"))
+    for argv in (
+        ["check-design", "--design", "bad.design"],
+        ["check-design", "--design", "bad.design", "--strength", "1"],
+        ["ekr-check", "--design", "bad.design", "--s", "1"],
+        ["search-max", "--design", "bad.design", "--s", "1"],
+    ):
+        assert run_cli(argv, capsys)[::2] == (2, message), argv
 
 
 def test_missing_file_exit_2(tmp_path, monkeypatch, capsys):
@@ -721,6 +739,21 @@ def test_integers_past_the_str_digit_limit_are_printed_in_full():
     # fiber sizes of fewer than 4,300 digits, a whole need of more
     proc = run_process(["audit", "--family", "grassmann:v=200,m=100,q=2", "--json"])
     assert proc.returncode == 3 and len(json.loads(proc.stdout)["error"]["context"]["fiber_sizes"]) == 101
+
+
+def test_a_run_lifts_the_digit_limit_and_restores_it(default_digit_limit, capsys):
+    # the report prints a need of more digits than the limit allows, and the
+    # limit reads the same after a report, an error and a SystemExit
+    argv = ["enumerate", "--family", G300, "--rank", "150", "--json"]
+    for call in (main, cli.run):
+        assert call(argv) == 3
+        assert len(json.loads(capsys.readouterr().out)["error"]["context"]["need"]) > default_digit_limit
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        assert call(["params", "--family", "johnson:v=4,m=3", "--quiet"]) == 2
+        with pytest.raises(SystemExit):
+            call(["--version"])
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        capsys.readouterr()
 
 
 def test_a_refusal_of_any_size_is_constructible():

@@ -38,6 +38,28 @@ def test_replace_keeps_the_certificate_in_payload_order(fano_cert):
     assert designs.DesignCertificate._make((fano_cert.spec, rows[::-1], 2, fano_cert.indices)).elements == rows
 
 
+def test_certificates_of_one_design_compare_equal_whichever_builder_made_them(fano_cert):
+    # the coverage pass's stars are an attribute, not a field
+    assert designs.DesignCertificate._fields == ("spec", "elements", "strength", "indices")
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    full = designs.full_fiber(spec)
+    verified = designs.make_certificate(spec, full.elements, spec.top_rank)
+    assert full == verified and hash(full) == hash(verified)
+    assert full.stars is None and len(verified.stars) == full.size
+    assert designs.restrict_strength(fano_cert, fano_cert.strength) == fano_cert
+    assert fano_cert._asdict() == dict(zip(fano_cert._fields, fano_cert))
+    assert fano_cert.stars is not None and fano_cert._replace().stars is None
+
+
+def test_a_numeral_above_the_digit_limit_is_a_bad_strength(tmp_path, default_digit_limit):
+    path = tmp_path / "big.design"
+    digits = "9" * 5000
+    path.write_text(f"family johnson:v=7,m=3\nstrength {digits}\n1 2 3\n")
+    with pytest.raises(ParseError) as exc:
+        designs.load_design(path)
+    assert str(exc.value) == f"{path}:2: bad strength {digits!r}"
+
+
 def test_every_certificate_builder_gives_payload_order(fano_spec, fano_elements):
     # make_certificate sorts once; restrict_strength and full_fiber start from sorted members
     rows = tuple(sorted(fano_elements, key=lambda x: x.payload))
@@ -234,7 +256,7 @@ MALFORMED = {
     "family johnson:v=7,m=3\nstrength x\n1 2 3\n": ":2: bad strength 'x'",
     "family johnson:v=7,m=3\nstrength 2\n": ": design file lists no elements",
     "family johnson:v=7,m=3\nstrength 2\n1 2\n": ":3: element is not in the top fiber",
-    "family johnson:v=7,m=3\nstrength 9\n1 2 3\n": ": declared strength 9 out of range 0..3",
+    "family johnson:v=7,m=3\nstrength 9\n1 2 3\n": ":2: declared strength 9 out of range 0..3",
     "family johnson:v=3,m=2\nstrength 1\n1 2\n": ":1: johnson: requires v >= 2m >= 2",
     "# c\n\nfamily johnson:v=7,m=3\n\nstrength 2\n1 2 3\n# c\n1 2 3\n": ":8: duplicate element '1 2 3'",
     "family johnson:v=7,m=3\nstrength 2\n1 2 x\n": ":3: bad ground-set member 'x'",

@@ -443,6 +443,13 @@ def test_parse_spec_names_what_is_not_canonical(text, message):
     assert str(exc.value) == message
 
 
+def test_a_numeral_above_the_digit_limit_is_a_bad_spec_numeral(default_digit_limit):
+    item = "v=" + "9" * 5000
+    with pytest.raises(ParseError) as exc:
+        families.parse_family_spec(f"johnson:{item},m=3")
+    assert str(exc.value) == f"bad numeral in family spec item {item!r}"
+
+
 def test_least_element_formats_as_dash():
     for spec, _ in small_universes():
         z = families.least(spec)
