@@ -270,19 +270,26 @@ def _cmd_check_design(args):
     return 0, result, lines
 
 
-def _load_cert(args):
+def _load_cert(args, check):
+    """The design of `--design`, verified, at the strength `--t` when given.
+    `check(spec, t)` refuses the other ranges at that strength first, and
+    `--t` is checked against the declared strength, both before the
+    coverage pass, as `search-max` refuses a bad `--s`."""
     from . import designs
 
-    cert = designs.load_design(args.design)
-    if getattr(args, "t", None) is not None:
-        cert = designs.restrict_strength(cert, args.t)
-    return cert
+    spec, strength, elements = designs.read_design_file(args.design)
+    t = getattr(args, "t", None)
+    if t is not None:
+        designs.check_strength(t, strength)
+    check(spec, strength if t is None else t)
+    cert = designs.make_certificate(spec, elements, strength)
+    return cert if t is None else designs.restrict_strength(cert, t)
 
 
 def _cmd_ekr_check(args):
     from . import ekr
 
-    cert = _load_cert(args)
+    cert = _load_cert(args, lambda spec, t: ekr.check_condition_range(args.s, t))
     report = ekr.check_conditions(cert, args.s)
     result = report._asdict()
     result["family"] = result.pop("spec")
@@ -312,7 +319,7 @@ def _cmd_ekr_check(args):
 def _cmd_dr(args):
     from . import ekr
 
-    cert = _load_cert(args)
+    cert = _load_cert(args, lambda spec, t: ekr.check_dr_range(spec, args.r, args.s, t))
     report = ekr.compute_dr(cert, args.s, args.r)
     result = report._asdict()
     result["family"] = cert.spec
@@ -357,7 +364,7 @@ def _cmd_search_max(args):
 def _cmd_verify_extremal(args):
     from . import designs, ekr
 
-    cert = designs.load_design(args.design)
+    cert = _load_cert(args, lambda spec, t: ekr.check_extremal_range(spec, args.s, t))
     spec, members = designs.read_family_file(args.family_file, cert.spec)
     if spec != cert.spec:
         raise ParseError(

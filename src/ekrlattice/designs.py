@@ -80,8 +80,7 @@ def _validate_top_elements(spec: FamilySpec, elements):
 def _charge_coverage(spec: FamilySpec, t: int, design_size: int) -> None:
     """Refuse a coverage pass of `design_size` members over the rank-t fiber whose
     comparisons exceed `families.DEFAULT_BUDGET`; nothing is built."""
-    if not 0 <= t <= spec.top_rank:
-        raise ParseError(f"strength {t} out of range 0..{spec.top_rank}")
+    check_strength(t, spec.top_rank)
     size = families.fiber_size(spec, t)
     if size * design_size > families.DEFAULT_BUDGET:
         raise BudgetExceededError(
@@ -137,10 +136,15 @@ def make_certificate(spec: FamilySpec, elements, t: int) -> DesignCertificate:
     return cert
 
 
+def check_strength(t: int, top: int) -> None:
+    """Refuse a strength t outside 0..top."""
+    if not 0 <= t <= top:
+        raise ParseError(f"strength {t} out of range 0..{top}")
+
+
 def restrict_strength(cert: DesignCertificate, t: int) -> DesignCertificate:
     """View a t-design as a design of smaller strength (same elements)."""
-    if not 0 <= t <= cert.strength:
-        raise ParseError(f"strength {t} out of range 0..{cert.strength}")
+    check_strength(t, cert.strength)
     return _sorted_certificate(cert.spec, cert.elements, t, cert.indices[: t + 1])
 
 
@@ -149,8 +153,7 @@ def full_fiber(spec: FamilySpec, t: int | None = None) -> DesignCertificate:
     top = spec.top_rank
     if t is None:
         t = top
-    if not 0 <= t <= top:
-        raise ParseError(f"strength {t} out of range 0..{top}")
+    check_strength(t, top)
     elements = families.enumerate_fiber(spec, top)
     indices = tuple(parameters.theta(spec, j) for j in range(t + 1))
     return _sorted_certificate(spec, elements, t, indices)

@@ -84,9 +84,37 @@ def intersection_masks(members, s: int) -> list[int]:
 
 def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
     """True iff every pairwise meet has rank at least s."""
+    _check_s_below_top(spec, s)
+    return min_meet_rank(spec, family) >= s
+
+
+def _check_s_below_top(spec: FamilySpec, s: int) -> None:
     if not 0 < s < spec.top_rank:
         raise ParseError(f"s must satisfy 0 < s < {spec.top_rank}, got {s}")
-    return min_meet_rank(spec, family) >= s
+
+
+def _check_s_to_strength(s: int, t: int) -> None:
+    if not 0 <= s <= t:
+        raise ParseError(f"s must satisfy 0 <= s <= {t}, got {s}")
+
+
+def check_condition_range(s: int, t: int) -> None:
+    """Refuse the s of `check_conditions` at strength t, before any coverage pass."""
+    if not 0 < s < t:
+        raise ParseError(f"need 0 < s < t (certificate strength t={t}), got s={s}")
+
+
+def check_dr_range(spec: FamilySpec, r: int, s: int, t: int) -> None:
+    """Refuse the r and s of `compute_dr` at strength t, before any coverage pass."""
+    if not 0 <= r < s <= t:
+        raise ParseError(f"need 0 <= r <= s-1 < t <= {spec.top_rank}, got r={r}, s={s}, t={t}")
+
+
+def check_extremal_range(spec: FamilySpec, s: int, t: int) -> None:
+    """Refuse the s of `verify_extremal` at strength t, before any coverage pass,
+    with the message that function gives."""
+    _check_s_below_top(spec, s)
+    _check_s_to_strength(s, t)
 
 
 class ConditionRow(namedtuple("ConditionRow", "r conditions lhs rhs theta_lhs theta_rhs holds")):
@@ -137,8 +165,7 @@ def check_conditions(cert: DesignCertificate, s: int) -> ConditionReport:
     spec = cert.spec
     t = cert.strength
     top = spec.top_rank
-    if not 0 < s < t:
-        raise ParseError(f"need 0 < s < t (certificate strength t={t}), got s={s}")
+    check_condition_range(s, t)
     lam = cert.indices
     nu_sm = parameters.nu(spec, s, top)
     theta_s = parameters.theta(spec, s)
@@ -196,8 +223,7 @@ def table1_condition(spec: FamilySpec, s: int, t: int) -> bool:
 
 def ekr_bound(cert: DesignCertificate, s: int) -> int:
     """lambda_s; whether the bound is theorem-backed is check_conditions' job."""
-    if not 0 <= s <= cert.strength:
-        raise ParseError(f"s must satisfy 0 <= s <= {cert.strength}, got {s}")
+    _check_s_to_strength(s, cert.strength)
     return cert.indices[s]
 
 
@@ -219,8 +245,7 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     """
     spec = cert.spec
     t = cert.strength
-    if not 0 <= r < s <= t:
-        raise ParseError(f"need 0 <= r <= s-1 < t <= {spec.top_rank}, got r={r}, s={s}, t={t}")
+    check_dr_range(spec, r, s, t)
     j = t if r <= 2 * s - t else 2 * s - r
     bound = parameters.mu(spec, r, s) * cert.indices[j]
     members = cert.elements

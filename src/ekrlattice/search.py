@@ -26,25 +26,39 @@ under symmetries of the design.  This is sound because:
   group maps onto itself, and a clique among them meeting the next orbit is
   moved onto one of the same size through the orbit's representative.
 
-One level down the same argument runs again (orbital branching: Ostrowski,
-Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The child of
-the root's representative r has as candidates the root's remaining set,
-which the kept group maps onto itself, cut with the neighbours of r, which
-every kept element fixing r maps onto themselves.  So any subgroup H of the
-stabilizer of r maps the child's candidates onto themselves, and the child
-branches once per H-orbit and removes each whole H-orbit after it.  H is
-generated by Schreier generators (`_stabilizer`); the orbits of any subgroup
-refine the stabilizer's, so too few generators cost only speed.  The walk
-stops exactly when H has as many orbits as there are levels of an invariant
-every automorphism fixing r keeps (adjacency to r and |N(r) & N(x)|), since
-the levels are then the stabilizer's orbits, or after a fixed number of tries.
+Every node below runs the same argument (orbital branching: Ostrowski,
+Linderoth, Rossi and Smriglio, Math. Programming 126, 2011), by induction on
+the depth.  A node branches with a subgroup H of the kept group that fixes
+every vertex of its clique and maps its candidates onto themselves; the
+root's H is the kept group, and a deeper H is held as its action on the
+node's first candidates, each permutation the restriction of a product of
+kept generators.  When the node branches on v, its candidate set C at that
+moment is its first one less whole H-orbits, so H maps C onto itself, and C
+holds v.  So the stabilizer of v in H maps the child's candidates C & N(v)
+onto themselves and fixes every vertex chosen so far: the child branches
+once per orbit of any subgroup of it, and the induction goes on.  The
+subgroup is generated by Schreier generators (`_stabilizer`), from a walk
+over the orbit of v in C, never over the child's own candidates, which H
+need not map onto themselves; the orbits of any subgroup refine the
+stabilizer's, so too few generators cost only speed.  The walk stops exactly
+when the subgroup has as many orbits on C & N(v) as there are levels of an
+invariant every automorphism fixing v and mapping C onto itself keeps (|C &
+N(v) & N(x)|), since the levels are then the stabilizer's orbits, or after a
+fixed number of tries: `_SCHREIER_TRIES` at depth one, the fewer
+`_DEEP_TRIES` below it, where a subgroup seldom reaches the levels.  Below
+depth one a node takes its stabilizer only when its colour sort lists
+`_DEEP_BRANCHES` branch vertices or more, enough for the orbits to pay for
+the walk; a node that does not, or whose subgroup is trivial, branches on
+single vertices, and so does every node below it.
 
 A wrong or useless candidate is dropped and costs only speed; witnesses are
 re-verified as before.  `enumerate_exact` branches as the maximizing search
 does, then closes the cliques it finds under the kept generators.  That
-lists every maximum clique: the argument above moves any maximum clique, by
-an element of the kept group, onto one the root's child of its first orbit
-reaches, and the child's search below its own orbits is exhaustive.
+lists every maximum clique: at each node the argument above moves a maximum
+clique through it, by an element of that node's group, which fixes the
+node's clique, onto one through the child of its first orbit; so by
+induction an element of the kept group moves any maximum clique onto one
+the branch reaches, every group used being a subgroup of the kept group.
 `lexicographically_least` needs the canonical order and uses no orbits.
 
 Every returned family is re-verified before it is reported, by a route that
@@ -63,7 +77,8 @@ does; parents come before their images, so induction covers every family.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import takewhile
+from itertools import compress, takewhile
+from operator import itemgetter, ne
 
 from . import ekr, families, parameters
 from .designs import DesignCertificate
@@ -143,13 +158,12 @@ def _orbits(n, generators):
     return orbits
 
 
-def _orbit_masks(n, orbits):
-    """Per vertex, the mask of its orbit."""
-    masks = [0] * n
+def _orbit_masks(orbits):
+    """Per vertex of the orbits, the mask of its orbit."""
+    masks = {}
     for orbit in orbits:
         mask = sum(1 << v for v in orbit)
-        for v in orbit:
-            masks[v] = mask
+        masks.update(dict.fromkeys(orbit, mask))
     return masks
 
 
@@ -158,61 +172,85 @@ def _merge_orbits(orbits, least, h):
     the least point of each orbit to its points and `least[p]` is the least
     point of the orbit of p; the points of the orbit with the greater least
     point move into the other's."""
-    for p, image in enumerate(h):
-        a, b = least[p], least[image]
+    for p in compress(range(len(h)), map(ne, least, map(least.__getitem__, h))):  # the points h moves off their orbit
+        a, b = least[p], least[h[p]]
         if a != b:
-            a, b = min(a, b), max(a, b)
+            if a > b:
+                a, b = b, a
             for q in orbits[b]:
                 least[q] = a
             orbits[a] += orbits.pop(b)
 
 
-_SCHREIER_TRIES = 64  # Schreier generators tried per fixed vertex; only speed depends on it
+_SCHREIER_TRIES = 64  # Schreier generators tried at depth one; only speed depends on it
+_DEEP_TRIES = 8  # the same below depth one, where a subgroup seldom reaches the levels
+_DEEP_BRANCHES = 8  # below depth one, branch vertices a node's colour sort must list to take a stabilizer
 
 
-def _stabilizer(adj, generators, r):
-    """Generators of a subgroup H of the stabilizer of r in the group G that
-    `generators` generate, and the orbits of H.
+def _through(points, *perms):
+    """The images of `points`, a sequence of at least two indices, under each
+    permutation of `perms` in turn: the composite's list when `points` is
+    the identity."""
+    for perm in perms:
+        points = itemgetter(*points)(perm)
+    return points
+
+
+def _stabilizer(adj, group, within, r, tries):
+    """A subgroup H of the stabilizer of the vertex r in the group G that
+    `group` gives, and the orbits of H on near = N(r) & within, as lists of
+    vertices.  `group` is (domain, generators, inverses): a sorted sequence
+    of vertices, and permutations of it with their inverses, each a sequence
+    of indices into it.  G maps the vertices of the mask `within`, which
+    hold r, onto themselves, so every element of G fixing r maps near onto
+    itself; H is returned as a group of that form over near.
 
     A breadth-first walk over the G-orbit of r stores, per point x it reaches,
     the transversal element u_x, with u_x(r) = x, and its inverse: u_r is the
     identity and a tree edge g from x gives u_{g(x)} = g u_x.  By Schreier's
     lemma the u_{g(x)}^-1 g u_x generate the stabilizer (Seress, *Permutation
-    Group Algorithms*, CUP 2003); each costs two list maps.  They are tried in
-    walk order, each once the walk has reached both of its ends, and kept when
-    they merge orbits, which `_merge_orbits` then joins; its lists are
-    returned, in least-point order, each opened at its least point.  An
-    automorphism of `adj` that fixes r keeps the level of every x: whether x
-    is r, whether it is adjacent to r, and |N(r) & N(x)|.  So the
-    stabilizer's orbits refine the levels, and once H has as few orbits as
-    there are levels they are exactly the stabilizer's orbits and the walk
-    stops; it stops too after `_SCHREIER_TRIES` tries.
+    Group Algorithms*, CUP 2003).  They are tried in walk order, each once
+    the walk has reached both of its ends, and only on near; one is kept
+    when it merges orbits, which `_merge_orbits` then joins.  The orbits come
+    in least-point order, each opened at its least point.  An automorphism
+    of `adj` that fixes r and maps `within` onto itself keeps the level
+    |near & N(x)| of every x in near.  So the stabilizer's orbits on near
+    refine the levels, and once H has as few orbits as there are levels
+    they are exactly the stabilizer's orbits and the walk stops; it stops
+    too after `tries` tries.
     """
-    n = len(adj)
-    levels = len({(x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()) for x in range(n)})
-    inverses = [sorted(range(n), key=g.__getitem__) for g in generators]
-    identity = list(range(n))
-    u, u_inv = {r: identity}, {r: identity}  # the transversal met so far, and its inverses
-    walk = [r]
-    kept, orbits = [], {x: [x] for x in range(n)}  # least point -> its orbit
-    tries, least = 0, list(range(n))  # least[p]: the least point of the orbit of p
-    for x in walk:  # grows while it is walked
-        u_x = u[x]
-        for g, g_inv in zip(generators, inverses):
-            if len(orbits) == levels or tries == _SCHREIER_TRIES:
-                return kept, list(orbits.values())
-            y = g[x]
-            if y not in u:  # a tree edge: u_y = g u_x, so the generator is the identity
-                u[y] = list(map(g.__getitem__, u_x))
-                u_inv[y] = list(map(u_inv[x].__getitem__, g_inv))
-                walk.append(y)
-                continue
-            tries += 1
-            h = list(map(u_inv[y].__getitem__, map(g.__getitem__, u_x)))
-            if list(map(least.__getitem__, h)) != least:
-                kept.append(h)
-                _merge_orbits(orbits, least, h)
-    return kept, list(orbits.values())
+    domain, generators, inverses = group
+    near = adj[r] & within
+    keep = [i for i, x in enumerate(domain) if near >> x & 1]  # near, as indices into the domain
+    vertices = [domain[i] for i in keep]
+    index = [0] * len(domain)  # an index into the domain -> the index into near, on near
+    for j, i in enumerate(keep):
+        index[i] = j
+    levels = len({(near & adj[x]).bit_count() for x in vertices})  # below two points of near the walk stops at once
+    identity = tuple(range(len(domain)))
+    start = domain.index(r)
+    u, u_inv = {start: identity}, {start: identity}  # the transversal met so far, and its inverses
+    walk = [start]
+    kept, kept_inv, orbits = [], [], {x: [x] for x in range(len(keep))}  # least point -> its orbit
+    least = list(range(len(keep)))  # least[p]: the least point of the orbit of p
+    same = tuple(least)
+    pairs = list(zip(generators, inverses))
+    for x, (g, g_inv) in ((x, pair) for x in walk for pair in pairs):  # the walk grows while it is walked
+        if len(orbits) == levels or not tries:
+            break
+        y = g[x]
+        if y not in u:  # a tree edge: u_y = g u_x, so the generator is the identity
+            u[y], u_inv[y] = _through(u[x], g), _through(g_inv, u_inv[x])
+            walk.append(y)
+            continue
+        tries -= 1
+        h = _through(keep, u[x], g, u_inv[y], index)
+        if _through(h, least) != same:
+            kept.append(h)
+            kept_inv.append(_through(keep, u[y], g_inv, u_inv[x], index))
+            _merge_orbits(orbits, least, h)
+            same = tuple(least)
+    return (vertices, kept, kept_inv), [[vertices[p] for p in orbit] for orbit in orbits.values()]
 
 
 class SearchResult(namedtuple("SearchResult", "optimum witness all_max all_max_overflow nodes orbits status")):
@@ -273,10 +311,9 @@ class _Solver:
     candidate extends to a leaf action.  `maximize` raises `need` past every
     clique it records; its root starts one subtree per orbit (`orbit`: per
     internal vertex, the mask of its orbit; None without generators), and
-    each child of the root one subtree per orbit of a subgroup of its
-    representative's stabilizer, computed when that child first branches, once
-    per representative for every search, and skipped when the subgroup is
-    trivial.  Deeper nodes use no orbits.
+    every node below one subtree per orbit of a subgroup of its branch
+    vertex's stabilizer in its parent's group (module docstring), computed
+    when the node first branches (`_stabilize`).
     `enumerate_exact` and `lexicographically_least` keep `need` at the proved
     optimum, where a clique of that size has no candidate left, so the leaf
     sees exactly the maximum cliques.  `enumerate_exact` branches on orbits
@@ -294,23 +331,26 @@ class _Solver:
         self.non_adj = [~(a | 1 << i) for i, a in enumerate(self.adj)]
         self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
         self.orbits = _orbits(self.n, self.generators)
-        self.orbit = _orbit_masks(self.n, self.orbits) if self.generators else None
-        self.stabilizers = {}  # root vertex -> `_stabilizer_orbit`
+        self.orbit = _orbit_masks(self.orbits) if self.generators else None
+        self.group = None  # the root's group, as `_stabilizer` takes it; None without generators
+        if self.generators:
+            inverses = [sorted(range(self.n), key=g.__getitem__) for g in self.generators]
+            self.group = list(range(self.n)), self.generators, inverses
+        self.stabilizers = {}  # a root child's clique mask -> `_stabilize`
         self.node_budget = None
         self.nodes = 0
         self.need = 0
 
-    def _branch(self, size, mask, candidates, leaf, orbit=None, fixed=None):
+    def _branch(self, size, mask, candidates, leaf, orbit=None, group=None, parent=None):
         """Grow the clique `mask` of `size` inside candidates; True stops the search.
-        With `orbit`, per vertex the mask of its orbit under a group that maps the
-        candidates onto themselves, a vertex already removed is skipped, the
-        branch is on the least-labelled candidate of its orbit, and the whole
-        orbit leaves the candidates after it.  The root of `maximize` passes the
-        member orbits and hands each child its branch vertex as `fixed`; before
-        its first branch that child takes as its `orbit` the orbits of a
-        subgroup of the stabilizer of `fixed` (`_stabilizer`), or none when the
-        subgroup is trivial."""
-        root = orbit is not None and fixed is None
+        With `orbit`, per candidate the mask of its orbit under a group that
+        fixes every vertex of the clique and maps the candidates onto
+        themselves, a vertex already removed is skipped, the branch is on the
+        least-labelled candidate of its orbit, and the whole orbit leaves the
+        candidates after it.  `group` is that group as `_stabilizer` takes
+        it.  Each child is handed as `parent` the group, the candidates at the
+        moment of branching and its branch vertex, and before its own first
+        branch takes its `orbit` and `group` from `_stabilize`."""
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _OutOfBudget
@@ -319,8 +359,9 @@ class _Solver:
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] < self.need:
                 return False
-            if fixed is not None:
-                orbit, fixed = self._stabilizer_orbit(fixed), None
+            if parent is not None:
+                orbit, group = self._stabilize(mask, size, len(order), *parent)
+                parent = None
             v = order[i]
             bit = drop = 1 << v
             if orbit:
@@ -331,20 +372,33 @@ class _Solver:
                 v = bit.bit_length() - 1
             rest = candidates & self.adj[v]
             if rest:
-                if self._branch(size + 1, mask | bit, rest, leaf, None, v if root else None):
+                if self._branch(size + 1, mask | bit, rest, leaf, None, None, group and (group, candidates, v)):
                     return True
             elif size + 1 >= self.need and leaf(size + 1, mask | bit):
                 return True
             candidates &= ~drop
         return False
 
-    def _stabilizer_orbit(self, r):
-        """Per vertex, the mask of its orbit under `_stabilizer`'s subgroup for r, or
-        None when that subgroup is trivial; computed once per r."""
-        if r not in self.stabilizers:
-            kept, orbits = _stabilizer(self.adj, self.generators, r)
-            self.stabilizers[r] = _orbit_masks(self.n, orbits) if kept else None
-        return self.stabilizers[r]
+    def _stabilize(self, mask, size, listed, group, within, r):
+        """(orbit, group) for the child of r at depth `size`, whose clique is
+        `mask` and whose colour sort lists `listed` branch vertices, when its
+        parent branched with `group` and the candidates `within`: the orbit
+        masks and the group of `_stabilizer`, which tries `_SCHREIER_TRIES`
+        Schreier generators at depth one and `_DEEP_TRIES` below it.  (None,
+        None) when the subgroup is trivial, or below depth one when fewer than
+        `_DEEP_BRANCHES` branch vertices are listed.  A root child's result is
+        kept for every search, one per member orbit; a deeper node's walk runs
+        each time a search reaches it, at most once per search, so what is
+        kept does not grow with the search."""
+        if size > 1 and listed < _DEEP_BRANCHES:
+            return None, None
+        if mask in self.stabilizers:
+            return self.stabilizers[mask]
+        group, orbits = _stabilizer(self.adj, group, within, r, _SCHREIER_TRIES if size == 1 else _DEEP_TRIES)
+        found = (_orbit_masks(orbits), group) if group[1] else (None, None)
+        if size == 1:
+            self.stabilizers[mask] = found
+        return found
 
     def maximize(self, init_mask=0, node_budget=None):
         """Returns (best size, best mask, proved) growing from the incumbent
@@ -357,7 +411,7 @@ class _Solver:
         self.node_budget, proved = node_budget, True
         try:
             if self.n:
-                self._branch(0, 0, (1 << self.n) - 1, record, self.orbit)
+                self._branch(0, 0, (1 << self.n) - 1, record, self.orbit, self.group)
         except _OutOfBudget:
             proved = False
         self.node_budget = None  # the budget bounds this search only
@@ -386,7 +440,7 @@ class _Solver:
 
         self.need = target
         try:
-            self._branch(0, 0, (1 << self.n) - 1, collect, self.orbit)
+            self._branch(0, 0, (1 << self.n) - 1, collect, self.orbit, self.group)
             for k, mask in enumerate(out):  # grows while it is walked: the closure under the generators
                 for i, g in enumerate(self.generators):
                     collect(target, _map_bits(mask, g), (k, i))

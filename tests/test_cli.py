@@ -368,6 +368,24 @@ def test_search_max_refuses_an_s_out_of_range_before_its_coverage_pass(s, in_sam
     assert code == 2 and err == f"error: s must satisfy 1 <= s <= 3, got {s}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ekr-check", "--s", "0"], "need 0 < s < t (certificate strength t=2), got s=0"),
+        (["ekr-check", "--s", "2", "--t", "1"], "need 0 < s < t (certificate strength t=1), got s=2"),
+        (["ekr-check", "--s", "1", "--t", "9"], "strength 9 out of range 0..2"),
+        (["dr", "--s", "1", "--r", "5"], "need 0 <= r <= s-1 < t <= 3, got r=5, s=1, t=2"),
+        (["dr", "--s", "3", "--r", "0"], "need 0 <= r <= s-1 < t <= 3, got r=0, s=3, t=2"),
+        (["verify-extremal", "--s", "0", "--family-file", "fano.design"], "s must satisfy 0 < s < 3, got 0"),
+    ],
+)
+def test_design_commands_refuse_their_ranges_before_the_coverage_pass(argv, message, in_samples_tmp, monkeypatch, capsys):
+    # fano.design is a 2-design in johnson:v=7,m=3, whose top rank is 3
+    monkeypatch.setattr(families, "above", lambda *args: pytest.fail("covered a design the command refuses"))
+    code, _, err = run_cli([*argv, "--design", "fano.design"], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def test_a_strength_above_the_top_rank_is_refused_where_it_is_read(in_samples_tmp, monkeypatch, capsys):
     # under `check-design --strength` and in a family file too
     Path("bad.design").write_text("family johnson:v=7,m=3\nstrength 4\n1 2 3\n")

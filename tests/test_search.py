@@ -301,18 +301,18 @@ def test_deterministic_witness_is_lexicographically_least(monkeypatch):
 
 
 def test_nodes_include_the_lexicographic_reconstruction():
-    # one orbit: the root branches once, its child once per orbit of the
-    # stabilizer; the reconstruction adds its 153 nodes
+    # one orbit: the root branches once, and each node below once per orbit of
+    # its stabilizer; the reconstruction adds its 153 nodes
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
-    assert search.max_intersecting(cert, 2).nodes == 28
-    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 181
+    assert search.max_intersecting(cert, 2).nodes == 20
+    assert search.max_intersecting(cert, 2, deterministic=True).nodes == 173
 
 
 def test_the_stabilizer_splits_a_one_orbit_proof():
-    # 4,144 nodes with one root per orbit alone
+    # 4,144 nodes with one root per orbit alone, 204 with the root's children's stabilizers alone
     cert = full_fiber(families.parse_family_spec("johnson:v=10,m=4"))
     result = search.max_intersecting(cert, 1)
-    assert (result.optimum, result.nodes, result.orbits) == (84, 204, 1)
+    assert (result.optimum, result.nodes, result.orbits) == (84, 19, 1)
 
 
 def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypatch):
@@ -382,38 +382,118 @@ def test_a_wrong_orbit_partition_loses_the_optimum():
 def test_a_wrong_stabilizer_loses_the_optimum_below_the_root(monkeypatch):
     # the triangular prism: triangles 0 2 4 and 1 3 5 and the rungs x, x + 3.
     # The rotation x -> x + 1 is an automorphism, so the root's one orbit is
-    # right; the transposition (4 5) fixes the root 0 but is no automorphism,
-    # and the orbits it brings into the stabilizer lose the triangles through 0
+    # right; the transposition (3 4) fixes the root 0 but is no automorphism,
+    # and the orbits it brings into the stabilizer, on the neighbours 2, 3 and
+    # 4 of 0, lose the triangle 0 2 4
     adj = [sum(1 << (x + d) % 6 for d in (0, 2, 3, 4)) for x in range(6)]
-    rotation, swap = [1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 5, 4]
+    rotation, swap = [1, 2, 3, 4, 5, 0], [0, 1, 2, 4, 3, 5]
     assert search._Solver(adj).maximize()[0] == 3
     assert search._Solver(adj, [rotation]).maximize()[0] == 3
     assert search._Solver(adj, [rotation, swap]).maximize()[0] == 2
-    monkeypatch.setattr(search, "_stabilizer", lambda adj, generators, r: ([], [[v] for v in range(len(adj))]))
+    monkeypatch.setattr(search, "_stabilizer", lambda adj, group, within, r, tries: ((group[0], [], []), []))
     assert search._Solver(adj, [rotation, swap]).maximize()[0] == 3  # the root step alone keeps it
 
 
+def test_a_wrong_stabilizer_loses_the_optimum_at_depth_two(monkeypatch):
+    # the circulant graph on Z_18 with steps +-1, 3, 4, 5, 6 and 7: the rotation
+    # and the reflection are automorphisms, so the root's one orbit is right;
+    # the transposition (1 10) is none, and the groups it brings in below
+    # depth one lose the 6-cliques, while the root's child's alone keep them
+    adj = [sum(1 << (x + d) % 18 for d in (0, 1, 3, 4, 5, 6, 7, -1, -3, -4, -5, -6, -7)) for x in range(18)]
+    rotation, reflection = [(x + 1) % 18 for x in range(18)], [-x % 18 for x in range(18)]
+    swap = list(range(18))
+    swap[1], swap[10] = 10, 1
+    assert search._Solver(adj).maximize()[0] == 6
+    assert search._Solver(adj, [rotation, reflection]).maximize()[0] == 6
+    assert search._Solver(adj, [rotation, reflection, swap]).maximize()[0] == 4
+    stabilize = search._Solver._stabilize
+    shallow = lambda self, mask, size, *rest: (None, None) if size > 1 else stabilize(self, mask, size, *rest)
+    monkeypatch.setattr(search._Solver, "_stabilize", shallow)
+    assert search._Solver(adj, [rotation, reflection, swap]).maximize()[0] == 6
+
+
+def group_cases():
+    """(cert, s): every tier-1 grid full fiber at every s, whose nodes below depth
+    one list too few branch vertices to take a stabilizer, then j8 at s=2 and
+    j10 at s=1, whose nodes at depths two and three take one."""
+    for text in GRID_SPECS:
+        cert = full_fiber(families.parse_family_spec(text))
+        yield from ((cert, s) for s in range(1, cert.spec.top_rank + 1))
+    yield full_fiber(families.parse_family_spec("johnson:v=8,m=4")), 2
+    yield full_fiber(families.parse_family_spec("johnson:v=10,m=4")), 1
+
+
+@pytest.mark.parametrize("cert, s", group_cases(), ids=lambda value: str(getattr(value, "spec", value)))
+def test_every_group_a_node_branches_with_fixes_its_clique_and_keeps_its_candidates(cert, s, monkeypatch):
+    # a node's group reaches each child as `parent`, with the candidates at the
+    # moment of branching; the root's is the kept group. Each generator, with
+    # the node's clique fixed, is an automorphism of the graph the clique and
+    # the node's candidates span, and maps those candidates onto themselves
+    branch, calls = search._Solver._branch, []
+
+    def recording(self, size, mask, candidates, leaf, orbit=None, group=None, parent=None):
+        calls.append((mask, candidates, group, parent))
+        return branch(self, size, mask, candidates, leaf, orbit, group, parent)
+
+    monkeypatch.setattr(search._Solver, "_branch", recording)
+    solver = search._Solver(graph_of(cert, s), search.kept_symmetries(cert))
+    solver.maximize()
+    first = {mask: candidates for mask, candidates, _, _ in calls}  # a search reaches each clique once
+    groups = [(0, group, within) for _, within, group, _ in calls[:1] if group is not None]
+    groups += [(mask & ~(1 << v), group, within) for mask, _, _, (group, within, v) in (c for c in calls if c[3])]
+    deep = 0
+    for clique, (domain, generators, inverses), within in groups:
+        candidates = first[clique]
+        deep += clique.bit_count() > 0
+        assert sorted(domain) == list(families._bits(candidates)) and within & ~candidates == 0, clique
+        inside = candidates | clique
+        for h, h_inv in zip(generators, inverses):
+            assert sorted(h) == list(range(len(domain))) and [h_inv[p] for p in h] == list(range(len(domain)))
+            image = {x: domain[p] for x, p in zip(domain, h)} | {x: x for x in families._bits(clique)}
+            assert all(search._map_bits(solver.adj[x] & inside, image) == solver.adj[image[x]] & inside for x in image)
+            assert search._map_bits(within, image) == within, clique
+    assert deep or cert.size < 70  # j8 and j10 branch with groups below the root
+
+
 def level(adj, r, x):
-    """The invariant every automorphism fixing r keeps."""
-    return x == r, adj[r] >> x & 1, (adj[r] & adj[x]).bit_count()
+    """The invariant every automorphism fixing r keeps on the neighbours of r."""
+    return (adj[r] & adj[x]).bit_count()
+
+
+def loopless(adj):
+    return [a & ~(1 << x) for x, a in enumerate(adj)]
+
+
+def stabilizer(adj, generators, r):
+    """`search._stabilizer` as the root's child of r takes it: over the whole
+    graph, which `adj` gives without loops, under the kept group."""
+    n = len(adj)
+    group = list(range(n)), generators, [sorted(range(n), key=g.__getitem__) for g in generators]
+    return search._stabilizer(adj, group, (1 << n) - 1, r, search._SCHREIER_TRIES)
 
 
 @pytest.mark.parametrize("text", GRID_SPECS)
 def test_stabilizer_generators_fix_the_root_and_its_orbits_keep_the_levels(text):
+    # the generators act on the neighbours of r: with r fixed, each is an
+    # automorphism of the graph that r and its neighbours span
     cert = full_fiber(families.parse_family_spec(text))
     members, generators = cert.elements, search.kept_symmetries(cert)
     for s in range(1, cert.spec.top_rank + 1):
-        adj = graph_of(cert, s)
+        adj = loopless(graph_of(cert, s))
         for r in (0, cert.size // 3, cert.size - 1):
-            kept, orbits = search._stabilizer(adj, generators, r)
-            assert kept, (s, r)
-            for h in kept:
-                assert h[r] == r
-                assert all(adj[h[x]] == search._map_bits(adj[x], h) for x in range(cert.size)), (s, r)
+            (near, kept, inverses), orbits = stabilizer(adj, generators, r)
+            assert kept or not near, (s, r)  # at the top rank r has no neighbours
+            assert near == list(families._bits(adj[r])), (s, r)
+            inside = adj[r] | 1 << r
+            for h, h_inv in zip(kept, inverses):
+                image = {x: near[p] for x, p in zip(near, h)} | {r: r}
+                assert all(search._map_bits(adj[x] & inside, image) == adj[image[x]] & inside for x in image), (s, r)
+                assert [h_inv[p] for p in h] == list(range(len(near))), (s, r)
+            assert sorted(x for orbit in orbits for x in orbit) == near, (s, r)
             assert all(len({level(adj, r, x) for x in orbit}) == 1 for orbit in orbits), (s, r)
             if cert.spec.kind in ("johnson", "grassmann"):
                 by_rank = {}
-                for x in range(cert.size):
+                for x in near:
                     by_rank.setdefault(families.meet_rank(members[r], members[x]), []).append(x)
                 assert sorted(map(sorted, orbits)) == sorted(by_rank.values()), (s, r)
 
@@ -425,13 +505,14 @@ def test_merged_orbits_are_the_rebuilt_ones_at_every_root_stabilizer(text):
     for s in range(1, cert.spec.top_rank + 1):
         solver = search._Solver(graph_of(cert, s), search.kept_symmetries(cert))
         for r in (orbit[0] for orbit in solver.orbits):  # the roots maximize branches on
-            kept, returned = search._stabilizer(solver.adj, solver.generators, r)
-            assert kept, (s, r)
-            assert [sorted(o) for o in returned] == [sorted(o) for o in search._orbits(solver.n, kept)], (s, r)
-            orbits, least = {x: [x] for x in range(solver.n)}, list(range(solver.n))
+            (near, kept, _), returned = search._stabilizer(solver.adj, solver.group, (1 << solver.n) - 1, r, 64)
+            assert kept or not near, (s, r)
+            rebuilt = [[near[p] for p in orbit] for orbit in search._orbits(len(near), kept)]
+            assert [sorted(o) for o in returned] == [sorted(o) for o in rebuilt], (s, r)
+            orbits, least = {x: [x] for x in range(len(near))}, list(range(len(near)))
             for k, h in enumerate(kept, 1):
                 search._merge_orbits(orbits, least, h)
-                rebuilt = search._orbits(solver.n, kept[:k])
+                rebuilt = search._orbits(len(near), kept[:k])
                 assert {a: sorted(o) for a, o in orbits.items()} == {o[0]: sorted(o) for o in rebuilt}, (s, r, k)
                 assert all(least[p] == o[0] for o in rebuilt for p in o), (s, r, k)
 
@@ -477,8 +558,27 @@ def test_one_root_per_orbit_matches_bron_kerbosch(graph):
     assert plain.maximize() == identity.maximize() and plain.nodes == identity.nodes
 
 
+@settings(deadline=None, max_examples=200)
+@given(cyclic_graphs())
+def test_orbits_at_every_depth_match_bron_kerbosch(graph):
+    # these graphs seldom list enough branch vertices below depth one to take a
+    # stabilizer; with no such floor every node that has a group takes one
+    adj, generators, order = graph
+    relabeled = search._relabel(adj, order)
+    omega, cliques = bron_kerbosch_max_cliques(relabeled)
+    floor, search._DEEP_BRANCHES = search._DEEP_BRANCHES, 0
+    try:
+        rooted = search._Solver(relabeled, [[order.index(g[v]) for v in order] for g in generators])
+        size, mask, proved = rooted.maximize()
+        found, overflow = rooted.enumerate_exact(omega)
+    finally:
+        search._DEEP_BRANCHES = floor
+    assert (size, proved) == (omega, True) and mask in cliques
+    assert (sorted(found), overflow) == (cliques, False)
+
+
 def test_the_closure_lists_every_maximum_family_in_few_nodes():
-    # 2,727 nodes without orbits; five cliques found close to the 70 families
+    # 2,727 nodes without orbits; three cliques found close to the 70 families
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
     result = search.max_intersecting(cert, 2, enumerate_all=True)
     assert (result.optimum, len(result.all_max), result.all_max_overflow) == (17, 70, False)
@@ -487,13 +587,14 @@ def test_the_closure_lists_every_maximum_family_in_few_nodes():
 
 def test_each_root_stabilizer_is_computed_once(monkeypatch):
     # one member orbit: maximize and enumerate_exact both branch below vertex 0,
-    # and the deterministic witness comes from `all_max`
+    # whose stabilizer is kept, and below its child of vertex 9, whose is not;
+    # the deterministic witness comes from `all_max`
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
-    stabilizer, fixed = search._stabilizer, []
-    monkeypatch.setattr(search, "_stabilizer", lambda adj, generators, r: fixed.append(r) or stabilizer(adj, generators, r))
+    walk, fixed = search._stabilizer, []
+    monkeypatch.setattr(search, "_stabilizer", lambda adj, *rest: fixed.append(rest[2]) or walk(adj, *rest))
     result = search.max_intersecting(cert, 2, enumerate_all=True, deterministic=True)
-    assert fixed == [0]
-    assert (result.optimum, result.nodes, len(result.all_max)) == (17, 112, 70)
+    assert fixed == [0, 9, 9]
+    assert (result.optimum, result.nodes, len(result.all_max)) == (17, 67, 70)
     assert result.witness == result.all_max[0]
 
 
@@ -501,7 +602,7 @@ def test_a_closure_past_the_cap_reports_overflow(monkeypatch):
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"))
     monkeypatch.setattr(search, "ALL_MAX_CAP", 70)
     assert len(search.max_intersecting(cert, 2, enumerate_all=True).all_max) == 70
-    monkeypatch.setattr(search, "ALL_MAX_CAP", 10)  # above the 5 cliques the search finds
+    monkeypatch.setattr(search, "ALL_MAX_CAP", 10)  # above the 3 cliques the search finds
     result = search.max_intersecting(cert, 2, enumerate_all=True)
     assert (result.optimum, result.all_max, result.all_max_overflow) == (17, None, True)
 
@@ -549,11 +650,13 @@ def test_invalid_s(fano_cert):
 
 
 def word_stabilizer(adj, generators, r):
-    """`search._stabilizer` as it was before it kept the transversal: a Schreier
-    vector stores only the generator on each tree edge, and every u_x is
-    recomposed from its word.  The reference the kept transversal must match."""
+    """`stabilizer` as it would be without the kept transversal: a Schreier
+    vector stores only the generator on each tree edge, every u_x is
+    recomposed from its word, and each Schreier generator is read on the
+    neighbours of r.  The reference the kept transversal must match."""
     n = len(adj)
-    levels = len({level(adj, r, x) for x in range(n)})
+    near = list(families._bits(adj[r]))
+    levels = len({level(adj, r, x) for x in near})
     inverses = [sorted(range(n), key=g.__getitem__) for g in generators]
     edge = [None] * n
     edge[r] = -1
@@ -571,15 +674,15 @@ def word_stabilizer(adj, generators, r):
             x = inverses[edge[x]][x]
         return out[::-1]
 
-    kept, orbits = [], [[x] for x in range(n)]
-    tries, least = 0, list(range(n))
+    kept, orbits = [], [[p] for p in range(len(near))]
+    tries, least = 0, list(range(len(near)))
     for x in walk:
         u = list(range(n))
         for i in word(x):
             u = [generators[i][p] for p in u]
         for i, g in enumerate(generators):
             if len(orbits) == levels or tries == search._SCHREIER_TRIES:
-                return kept, orbits
+                return kept, [[near[p] for p in orbit] for orbit in orbits]
             y = g[x]
             if edge[y] == i:
                 continue
@@ -587,13 +690,14 @@ def word_stabilizer(adj, generators, r):
             h = [g[p] for p in u]
             for j in reversed(word(y)):
                 h = [inverses[j][p] for p in h]
-            if any(least[h[p]] != least[p] for p in range(n)):
+            h = [near.index(h[x]) for x in near]
+            if any(least[h[p]] != least[p] for p in range(len(near))):
                 kept.append(h)
-                orbits = search._orbits(n, kept)
+                orbits = search._orbits(len(near), kept)
                 for orbit in orbits:
                     for p in orbit:
                         least[p] = orbit[0]
-    return kept, orbits
+    return kept, [[near[p] for p in orbit] for orbit in orbits]
 
 
 @pytest.mark.parametrize("text", GRID_SPECS)
@@ -601,11 +705,11 @@ def test_the_kept_transversal_gives_the_word_stabilizer(text):
     cert = full_fiber(families.parse_family_spec(text))
     generators = search.kept_symmetries(cert)
     for s in range(1, cert.spec.top_rank + 1):
-        adj = graph_of(cert, s)
+        adj = loopless(graph_of(cert, s))
         for r in sorted({*range(0, cert.size, max(1, cert.size // 7)), cert.size - 1}):
-            kept, orbits = search._stabilizer(adj, generators, r)
+            (_, kept, _), orbits = stabilizer(adj, generators, r)
             word_kept, word_orbits = word_stabilizer(adj, generators, r)
-            assert kept == word_kept, (s, r)
+            assert list(map(list, kept)) == word_kept, (s, r)
             assert [sorted(o) for o in orbits] == [sorted(o) for o in word_orbits], (s, r)
 
 
@@ -636,7 +740,7 @@ def test_all_reverifies_pair_by_pair_only_the_witness_and_the_branchs_families(m
     monkeypatch.setattr(ekr, "min_meet_rank", lambda spec, family: checked.append(family) or min_meet_rank(spec, family))
     result = search.max_intersecting(cert, 2, enumerate_all=True)
     assert len(result.all_max) == 70
-    assert len(checked) == 6 and set(checked[1:]) < set(result.all_max)  # the witness, then five found cliques
+    assert len(checked) == 4 and set(checked[1:]) < set(result.all_max)  # the witness, then three found cliques
 
 
 class CollapsingSymmetry(families.Symmetry):
@@ -675,3 +779,14 @@ def test_an_image_family_off_its_parents_image_by_one_member_raises(monkeypatch)
     monkeypatch.setattr(search._Solver, "enumerate_exact", swap_one_member)
     with pytest.raises(AssertionError, match="not the image of its parent"):
         search.max_intersecting(cert, 2, enumerate_all=True)
+
+
+def test_orbits_below_depth_one_prove_the_ahlswede_khachatrian_optimum():
+    # j11 at s=2: {A : |A & {1, 2, 3, 4}| >= 3} has 91 members against the star's
+    # 84 (Ahlswede and Khachatrian 1997); with the stabilizer at depth one
+    # alone the proof took 219,919 nodes
+    cert = full_fiber(families.parse_family_spec("johnson:v=11,m=5"))
+    start = time.perf_counter()
+    result = search.max_intersecting(cert, 2)
+    assert (result.optimum, result.status, result.orbits) == (91, "proved-optimal", 1)
+    assert result.nodes < 20_000 and time.perf_counter() - start < 5
