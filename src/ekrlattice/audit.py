@@ -35,11 +35,11 @@ at its first counterexample.
 
 The four constants are counted in groups: mu per pair z <= y with y in the
 top fiber, the others per element, each group the list of its counts over
-the ranks its closed forms run through.  The first group of each rank is
-judged case by case; once it holds, its counts are that rank's row of
-closed forms, and a later group with equal counts holds in one list
-comparison.  Only a group that differs goes case by case, so the case
-counts and the first counterexample are those of one case at a time.
+the ranks its closed forms run through.  Each rank's row of closed forms is
+evaluated once, before the first group, and a group whose counts equal its
+rank's row holds in one list comparison.  Only a group that differs goes
+case by case, so the case counts and the first counterexample are those of
+one case at a time.
 
 The greatest lower bound check needs no pair loop.  below(i) is {z :
 atoms(z) within atoms(i)}.  Once no two masks are equal and every pairwise
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import is_not
 
 from . import families, parameters
@@ -230,37 +230,31 @@ def audit(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> AuditReport:
 
     def constant(name, args_of, groups, forms):
         """Each group (witnesses, r, counts) against `parameters.<name>(spec, *args)`
-        for args in args_of[r], one case per count.  A closed form is evaluated
-        once per distinct args unless `forms` (args -> the closed form's value,
-        or its NonIntegralError) has them already.  The first group of each key
-        r goes case by case; once it holds, its counts are r's row of closed
-        forms, and a later group with the same counts holds in one comparison."""
+        for args in args_of[r], one case per count.  Each key r's row of closed
+        forms is evaluated up front, once per distinct args that `forms` (args
+        -> the closed form's value, or its NonIntegralError) does not hold
+        yet.  A group whose counts equal its row holds in one comparison; one
+        that differs goes case by case, and a NonIntegralError equals no count."""
         closed_form = getattr(parameters, name)
-        closed_rows = {}  # r -> the closed forms of args_of[r], once a group of key r has held
+        for args in chain.from_iterable(args_of.values()):
+            if args not in forms:
+                try:
+                    forms[args] = closed_form(spec, *args)
+                except NonIntegralError as exc:
+                    forms[args] = exc
+        rows = {r: [forms[args] for args in row] for r, row in args_of.items()}
         held = 0
         for witnesses, r, counts in groups:
-            if counts == closed_rows.get(r):
+            if counts == rows[r]:
                 held += len(counts)
                 continue
-            for args, counted in zip(args_of[r], counts):
-                want = forms.get(args)
-                if want is None:
-                    try:
-                        want = closed_form(spec, *args)
-                    except NonIntegralError as exc:
-                        want = exc
-                    forms[args] = want
-                if isinstance(want, NonIntegralError):
-                    note = str(want)
-                else:
-                    note = None if counted == want else (
+            for args, counted, want in zip(args_of[r], counts, rows[r]):
+                if counted != want:
+                    yield held
+                    yield witnesses, str(want) if isinstance(want, NonIntegralError) else (
                         f"{name}({','.join(map(str, args))}) counted {counted}, closed form {want}"
                     )
-                if note is not None:
-                    yield held
-                    yield witnesses, note
                 held += 1
-            closed_rows[r] = counts
         yield held
 
     def mu_groups():

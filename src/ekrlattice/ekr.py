@@ -98,6 +98,11 @@ def _check_s_to_strength(s: int, t: int) -> None:
         raise ParseError(f"s must satisfy 0 <= s <= {t}, got {s}")
 
 
+def _check_s_below_strength(spec: FamilySpec, s: int, t: int) -> None:
+    if not 0 < s < t <= spec.top_rank:
+        raise ParseError(f"need 0 < s < t <= {spec.top_rank}, got s={s}, t={t}")
+
+
 def check_condition_range(s: int, t: int) -> None:
     """Refuse the s of `check_conditions` at strength t, before any coverage pass."""
     if not 0 < s < t:
@@ -200,9 +205,8 @@ def check_conditions(cert: DesignCertificate, s: int) -> ConditionReport:
 
 def remark_conditions(spec: FamilySpec, s: int, t: int) -> tuple[bool, tuple[RemarkRow, ...]]:
     """The printed index-free form: nu(r,s) * mu(s,M) * theta(.) < theta(s)."""
+    _check_s_below_strength(spec, s, t)
     top = spec.top_rank
-    if not 0 < s < t <= top:
-        raise ParseError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
     mu_sm = parameters.mu(spec, s, top)
     theta_s = parameters.theta(spec, s)
     rows = []
@@ -214,9 +218,7 @@ def remark_conditions(spec: FamilySpec, s: int, t: int) -> tuple[bool, tuple[Rem
 
 def table1_condition(spec: FamilySpec, s: int, t: int) -> bool:
     """Closed-form parameter threshold, per family (its record's `loose` and `tight`) and regime."""
-    top = spec.top_rank
-    if not 0 < s < t <= top:
-        raise ParseError(f"need 0 < s < t <= {top}, got s={s}, t={t}")
+    _check_s_below_strength(spec, s, t)
     record = spec._record
     return (record.tight if s == t - 1 else record.loose)(spec, s)  # otherwise s < t-1
 
@@ -301,12 +303,11 @@ def verify_extremal(cert: DesignCertificate, family, s: int) -> ExtremalVerdict:
     if size > bound:
         return ExtremalVerdict(size, bound, "exceeds-bound", None)
     # |family| == bound: extremal iff the family is a full star of some
-    # rank-s center.  Any candidate center lies below the iterated meet.
+    # rank-s center, and any center lies below the iterated meet.  Every
+    # rank-s z below it has the whole family in its star, and the design, of
+    # strength t >= s (`ekr_bound`), covers z exactly lambda_s = |family|
+    # times: so its star is the family, and the first z is the center.
     common = families.meet_all(members)
     if common.rank < s:
         return ExtremalVerdict(size, bound, "extremal-but-not-star", None)
-    for z in families.below(common, s):
-        covered = sum(1 for x in cert.elements if families.leq(z, x))
-        if covered == size:
-            return ExtremalVerdict(size, bound, "extremal-star", z)
-    return ExtremalVerdict(size, bound, "extremal-but-not-star", None)
+    return ExtremalVerdict(size, bound, "extremal-star", families.below(common, s)[0])

@@ -14,7 +14,6 @@ are 1-based everywhere.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache, reduce
@@ -177,9 +176,10 @@ def _same_family(x: Element, y: Element) -> None:
 # `a | b`; the payload stays the codec and the canonical sort key.  A rank-r
 # element has r atoms (set and map kinds) or q^r - 1 (subspace kinds), so the
 # meet's rank is read off the popcount.  Subspace kinds add and scale vectors
-# on their codes with `gf.GF.add` and `gf.GF.scale`, so spans, the join (the
-# sumset of two atom sets) and `below` row-reduce nothing; a decode reads the
-# RREF rows off the mask, once per distinct mask.
+# on their codes with `gf.GF.add` (over GF(2^k) the xor of the codes) and
+# `gf.GF.scale`, so spans, the join (the sumset of two atom sets) and `below`
+# row-reduce nothing; a decode reads the RREF rows off the mask, once per
+# distinct mask.
 #
 # The codec is one `_Atoms` per spec object, `FamilySpec.codec`, built on first
 # read and dropped with the spec; equal specs parsed separately build one each.
@@ -220,8 +220,6 @@ class _Atoms:
             self.ranks = {c: r for r, c in enumerate(self.counts)}  # popcount -> rank
             self.top_size = spec.q**spec.top_rank  # vectors of a top-rank element
             self.vectors: dict[int, tuple] = {}  # code -> vector, filled by `_vector`
-            # GF(2^k) elements are bit polynomials, so vectors add by the xor of their codes
-            self.plus = operator.xor if self.fld.p == 2 else self.fld.add
             # a graph kind: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
             self.flat = (1 << spec.q**spec.n) - 2 if record.graph else 0
             self.image_tokens: dict[str, tuple] = {}  # a graph kind's image rows, kept by `parse_element`
@@ -326,7 +324,7 @@ class _Atoms:
     def _span(self, mask: int, under: int = 0) -> int:
         """The atoms of the span of `under`, the atoms of a subspace, and the
         vectors of mask."""
-        plus, scale, q = self.plus, self.fld.scale, self.fld.q
+        plus, scale, q = self.fld.add, self.fld.scale, self.fld.q
         vecs, span = [0, *_bits(under)], under | 1  # bit 0: the zero vector
         rest = mask & ~span
         while rest:
@@ -567,7 +565,7 @@ def below(x: Element, i: int) -> list[Element]:
     if spec.q is None:
         return [Element(spec, sub) for sub in combinations(x.payload, i)]
     atoms = spec.codec
-    plus, scale = atoms.plus, atoms.fld.scale
+    plus, scale = atoms.fld.add, atoms.fld.scale
     # multiples[j][c]: the code of c times row j
     multiples = [
         [0, *(scale(c, code) for c in range(1, spec.q))]

@@ -4,11 +4,11 @@ Field elements are ints in ``range(q)``, and a vector c of GF(q)^w is its
 code sum_j c_j * q^(w-1-j).  Both are base-p numerals: an element of GF(p^k)
 is a polynomial over GF(p) whose coefficients are its base-p digits, and a
 code's base-q digits are elements.  So `GF.add` adds elements and codes alike,
-digit by digit mod p, and `GF.scale` multiplies each base-q digit of a code by
-one element.  Prime fields multiply modulo q.  Prime-power fields GF(p^k) with
-q <= 64 multiply through log/antilog tables built from a fixed table of
-Conway polynomials; the generator x is primitive, so the tables cover every
-nonzero element.
+digit by digit mod p (for p = 2, the xor of the two numerals), and
+`GF.scale` multiplies each base-q digit of a code by one element.  Prime
+fields multiply modulo q.  Prime-power fields GF(p^k) with q <= 64 multiply
+through log/antilog tables built from a fixed table of Conway polynomials;
+the generator x is primitive, so the tables cover every nonzero element.
 
 `prime_power` decides primality by a deterministic Miller-Rabin test on the
 13 prime bases 2..41, exact below 3.317e24 (Sorenson and Webster, Strong
@@ -22,6 +22,7 @@ routine is a pure function of its inputs.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import combinations, product
 
 from .errors import ParseError
@@ -85,6 +86,8 @@ class GF:
             raise ParseError(f"{q} is not a prime power")
         self.q = q
         self.p, self.k = pk
+        if self.p == 2:  # digits mod 2 add without carry: the xor of the codes, one C call
+            self.add = operator.xor
         if self.k > 1:
             if (self.p, self.k) not in _CONWAY:
                 raise ParseError(f"GF({q}) is not supported (prime powers up to 64 only)")
@@ -112,7 +115,8 @@ class GF:
     def add(self, u: int, v: int) -> int:
         """The sum of two elements, or of two vectors given by their codes: base-p
         numerals added digit by digit mod p, that is u + v less p^(j+1) for each
-        digit j whose two digits reach p."""
+        digit j whose two digits reach p.  For p = 2, `__init__` replaces it
+        with `operator.xor`, the same sum."""
         p = self.p
         out, place = u + v, p
         while u and v:

@@ -142,22 +142,6 @@ def kept_symmetries(cert: DesignCertificate) -> list[list[int]]:
     return [image for _, image in _kept(cert)]
 
 
-def _orbits(n, generators):
-    """The orbits on range(n), each a list opened at its least point, of the group
-    that `generators` (permutations as lists of images) generate."""
-    seen, orbits = set(), []
-    for j in range(n):
-        if j not in seen:
-            seen.add(j)
-            orbits.append([j])
-            for k in orbits[-1]:  # grows while it is walked: the closure under `generators`
-                for image in generators:
-                    if image[k] not in seen:
-                        seen.add(image[k])
-                        orbits[-1].append(image[k])
-    return orbits
-
-
 def _orbit_masks(orbits):
     """Per vertex of the orbits, the mask of its orbit."""
     masks = {}
@@ -303,7 +287,9 @@ class _Solver:
     mask that goes into or comes out of a method.  The solver relabels once,
     here, by descending degree; the sort is stable, so ties keep their
     canonical order, and a regular graph keeps its labels.  `orbits` holds
-    the generators' orbits in internal labels.  One instance serves every
+    the generators' orbits in internal labels, each opened at its least
+    point: singletons that `_merge_orbits` joins once per generator, as a
+    node below the root joins its subgroup's.  One instance serves every
     search and `nodes` counts them all.
 
     All three searches run through `_branch`, which prunes on the colour
@@ -330,7 +316,10 @@ class _Solver:
         self.adj = [a & ~(1 << i) for i, a in enumerate(adj)]
         self.non_adj = [~(a | 1 << i) for i, a in enumerate(self.adj)]
         self.generators = [[self.position[g[k]] for k in self.order] for g in generators]
-        self.orbits = _orbits(self.n, self.generators)
+        orbits, least = {v: [v] for v in range(self.n)}, list(range(self.n))
+        for g in self.generators:
+            _merge_orbits(orbits, least, g)
+        self.orbits = list(orbits.values())
         self.orbit = _orbit_masks(self.orbits) if self.generators else None
         self.group = None  # the root's group, as `_stabilizer` takes it; None without generators
         if self.generators:

@@ -145,6 +145,69 @@ def test_a_non_integral_closed_form_is_the_note(monkeypatch):
     ]
 
 
+def test_a_fault_in_the_first_group_of_a_rank_is_named_case_by_case(monkeypatch):
+    # mu(1,2) is first read by the group ("1", "1 2"), theta(2) by "1 2": each the first group of its rank
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    for name, args in (("mu", (1, 2)), ("theta", (2,))):
+        real = getattr(parameters, name)
+        monkeypatch.setattr(parameters, name, lambda spec, *a, real=real, args=args: real(spec, *a) + (a == args))
+    failed = [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks if not c.passed]
+    assert failed == [  # alpha reads mu and theta
+        ("mu-constant", 5, {"elements": ["1", "1 2"], "note": "mu(1,2) counted 1, closed form 2"}),
+        ("theta-constant", 7, {"elements": ["1 2"], "note": "theta(2) counted 1, closed form 2"}),
+        ("alpha-lemma", 3, {"elements": ["-"], "note": "alpha(0,2) counted 10, closed form 5"}),
+    ]
+
+
+def test_a_fault_in_a_later_group_of_a_rank_is_named_case_by_case(monkeypatch):
+    # the order forgets "5" <= "4 5": each failing group comes after the first of its rank
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    audit_module = sys.modules["ekrlattice.audit"]
+    real = audit_module._order
+
+    def order(masks, at):
+        below, above = real(masks, at)
+        below[15] &= ~(1 << 5)
+        above[5] &= ~(1 << 15)
+        return below, above
+
+    monkeypatch.setattr(audit_module, "_order", order)
+    assert [(c.check_id, c.cases, c.counterexample) for c in audit(spec).checks[2:6]] == [
+        ("mu-constant", 74, {"elements": ["-", "4 5"], "note": "mu(0,1) counted 1, closed form 2"}),
+        ("nu-constant", 40, {"elements": ["4 5"], "note": "nu(1,2) counted 1, closed form 2"}),
+        ("theta-constant", 6, {"elements": ["5"], "note": "theta(1) counted 3, closed form 4"}),
+        ("alpha-lemma", 13, {"elements": ["5"], "note": "alpha(1,2) counted 3, closed form 4"}),
+    ]
+
+
+def test_a_second_rank_0_element_fails_the_rank_function(monkeypatch):
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    real = families.Element.rank.fget
+    monkeypatch.setattr(families.Element, "rank", property(lambda self: 0 if self.payload == (1,) else real(self)))
+    rank = audit(spec).checks[1]
+    assert (rank.check_id, rank.cases) == ("rank-function", 1)
+    # the least element and "1", which now reads as rank 0 and so prints as "-" too
+    assert rank.counterexample == {"elements": ["-", "-"], "note": "rank-0 fiber is not a single least element"}
+
+
+def test_an_element_with_nothing_below_it_covers_nothing(monkeypatch):
+    # the order forgets that the least element lies below "1"
+    spec = families.parse_family_spec("johnson:v=5,m=2")
+    audit_module = sys.modules["ekrlattice.audit"]
+    real = audit_module._order
+
+    def order(masks, at):
+        below, above = real(masks, at)
+        below[1] &= ~1
+        above[0] &= ~(1 << 1)
+        return below, above
+
+    monkeypatch.setattr(audit_module, "_order", order)
+    rank = audit(spec).checks[1]
+    assert (rank.check_id, rank.cases) == ("rank-function", 1)
+    assert rank.counterexample == {"elements": ["1"], "note": "element covers nothing"}
+
+
 def test_non_canonical_meet_names_the_first_pair(monkeypatch):
     # atoms {1} and {2}: two bad meets, so the first one must be named
     _first_bad_meet_is_named(monkeypatch, "johnson:v=5,m=2", {"1": "2", "2": "3"}, ["1", "1 2"])

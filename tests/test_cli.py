@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ekrlattice
-from ekrlattice import cli, ekr, families, search
+from ekrlattice import cli, ekr, families, parameters, search
 from ekrlattice.audit import audit
 from ekrlattice.cli import main
 from ekrlattice.errors import BudgetExceededError, FamilyMismatchError
@@ -521,6 +521,65 @@ def test_verify_extremal_exceeds_exit_1(in_samples_tmp, capsys):
     )
     assert code == 1
     assert "exceeds-bound" in out
+
+
+def test_verify_extremal_of_a_family_that_is_not_intersecting_exit_2(in_samples_tmp, capsys):
+    # rows (x, y, x + y) of oa11: (0, 0, 0) and (1, 1, 2) agree at no position
+    (in_samples_tmp / "apart.family").write_text("family hamming:m=3,n=11\n1:0,2:0,3:0\n1:1,2:1,3:2\n")
+    argv = ["verify-extremal", "--design", "oa11.design", "--family-file", "apart.family", "--s", "1"]
+    assert run_cli(argv, capsys)[::2] == (2, "error: family is not 1-intersecting\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["params", "--family", "johnson:v=6,m=3", "--r", "4"], "--r out of range 0..3"),
+        (["params", "--family", "johnson:v=6,m=3", "--s", "4"], "--s out of range 0..3"),
+        (["params", "--family", "johnson:v=6,m=3", "--r", "2", "--s", "1"], "--r/--s select no valid pair r <= s"),
+        (["gen", "--kind", "full-fiber", "-o", "x.design"], "gen --kind full-fiber requires --family"),
+        (["gen", "--kind", "linear-oa", "--q", "3", "-o", "x.design"], "gen --kind linear-oa requires --q and --m"),
+        (["gen", "--kind", "linear-oa", "--m", "3", "-o", "x.design"], "gen --kind linear-oa requires --q and --m"),
+    ],
+)
+def test_options_that_select_nothing_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.design").exists()
+
+
+def test_an_audit_counterexample_is_printed(monkeypatch, capsys):
+    real = parameters.theta
+    monkeypatch.setattr(parameters, "theta", lambda spec, *a: real(spec, *a) + (a == (1,)))
+    code, out, _ = run_cli(["audit", "--family", "johnson:v=5,m=2"], capsys)
+    assert code == 1
+    assert "  theta-constant   FAIL  (2 cases)\n" in out
+    assert "    counterexample: {'elements': ['1'], 'note': 'theta(1) counted 4, closed form 5'}\n" in out
+    assert out.endswith("AUDIT FAILED\n")
+
+
+def test_ekr_check_prints_an_empty_cond1_range(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["gen", "--kind", "full-fiber", "--family", "johnson:v=7,m=3", "-o", "j7.design", "--quiet"], capsys)
+    code, out, _ = run_cli(["ekr-check", "--design", "j7.design", "--s", "1"], capsys)  # t = 3 > 2s
+    assert code == 1
+    assert "  cond1 range is empty (2s-t < 0)\n" in out
+
+
+def test_dr_without_a_pair_at_the_meet_rank(tmp_path, monkeypatch, capsys):
+    # the two permutations of {1, 2} agree at no position or at both, never at one
+    monkeypatch.chdir(tmp_path)
+    run_cli(["gen", "--kind", "full-fiber", "--family", "injection:m=2,n=2", "-o", "i2.design", "--quiet"], capsys)
+    assert run_cli(["dr", "--design", "i2.design", "--s", "2", "--r", "1"], capsys) == (
+        0, "d_1: no pair attains meet rank 1; bound 1\n", ""
+    )
+
+
+def test_search_max_prints_an_all_max_overflow(in_samples_tmp, monkeypatch, capsys):
+    monkeypatch.setattr(search, "ALL_MAX_CAP", 1)
+    code, out, _ = run_cli(["search-max", "--design", "oa11.design", "--s", "1", "--all"], capsys)
+    assert code == 0
+    assert out.endswith("maximum-family enumeration overflowed the cap; list omitted\n")
+    assert "maximum families:" not in out
 
 
 def test_enumerate(capsys):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import GRID_SPECS, ODD_FIELD_SPECS, star_members
-from ekrlattice import designs, ekr, families
+from ekrlattice import designs, ekr, families, parameters
 from ekrlattice.errors import BudgetExceededError
 from ekrlattice.designs import full_fiber, generate_linear_oa, restrict_strength
 
@@ -147,6 +147,28 @@ def test_table1_thresholds():
         for v in range(8, 41)
     ]
     assert flips == [v > 19 for v in range(8, 41)]
+    # grassmann q=2, m=3, s=1, t=3 (s < t-1) flips at v = 9
+    flips = [
+        ekr.table1_condition(families.parse_family_spec(f"grassmann:v={v},m=3,q=2"), 1, 3)
+        for v in range(6, 20)
+    ]
+    assert flips == [v >= 9 for v in range(6, 20)]
+
+
+def test_grassmanns_loose_table1_form_implies_the_raw_rows():
+    # every (s, t) with s < t-1 over a grid of full grassmann fibers, by closed forms alone
+    cases = held = 0
+    for q, m in itertools.product((2, 3, 4, 5), (3, 4, 5)):
+        for v in range(2 * m, 2 * m + 9):
+            spec = families.parse_family_spec(f"grassmann:v={v},m={m},q={q}")
+            for t in range(3, m + 1):
+                cert = designs.DesignCertificate(spec, (), t, tuple(parameters.theta(spec, j) for j in range(t + 1)))
+                for s in range(1, t - 1):
+                    report = ekr.check_conditions(cert, s)
+                    cases += 1
+                    held += report.table1_form
+                    assert report.theorem_form or not report.table1_form, (v, m, q, s, t)
+    assert (cases, held) == (360, 108)
 
 
 def test_condition_rows_cover_every_r():
@@ -322,6 +344,29 @@ def test_verify_extremal_not_a_star():
     verdict = ekr.verify_extremal(cert, (a, b), 2)
     assert verdict.status == "extremal-star"
     assert families.format_element(verdict.center) == "1:0,2:0"
+
+
+def test_the_anchors_maximum_families_are_the_point_stars_and_the_hyperplanes():
+    # the 126 families of 155 planes of GF(2)^6 that pairwise meet: the planes
+    # through a point, and the planes inside a hyperplane, which share no point
+    spec = families.parse_family_spec("grassmann:v=6,m=3,q=2")
+    cert = full_fiber(spec)
+    members = cert.elements
+    stars = families.above(spec, 1, members)
+    point_stars = [tuple(x for j, x in enumerate(members) if star >> j & 1) for star in stars]
+    hyperplanes = []
+    for a in range(1, 64):  # the kernel of the functional v -> a . v, as a mask of vector codes
+        kernel = sum(1 << v for v in range(1, 64) if not (a & v).bit_count() % 2)
+        hyperplanes.append(tuple(x for x in members if not x.atoms & ~kernel))
+    verdicts = [ekr.verify_extremal(cert, family, 1) for family in point_stars + hyperplanes]
+    assert all((v.size, v.bound) == (155, 155) for v in verdicts)
+    assert [v.status for v in verdicts] == ["extremal-star"] * 63 + ["extremal-but-not-star"] * 63
+    centers = families.enumerate_fiber(spec, 1)
+    assert len({v.center for v in verdicts[:63]}) == 63
+    for v, family in zip(verdicts, point_stars):
+        row = stars[centers.index(v.center)]
+        assert tuple(x for j, x in enumerate(members) if row >> j & 1) == family
+    assert all(v.center is None for v in verdicts[63:])
 
 
 def test_verify_extremal_without_a_common_center_builds_no_fiber(fano_cert, monkeypatch):

@@ -48,6 +48,22 @@ def bron_kerbosch_max_cliques(adj):
     return omega, sorted(mask for mask in best if mask.bit_count() == omega)
 
 
+def _orbits(n, generators):
+    """The orbits on range(n), each a list opened at its least point, of the group
+    that `generators` (permutations as lists of images) generate."""
+    seen, orbits = set(), []
+    for j in range(n):
+        if j not in seen:
+            seen.add(j)
+            orbits.append([j])
+            for k in orbits[-1]:  # grows while it is walked: the closure under `generators`
+                for image in generators:
+                    if image[k] not in seen:
+                        seen.add(image[k])
+                        orbits[-1].append(image[k])
+    return orbits
+
+
 def masks_of(result, cert):
     pos = {x: i for i, x in enumerate(cert.elements)}
     out = []
@@ -322,9 +338,13 @@ def test_without_a_kept_symmetry_the_search_is_node_for_node_unchanged(monkeypat
     assert (result.optimum, result.nodes, result.orbits) == (17, 1040, 70)
 
 
-def differential_certs():
+def grid_and_sample_certs():
     yield from (full_fiber(families.parse_family_spec(text)) for text in GRID_SPECS)
     yield from (designs.load_design(SAMPLES_DIR / name) for name in ("fano.design", "oa3.design", "oa11.design"))
+
+
+def differential_certs():
+    yield from grid_and_sample_certs()
     yield from (generate_linear_oa(q, 3) for q in (3, 5, 7))
 
 
@@ -339,6 +359,17 @@ def test_rooted_search_matches_the_exhaustive_one(cert):
         assert (masks_of(result, cert), result.all_max_overflow) == (sorted(masks), overflow), s
 
 
+@pytest.mark.parametrize("cert", grid_and_sample_certs(), ids=lambda cert: f"{cert.spec}/{cert.size}")
+def test_the_roots_merged_orbits_are_the_closure_reference(cert):
+    # the same partition, in each search's own labels, with the same least points in the same order
+    generators = search.kept_symmetries(cert)
+    for s in range(1, cert.spec.top_rank + 1):
+        solver = search._Solver(graph_of(cert, s), generators)
+        reference = _orbits(solver.n, solver.generators)
+        assert [sorted(o) for o in solver.orbits] == [sorted(o) for o in reference], s
+        assert [o[0] for o in solver.orbits] == [o[0] for o in reference], s
+
+
 @pytest.mark.parametrize(
     "text", (*GRID_SPECS, "grassmann:v=4,m=2,q=4", "bilinear:m=2,n=2,q=3", "signed:m=3,k=2", "hamming:m=1,n=3")
 )
@@ -349,7 +380,7 @@ def test_candidates_are_automorphisms_and_a_full_top_fiber_is_one_orbit(text):
             masks = {x.atoms for x in families.enumerate_fiber(spec, i)}
             assert {g(x) for x in families.enumerate_fiber(spec, i)} == masks, (i, text)
     cert = full_fiber(spec)
-    orbits = search._orbits(cert.size, search.kept_symmetries(cert))
+    orbits = _orbits(cert.size, search.kept_symmetries(cert))
     assert len(orbits) == 1 and sorted(orbits[0]) == list(range(cert.size))
 
 
@@ -361,11 +392,11 @@ def swap_atoms(a, b):
 def test_a_candidate_that_moves_the_design_is_dropped(monkeypatch):
     cert = generate_linear_oa(3, 3)  # rows (x, y, x + y): only the position swap (1 2) keeps them
     real = families.symmetries(cert.spec)
-    assert len(search._orbits(cert.size, search.kept_symmetries(cert))) == 6
+    assert len(_orbits(cert.size, search.kept_symmetries(cert))) == 6
     expected = search.max_intersecting(cert, 1, enumerate_all=True)
     # values 0 and 1 swapped at position 3, atoms 6 and 7: (0, 0, 0) leaves the design
     monkeypatch.setattr(families, "symmetries", lambda spec: [swap_atoms(6, 7), *real])
-    assert len(search._orbits(cert.size, search.kept_symmetries(cert))) == 6
+    assert len(_orbits(cert.size, search.kept_symmetries(cert))) == 6
     result = search.max_intersecting(cert, 1, enumerate_all=True)
     assert (result.optimum, result.all_max, result.orbits) == (expected.optimum, expected.all_max, 6)
 
@@ -507,12 +538,12 @@ def test_merged_orbits_are_the_rebuilt_ones_at_every_root_stabilizer(text):
         for r in (orbit[0] for orbit in solver.orbits):  # the roots maximize branches on
             (near, kept, _), returned = search._stabilizer(solver.adj, solver.group, (1 << solver.n) - 1, r, 64)
             assert kept or not near, (s, r)
-            rebuilt = [[near[p] for p in orbit] for orbit in search._orbits(len(near), kept)]
+            rebuilt = [[near[p] for p in orbit] for orbit in _orbits(len(near), kept)]
             assert [sorted(o) for o in returned] == [sorted(o) for o in rebuilt], (s, r)
             orbits, least = {x: [x] for x in range(len(near))}, list(range(len(near)))
             for k, h in enumerate(kept, 1):
                 search._merge_orbits(orbits, least, h)
-                rebuilt = search._orbits(len(near), kept[:k])
+                rebuilt = _orbits(len(near), kept[:k])
                 assert {a: sorted(o) for a, o in orbits.items()} == {o[0]: sorted(o) for o in rebuilt}, (s, r, k)
                 assert all(least[p] == o[0] for o in rebuilt for p in o), (s, r, k)
 
@@ -693,7 +724,7 @@ def word_stabilizer(adj, generators, r):
             h = [near.index(h[x]) for x in near]
             if any(least[h[p]] != least[p] for p in range(len(near))):
                 kept.append(h)
-                orbits = search._orbits(len(near), kept)
+                orbits = _orbits(len(near), kept)
                 for orbit in orbits:
                     for p in orbit:
                         least[p] = orbit[0]
