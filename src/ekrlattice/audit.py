@@ -81,16 +81,13 @@ join, so it holds.  A set or map kind whose meets are not all canonical,
 or whose ranks are not all popcounts, goes by rows too.
 """
 
-from __future__ import annotations
-
 import time
-from collections import namedtuple
 from itertools import chain, compress, count, repeat
 from operator import is_not
 
 from . import families, parameters
 from .errors import BudgetExceededError, NonIntegralError
-from .families import DEFAULT_BUDGET, FamilySpec, _bits
+from .families import DEFAULT_BUDGET, FamilySpec, Record, _bits
 
 CHECK_IDS = (
     "semilattice-glb",
@@ -103,14 +100,14 @@ CHECK_IDS = (
 )
 
 
-class AuditCheck(namedtuple("AuditCheck", "check_id passed cases counterexample elapsed")):
+class AuditCheck(Record, fields="check_id passed cases counterexample elapsed"):
     """One check's verdict: its id, whether it passed, the cases it judged,
     the first counterexample's dict or None, and its seconds."""
 
     __slots__ = ()
 
 
-class AuditReport(namedtuple("AuditReport", "spec checks")):
+class AuditReport(Record, fields="spec checks"):
     """The family spec and the list of its `AuditCheck`s."""
 
     __slots__ = ()

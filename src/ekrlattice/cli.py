@@ -22,7 +22,8 @@ unknown word.  Help text and usage errors are therefore argparse's own.
 
 A process imports only what its subcommand runs: this module loads
 `families` and `errors`, and each `_cmd_*` handler imports its own library
-modules when it runs (`audit` loads no `designs`, `search` or `ekr`).
+modules when it runs (`audit` loads no `designs`, `search` or `ekr`, and
+`search-max` no `ekr`).
 `_dumps` writes the `--json` envelope byte for byte as
 `json.dumps(envelope, indent=2, sort_keys=True)` would, without the json
 package.
@@ -34,8 +35,6 @@ appear in their text encodings.  Integers outside the signed 64-bit range
 are emitted as decimal strings and the envelope gains
 `"numeric_as_string": true`.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -50,10 +49,10 @@ _INT64_MAX = 2**63 - 1
 
 def _normalize(obj, flag: dict, texts: dict):
     """The JSON form of a report value; the one place that encodes elements,
-    family specs and records.  All three are named tuples, so they are
-    checked before tuples: elements and specs become their text encodings,
-    each formatted once per report through `texts`, and any other record
-    the dict of its fields."""
+    family specs and records.  All three are tuples (`families.Record`), so
+    they are checked before tuples: elements and specs become their text
+    encodings, each formatted once per report through `texts`, and any
+    other record the dict of its fields."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (families.Element, families.FamilySpec)):

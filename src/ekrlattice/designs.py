@@ -18,17 +18,14 @@ refused where it is read, in a design file or a family file, before any
 coverage pass; the declared strength is re-verified on load.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from itertools import product
 
 from . import families, gf as gflib, parameters
 from .errors import BudgetExceededError, NonIntegralError, ParseError, VerificationError
-from .families import Element, FamilySpec
+from .families import Element, FamilySpec, Record
 
 
-class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength indices")):
+class DesignCertificate(Record, fields="spec elements strength indices"):
     """A verified design: spec, elements, strength, and exact index vector
     (indices[j] == lambda_j for 0 <= j <= strength).  The elements are kept
     in canonical (payload) order whatever order they came in, so nothing read
@@ -46,11 +43,6 @@ class DesignCertificate(namedtuple("DesignCertificate", "spec elements strength 
 
     def __new__(cls, spec: FamilySpec, elements, strength: int, indices: tuple[int, ...]):
         return super().__new__(cls, spec, tuple(sorted(elements, key=lambda x: x.payload)), strength, indices)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through `__new__`, so `_replace` keeps payload order too."""
-        return cls(*iterable)
 
     @property
     def size(self) -> int:

@@ -19,67 +19,10 @@ never silently reconciled with the raw rows:
   (s < t-1 and s = t-1), evaluated in exact integer arithmetic.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from . import families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
-from .families import FamilySpec
-
-
-def min_meet_rank(spec: FamilySpec, family) -> int:
-    """Minimum rank of a pairwise meet; the top rank for a singleton.  A meet
-    depends only on the common atoms, so `families.meet` runs once per
-    distinct common-atom mask, on the first pair that has it."""
-    members = tuple(family)
-    if not members:
-        raise ParseError("family must be nonempty")
-    top = spec.top_rank
-    for x in members:
-        if x.spec != spec or x.rank != top:
-            raise ParseError("family members must be top-fiber elements of this family")
-    best = top
-    seen = set()
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            common = x.atoms & y.atoms
-            if common not in seen:
-                seen.add(common)
-                best = min(best, families.meet(x, y).rank)
-                if best == 0:
-                    return 0
-    return best
-
-
-def star_neighbourhoods(stars, n: int) -> list[int]:
-    """For each of n members, itself OR'd with every star mask that holds it.
-
-    Two members meet in rank >= s exactly when some rank-s element lies below
-    both, so over the rank-s stars of the members this is, per member, the
-    bitmask of the members meeting it in rank >= s, itself included."""
-    masks = [1 << j for j in range(n)]
-    for star in stars:
-        rest = star
-        while rest:
-            low = rest & -rest
-            masks[low.bit_length() - 1] |= star
-            rest ^= low
-    return masks
-
-
-def intersection_masks(members, s: int) -> list[int]:
-    """For each member, the bitmask of the members meeting it in rank >= s,
-    itself included, pair by pair; meet ranks are read from atom popcounts.
-    The same masks as `star_neighbourhoods` over the rank-s stars."""
-    masks = [1 << j for j in range(len(members))]
-    for i, x in enumerate(members):
-        for j in range(i + 1, len(members)):
-            if families.meet_rank(x, members[j]) >= s:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+from .families import FamilySpec, Record, min_meet_rank  # min_meet_rank is exported from here too
 
 
 def is_intersecting(spec: FamilySpec, family, s: int) -> bool:
@@ -122,7 +65,7 @@ def check_extremal_range(spec: FamilySpec, s: int, t: int) -> None:
     _check_s_to_strength(s, t)
 
 
-class ConditionRow(namedtuple("ConditionRow", "r conditions lhs rhs theta_lhs theta_rhs holds")):
+class ConditionRow(Record, fields="r conditions lhs rhs theta_lhs theta_rhs holds"):
     """One r-row of the hypothesis, in design-index and theta form: the
     tuple of condition names that apply, both sides of each form, and
     whether lhs < rhs."""
@@ -130,18 +73,16 @@ class ConditionRow(namedtuple("ConditionRow", "r conditions lhs rhs theta_lhs th
     __slots__ = ()
 
 
-class RemarkRow(namedtuple("RemarkRow", "r conditions lhs rhs holds")):
+class RemarkRow(Record, fields="r conditions lhs rhs holds"):
     """One r-row of the printed remark form."""
 
     __slots__ = ()
 
 
 class ConditionReport(
-    namedtuple(
-        "ConditionReport",
-        "spec s t indices bound rows cond1_vacuous theorem_form remark_rows remark_form remark_agrees"
-        " table1_form table1_agrees",
-    )
+    Record,
+    fields="spec s t indices bound rows cond1_vacuous theorem_form remark_rows remark_form remark_agrees"
+    " table1_form table1_agrees",
 ):
     """The hypotheses at (s, t): `bound` is lambda_s, `rows` the
     `ConditionRow`s and `remark_rows` the `RemarkRow`s; each `*_form` says
@@ -229,7 +170,7 @@ def ekr_bound(cert: DesignCertificate, s: int) -> int:
     return cert.indices[s]
 
 
-class DrReport(namedtuple("DrReport", "r s d_r bound witness")):
+class DrReport(Record, fields="r s d_r bound witness"):
     """Exact d_r with its witness pair (x, y) and the applicable bound;
     `d_r` and `witness` are None when no pair has meet rank r."""
 
@@ -262,7 +203,7 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
             "the d_r scan", need, "comparisons", families.DEFAULT_BUDGET, fiber_size=size, design_size=n
         )
     stars = families.above(spec, s, members)
-    near = star_neighbourhoods(stars, n)
+    near = families.star_neighbourhoods(stars, n)
     count_r = families.atom_count(spec, r)  # x /\ y has rank r iff x and y share this many atoms
     member_atoms = [y.atoms for y in members]
     best = None
@@ -278,7 +219,7 @@ def compute_dr(cert: DesignCertificate, s: int, r: int) -> DrReport:
     return DrReport(r=r, s=s, d_r=best, bound=bound, witness=witness)
 
 
-class ExtremalVerdict(namedtuple("ExtremalVerdict", "size bound status center")):
+class ExtremalVerdict(Record, fields="size bound status center"):
     """How an intersecting family compares with the bound lambda_s: `status`
     is below-bound, extremal-star, extremal-but-not-star or exceeds-bound,
     and `center` the star's rank-s center, or None."""

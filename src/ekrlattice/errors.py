@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class ParseError(ValueError):
     """Malformed input: a family spec, element, design file or out-of-range argument."""

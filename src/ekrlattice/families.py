@@ -11,10 +11,8 @@ The code outside it reads the record and branches on its shape.  Positions
 are 1-based everywhere.
 """
 
-from __future__ import annotations
-
 import math
-from collections import namedtuple
+from _collections import _tuplegetter
 from collections.abc import Iterator
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -24,10 +22,78 @@ from . import gf as gflib
 from .errors import BudgetExceededError, FamilyMismatchError, ParseError
 
 
-class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5)):
+class Record(tuple):
+    """A named tuple that compiles nothing per class.  A subclass names its
+    fields, and the defaults of the last ones, as class keywords::
+
+        class Pair(Record, fields="x y", defaults=(0,)):
+
+    and gets what `collections.namedtuple` gives: a getter per field, read
+    in C (`_tuplegetter`, namedtuple's own), `_fields`, `_field_defaults`,
+    `__match_args__`, `_make`, `_replace`, `_asdict`, the repr and pickling,
+    with tuple's equality and hash.  `__new__` binds its arguments in Python;
+    a hot constructor builds through `tuple.__new__` instead (`_new`).
+    Unlike namedtuple's, `_make`, and so `_replace`, builds through
+    `__new__`, so a record that checks or sorts its fields there does so
+    in both.  A subclass without `__slots__ = ()` has a `__dict__`, as
+    namedtuple's subclasses do.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _field_defaults = {}
+
+    def __init_subclass__(cls, fields=None, defaults=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        if fields is None:  # a subclass of a record keeps its fields
+            return
+        names = cls._fields = cls.__match_args__ = tuple(fields.split())
+        cls._field_defaults = dict(zip(names[len(names) - len(defaults) :], defaults))
+        for index, name in enumerate(names):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+            args = [*args]
+            for name in fields[len(args) :]:
+                if name in kwargs:
+                    args.append(kwargs.pop(name))
+                elif name in cls._field_defaults:
+                    args.append(cls._field_defaults[name])
+                else:
+                    raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **kwargs):
+        result = self._make(map(kwargs.pop, self._fields, self))
+        if kwargs:
+            raise ValueError(f"Got unexpected field names: {list(kwargs)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
+class FamilySpec(Record, fields="kind v m n q k", defaults=(None,) * 5):
     """Which family, plus its integer parameters.
 
-    A named tuple, so it hashes and compares in C; the parameters are
+    A `Record`, so it hashes and compares in C; the parameters are
     validated against the kind's record when it is built, also by `_make`
     and `_replace`.  No `__slots__`: the instance keeps its record in
     `_record`, its top rank M (the record's `top` parameter) in `top_rank`,
@@ -57,11 +123,6 @@ class FamilySpec(namedtuple("FamilySpec", "kind v m n q k", defaults=(None,) * 5
         self._record = record
         self.top_rank = getattr(self, record.top)
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through `__new__`, so `_replace` validates too."""
-        return cls(*iterable)
 
     def __reduce__(self):  # pickled as its parameters; `__new__` rebuilds the record
         return type(self), tuple(self)
@@ -108,9 +169,12 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(kind=kind, **params)
 
 
-class Element(namedtuple("Element", "spec payload")):
+class Element(Record, fields="spec payload"):
     """One canonical semilattice point: equal and hashed as (spec, payload),
     both in C.  No `__slots__`, so `atoms` has a `__dict__` to live in."""
+
+    def __new__(cls, spec: FamilySpec, payload: tuple):
+        return tuple.__new__(cls, (spec, payload))
 
     @property
     def rank(self) -> int:
@@ -188,7 +252,8 @@ def _same_family(x: Element, y: Element) -> None:
 # mask is set where an element is built, through the one codec `_Atoms.encode`:
 # `parse_element` encodes each element it reads, `_fiber` each element of a set
 # or map kind, and a decode keeps the mask it read.  Set and map kinds encode
-# through `bit`, a table from atom to bit; subspace kinds span their row codes.
+# through `bit`, a table from atom to bit; subspace kinds span their row codes,
+# each kept per codec once computed (`code`).
 # Other elements (`least`, `below`, subspace fibers, elements built by hand)
 # encode on the first read of `atoms`, a `functools.cached_property`.  The
 # parser keeps, per codec, each item token it has validated (ground point,
@@ -220,6 +285,7 @@ class _Atoms:
             self.ranks = {c: r for r, c in enumerate(self.counts)}  # popcount -> rank
             self.top_size = spec.q**spec.top_rank  # vectors of a top-rank element
             self.vectors: dict[int, tuple] = {}  # code -> vector, filled by `_vector`
+            self.codes: dict[tuple, int] = {}  # vector -> code, filled by `code` and `_vector`
             # a graph kind: the vectors (0, u), u != 0, whose codes are below q^n; no graph has one
             self.flat = (1 << spec.q**spec.n) - 2 if record.graph else 0
             self.image_tokens: dict[str, tuple] = {}  # a graph kind's image rows, kept by `parse_element`
@@ -246,7 +312,7 @@ class _Atoms:
 
     def encode(self, payload: tuple) -> int:
         if self.bit is None:  # subspace kinds
-            return self._span(sum(1 << self.code(row) for row in _rows(self.spec, payload)))
+            return self._span(map(self.code, _rows(self.spec, payload)))
         return sum(map(self.bit, payload))
 
     def element(self, mask: int) -> Element:
@@ -299,11 +365,14 @@ class _Atoms:
 
     # vectors of the subspace kinds, as codes
 
-    def code(self, vec) -> int:
-        """The code of a vector, the inverse of `_vector`."""
-        q, code = self.fld.q, 0
-        for c in vec:
-            code = code * q + c
+    def code(self, vec: tuple) -> int:
+        """The code of a vector, the inverse of `_vector`, kept once met."""
+        code = self.codes.get(vec)
+        if code is None:
+            q, code = self.fld.q, 0
+            for c in vec:
+                code = code * q + c
+            self.codes[vec] = code
         return code
 
     def _vector(self, code: int) -> tuple:
@@ -315,26 +384,42 @@ class _Atoms:
                 rest, c = divmod(rest, q)
                 digits.append(c)
             vec = self.vectors[code] = tuple(reversed(digits))
+            self.codes[vec] = code
         return vec
 
     def sumset(self, a: int, b: int) -> int:
-        """The atoms of x + y for subspaces x and y with atoms a and b: their join."""
-        return self._span(b, a)
-
-    def _span(self, mask: int, under: int = 0) -> int:
-        """The atoms of the span of `under`, the atoms of a subspace, and the
-        vectors of mask."""
-        plus, scale, q = self.fld.add, self.fld.scale, self.fld.q
-        vecs, span = [0, *_bits(under)], under | 1  # bit 0: the zero vector
-        rest = mask & ~span
+        """The atoms of x + y for subspaces x and y with atoms a and b: their
+        join.  The lowest atom of b outside the span so far adds its coset."""
+        vecs, span = [0, *_bits(a)], a | 1  # bit 0: the zero vector
+        rest = b & ~span
         while rest:
-            code = (rest & -rest).bit_length() - 1
-            new = [plus(s, m) for m in [scale(c, code) for c in range(1, q)] for s in vecs]
-            vecs += new
-            for v in new:
-                span |= 1 << v
+            span |= self._coset(vecs, (rest & -rest).bit_length() - 1)
             rest &= ~span
         return span & ~1
+
+    def _span(self, codes) -> int:
+        """The atoms of the span of the vectors with these codes, an element's
+        rows; a zero or dependent row only repeats vectors."""
+        vecs, span = [0], 0
+        for code in codes:
+            span |= self._coset(vecs, code)
+        return span & ~1  # bit 0: the zero vector
+
+    def _coset(self, vecs: list, code: int) -> int:
+        """Extend `vecs`, the vectors of a subspace, by their sums with each
+        nonzero multiple of the vector with this code, in one list (for p = 2
+        the sum is `v ^ m`), and return the atoms of the sums."""
+        fld = self.fld
+        multiples = [fld.scale(c, code) for c in range(1, fld.q)]
+        if fld.p == 2:
+            new = [v ^ m for m in multiples for v in vecs]
+        else:
+            new = [fld.add(v, m) for m in multiples for v in vecs]
+        vecs += new
+        added = 0
+        for v in new:
+            added |= 1 << v
+        return added
 
 
 def _codec(spec: FamilySpec) -> _Atoms | None:
@@ -347,7 +432,7 @@ def _codec(spec: FamilySpec) -> _Atoms | None:
         return None
 
 
-_new = tuple.__new__  # builds an Element from (spec, payload), as namedtuple's `_make` does
+_new = tuple.__new__  # builds an Element from (spec, payload), as `Element.__new__` does, one call less
 
 
 def _rows(spec: FamilySpec, payload: tuple) -> tuple:
@@ -433,6 +518,30 @@ def join_bounded(x: Element, y: Element) -> Element | None:
 def meet_all(elements) -> Element:
     """Iterated meet of a nonempty collection."""
     return reduce(meet, elements)
+
+
+def min_meet_rank(spec: FamilySpec, family) -> int:
+    """Minimum rank of a pairwise meet; the top rank for a singleton.  A meet
+    depends only on the common atoms, so `meet` runs once per distinct
+    common-atom mask, on the first pair that has it."""
+    members = tuple(family)
+    if not members:
+        raise ParseError("family must be nonempty")
+    top = spec.top_rank
+    for x in members:
+        if x.spec != spec or x.rank != top:
+            raise ParseError("family members must be top-fiber elements of this family")
+    best = top
+    seen = set()
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            common = x.atoms & y.atoms
+            if common not in seen:
+                seen.add(common)
+                best = min(best, meet(x, y).rank)
+                if best == 0:
+                    return 0
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +655,35 @@ def above(spec: FamilySpec, i: int, elements) -> list[int]:
             if not leq(z, elements[j]):
                 raise AssertionError(f"leq refuses {format_element(z)} <= {format_element(elements[j])}")
     return stars
+
+
+def star_neighbourhoods(stars, n: int) -> list[int]:
+    """For each of n members, itself OR'd with every star mask that holds it.
+
+    Two members meet in rank >= s exactly when some rank-s element lies below
+    both, so over the rank-s stars of the members this is, per member, the
+    bitmask of the members meeting it in rank >= s, itself included."""
+    masks = [1 << j for j in range(n)]
+    for star in stars:
+        rest = star
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= star
+            rest ^= low
+    return masks
+
+
+def intersection_masks(members, s: int) -> list[int]:
+    """For each member, the bitmask of the members meeting it in rank >= s,
+    itself included, pair by pair; meet ranks are read from atom popcounts.
+    The same masks as `star_neighbourhoods` over the rank-s stars."""
+    masks = [1 << j for j in range(len(members))]
+    for i, x in enumerate(members):
+        for j in range(i + 1, len(members)):
+            if meet_rank(x, members[j]) >= s:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -676,8 +814,10 @@ def symmetries(spec: FamilySpec) -> list[Symmetry]:
 
 
 def format_element(x: Element) -> str:
+    """The canonical text of x; `-` for the least element's empty payload
+    alone, so an element of any other payload is named by its items."""
     record = x.spec._record
-    if x.rank == 0:
+    if x.payload == _from_rows(x.spec, ()):
         return "-"
     if record.shape == "set":
         return " ".join(str(i) for i in x.payload)

@@ -19,8 +19,6 @@ Vectors are int tuples and matrices are tuples of row tuples; every
 routine is a pure function of its inputs.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 from itertools import combinations, product

@@ -17,8 +17,6 @@ instead.
 All arithmetic is exact unbounded-integer arithmetic.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import families

@@ -74,13 +74,10 @@ permutation of its parent's meets pairwise in rank >= s when its parent
 does; parents come before their images, so induction covers every family.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from itertools import compress, takewhile
 from operator import itemgetter, ne
 
-from . import ekr, families, parameters
+from . import families, parameters
 from .designs import DesignCertificate
 from .errors import BudgetExceededError, ParseError
 
@@ -100,18 +97,18 @@ def check_graph(spec: families.FamilySpec, s: int, n: int) -> None:
 def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
     """(adjacency, seed mask) of the search, bit j for member j, after the s
     range and then `VERTEX_CAP` are checked (`check_graph`).  Member j's mask,
-    its own bit set, is the OR of the rank-s stars holding j (`ekr.star_neighbourhoods`),
+    its own bit set, is the OR of the rank-s stars holding j (`families.star_neighbourhoods`),
     and the seed is the first largest star in canonical center order.  At the
     certificate's strength the stars are its coverage pass's (`cert.stars`);
     below it they are tabulated from the centers below each member
     (`families.below`), so no fiber is built.  When that table would list more
     than `families.FIBER_CAP` center entries, the graph is built pair by pair
-    (`ekr.intersection_masks`) and member 0 is the seed."""
+    (`families.intersection_masks`) and member 0 is the seed."""
     members = cert.elements
     n = len(members)
     check_graph(cert.spec, s, n)
     if n * parameters.nu(cert.spec, s, cert.spec.top_rank) > families.FIBER_CAP:
-        return tuple(ekr.intersection_masks(members, s)), 1
+        return tuple(families.intersection_masks(members, s)), 1
     if s == cert.strength and cert.stars is not None:
         stars = cert.stars
     else:
@@ -121,7 +118,7 @@ def _graph(cert: DesignCertificate, s: int) -> tuple[tuple[int, ...], int]:
             for z in families.below(x, s):
                 table[z.payload] = table.get(z.payload, 0) | bit
         stars = [table[p] for p in sorted(table)]
-    return tuple(ekr.star_neighbourhoods(stars, n)), max(stars, key=int.bit_count)
+    return tuple(families.star_neighbourhoods(stars, n)), max(stars, key=int.bit_count)
 
 
 def _kept(cert: DesignCertificate) -> list[tuple[families.Symmetry, list[int]]]:
@@ -237,7 +234,7 @@ def _stabilizer(adj, group, within, r, tries):
     return (vertices, kept, kept_inv), [[vertices[p] for p in orbit] for orbit in orbits.values()]
 
 
-class SearchResult(namedtuple("SearchResult", "optimum witness all_max all_max_overflow nodes orbits status")):
+class SearchResult(families.Record, fields="optimum witness all_max all_max_overflow nodes orbits status"):
     """The optimum with a witness family (a tuple of elements); `all_max`,
     every maximum family, or None when not asked for or past the cap;
     `orbits`, the member orbits under the kept symmetries (the design size
@@ -543,7 +540,7 @@ def max_intersecting(
         if len(set(family)) != optimum or len(family) != optimum or not design.issuperset(family):
             raise AssertionError(f"search returned an invalid family of {len(family)} for optimum {optimum}")
     for family in (witness, *found):  # the closure's images are checked by transport
-        if family and ekr.min_meet_rank(cert.spec, family) < s:
+        if family and families.min_meet_rank(cert.spec, family) < s:
             raise AssertionError(f"search returned a family of {len(family)} that is not {s}-intersecting")
     return SearchResult(
         optimum=optimum,

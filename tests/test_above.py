@@ -293,7 +293,7 @@ def test_dr_reads_near_from_the_stars(text, monkeypatch):
     top = spec.top_rank
     cert = full_fiber(spec)
     expected = {(s, r): ekr.compute_dr(cert, s, r) for s in range(1, top + 1) for r in range(s)}
-    monkeypatch.setattr(ekr, "intersection_masks", lambda members, s: pytest.fail("built a pairwise table"))
+    monkeypatch.setattr(families, "intersection_masks", lambda members, s: pytest.fail("built a pairwise table"))
     for (s, r), report in expected.items():
         assert ekr.compute_dr(cert, s, r) == report
 

@@ -186,8 +186,8 @@ def test_a_second_rank_0_element_fails_the_rank_function(monkeypatch):
     monkeypatch.setattr(families.Element, "rank", property(lambda self: 0 if self.payload == (1,) else real(self)))
     rank = audit(spec).checks[1]
     assert (rank.check_id, rank.cases) == ("rank-function", 1)
-    # the least element and "1", which now reads as rank 0 and so prints as "-" too
-    assert rank.counterexample == {"elements": ["-", "-"], "note": "rank-0 fiber is not a single least element"}
+    # the least element and "1", which now reads as rank 0 but is named by its payload
+    assert rank.counterexample == {"elements": ["-", "1"], "note": "rank-0 fiber is not a single least element"}
 
 
 def test_an_element_with_nothing_below_it_covers_nothing(monkeypatch):

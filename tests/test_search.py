@@ -767,8 +767,8 @@ def test_all_max_is_the_pairwise_reverified_list(cert, s):
 
 def test_all_reverifies_pair_by_pair_only_the_witness_and_the_branchs_families(monkeypatch):
     cert = full_fiber(families.parse_family_spec("johnson:v=8,m=4"), 2)
-    checked, min_meet_rank = [], ekr.min_meet_rank
-    monkeypatch.setattr(ekr, "min_meet_rank", lambda spec, family: checked.append(family) or min_meet_rank(spec, family))
+    checked, min_meet_rank = [], families.min_meet_rank
+    monkeypatch.setattr(families, "min_meet_rank", lambda spec, family: checked.append(family) or min_meet_rank(spec, family))
     result = search.max_intersecting(cert, 2, enumerate_all=True)
     assert len(result.all_max) == 70
     assert len(checked) == 4 and set(checked[1:]) < set(result.all_max)  # the witness, then three found cliques
